@@ -2,17 +2,13 @@
 
 Exit codes: 0 all executed checks pass, 1 at least one check failed,
 2 configuration error (the message names the violated precondition).
-Set QVERTEX_THREADS > 1 to dispatch independent registry items on a thread
-pool (results are merged in deterministic order).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import fock as fock_mod
@@ -207,27 +203,18 @@ REGISTRY = {
 
 def run_all(cfg: Config, g: GroupData) -> list[CheckReport]:
     """Execute every registered check family applicable to the configuration."""
-    jobs = [
-        lambda: run_repring_checks(cfg, g),
-        lambda: run_fock_checks(cfg, g),
-        lambda: run_wreath_checks(cfg, g),
-        lambda: run_vertex_checks(cfg, g),
-        lambda: run_toroidal_checks(cfg, g, "toroidal_plus"),
-        lambda: run_toroidal_checks(cfg, g, "toroidal_minus"),
+    out: list[CheckReport] = [
+        *run_repring_checks(cfg, g),
+        *run_fock_checks(cfg, g),
+        *run_wreath_checks(cfg, g),
+        *run_vertex_checks(cfg, g),
+        *run_toroidal_checks(cfg, g, "toroidal_plus"),
+        *run_toroidal_checks(cfg, g, "toroidal_minus"),
     ]
     if g.n_classes >= 2:
-        jobs.append(lambda: run_toroidal_checks(cfg, g, "affine"))
+        out.extend(run_toroidal_checks(cfg, g, "affine"))
     if g.cartan_layout is not None and g.cartan_layout[0] == "A" and g.n_classes >= 3:
-        jobs.append(lambda: run_toroidal_checks(cfg, g, "typeA_qp"))
-    threads = int(os.environ.get("QVERTEX_THREADS", "1"))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda f: f(), jobs))
-    else:
-        results = [f() for f in jobs]
-    out: list[CheckReport] = []
-    for r in results:
-        out.extend(r)
+        out.extend(run_toroidal_checks(cfg, g, "typeA_qp"))
     return out
 
 

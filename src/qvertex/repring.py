@@ -164,12 +164,29 @@ class QCartanMatrix:
 
 
 def qcartan(xi: WeightXi) -> QCartanMatrix:
+    """a_ij = <chi_i, chi_j>_xi = sum_c (xi chi_i)(c)/zeta_c * (S chi_j)(c).
+
+    The row factor xi chi_i |C_c| and the antipoded column S chi_j are computed
+    once each, not once per entry.  1/zeta_c = |C_c|/|G|: summing with integral
+    class sizes and dividing by |G| once keeps the inner products integral.
+    """
     g = xi.group
-    chars = [CxClassFunction.character(g, i) for i in range(g.n_classes)]
-    rows = tuple(
-        tuple(weighted_form(xi, chars[i], chars[j]) for j in range(g.n_classes)) for i in range(g.n_classes)
-    )
-    return QCartanMatrix(xi, rows)
+    n = g.n_classes
+    chars = [CxClassFunction.character(g, i) for i in range(n)]
+    sizes = [g.class_size(c) for c in range(n)]
+    left = [[(x * f).scale(s) for x, f, s in zip(xi.f.values, chi.values, sizes)] for chi in chars]
+    right = [antipode(chi).values for chi in chars]
+    inv_order = Fraction(1, g.order)
+    rows = []
+    for lv in left:
+        row = []
+        for rv in right:
+            acc = L_ZERO
+            for a, b in zip(lv, rv):
+                acc = acc + a * b
+            row.append(acc.scale(inv_order))
+        rows.append(tuple(row))
+    return QCartanMatrix(xi, tuple(rows))
 
 
 def hermitian_like_check(A: QCartanMatrix) -> CheckReport:

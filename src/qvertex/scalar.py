@@ -10,6 +10,14 @@ when operators contribute q^{1/2}-shifts.  The kernel has three layers:
   * TruncSeries  -- dense truncated power series in one auxiliary variable
                     with Laurent coefficients.
 
+Representation.  A Cyclo is canonical: reduced modulo Phi_N, and normalised to
+conductor N = 1 whenever its value is rational.  A rational value is stored as
+a Python ``int`` when it is integral and as a ``Fraction`` otherwise, so
+``as_rational()`` returns ``int | Fraction`` (the two compare and hash equal).
+A Laurent never stores a zero coefficient.  Arithmetic on conductor-1 values
+and products with a one-term Laurent operand run on the raw rationals, without
+re-validating the canonical form.
+
 All values are immutable after construction.
 """
 
@@ -20,9 +28,6 @@ from fractions import Fraction
 from math import gcd
 
 Rational = Fraction
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # --------------------------------------------------------------------------
@@ -115,8 +120,8 @@ def _reduce_mod_phi(n: int, coeffs) -> tuple:
 class Cyclo:
     """Element of Q[x]/Phi_N represented on the power basis 1, z, ..., z^{phi(N)-1}.
 
-    Purely rational values are normalised to conductor 1 so that cheap Fraction
-    arithmetic handles the common case.
+    Purely rational values are normalised to conductor 1, integral ones stored
+    as int, so that plain int / Fraction arithmetic handles the common case.
     """
 
     __slots__ = ("N", "c")
@@ -125,7 +130,9 @@ class Cyclo:
         if not _reduced:
             coeffs = _reduce_mod_phi(n, list(coeffs))
         if n > 1 and not any(coeffs[1:]):
-            n, coeffs = 1, (coeffs[0],)
+            n = 1
+        if n == 1:
+            coeffs = (_integral(coeffs[0]),)
         object.__setattr__(self, "N", n)
         object.__setattr__(self, "c", tuple(coeffs))
 
@@ -136,9 +143,9 @@ class Cyclo:
 
     @staticmethod
     def rational(x) -> "Cyclo":
-        if not isinstance(x, (int, Fraction)):
+        if type(x) is not int and not isinstance(x, Fraction):
             x = Fraction(x)
-        return Cyclo(1, (x,), _reduced=True)
+        return _rat(x)
 
     @staticmethod
     def root(n: int, k: int = 1) -> "Cyclo":
@@ -152,13 +159,13 @@ class Cyclo:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.c)
+        return self.N == 1 and not self.c[0]  # zero is rational, hence conductor 1
 
     @property
     def is_rational(self) -> bool:
         return self.N == 1
 
-    def as_rational(self) -> Fraction:
+    def as_rational(self) -> int | Fraction:
         if self.N != 1:
             raise ValueError(f"not a rational value: {self}")
         return self.c[0]
@@ -189,16 +196,19 @@ class Cyclo:
     # -- arithmetic
 
     def __add__(self, other):
-        other = _as_cyclo(other)
+        if type(other) is not Cyclo:
+            other = _as_cyclo(other)
         if self.N == 1 and other.N == 1:
-            return Cyclo(1, (self.c[0] + other.c[0],), _reduced=True)
+            return _rat(self.c[0] + other.c[0])
         n, ca, cb = self._match(other)
-        return Cyclo(n, tuple(x + y for x, y in zip(ca, cb)))
+        return Cyclo(n, tuple(x + y for x, y in zip(ca, cb)), _reduced=True)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyclo(self.N, tuple(-x for x in self.c), _reduced=True)
+        if self.N == 1:
+            return _rat(-self.c[0])
+        return _cyclo(self.N, tuple(-x for x in self.c))
 
     def __sub__(self, other):
         return self + (-_as_cyclo(other))
@@ -207,11 +217,14 @@ class Cyclo:
         return _as_cyclo(other) + (-self)
 
     def __mul__(self, other):
-        other = _as_cyclo(other)
+        if type(other) is not Cyclo:
+            other = _as_cyclo(other)
         if self.N == 1 and other.N == 1:
-            return Cyclo(1, (self.c[0] * other.c[0],), _reduced=True)
-        if self.is_zero or other.is_zero:
-            return Cyclo.rational(0)
+            return _rat(self.c[0] * other.c[0])
+        if self.N == 1 or other.N == 1:
+            # a nonzero rational times an irrational value stays irrational
+            x, irr = (self.c[0], other) if self.N == 1 else (other.c[0], self)
+            return _cyclo(irr.N, tuple(x * y for y in irr.c)) if x else CYC_ZERO
         n, ca, cb = self._match(other)
         prod = [0] * (len(ca) + len(cb) - 1)
         for i, x in enumerate(ca):
@@ -227,7 +240,7 @@ class Cyclo:
         if self.is_zero:
             raise ZeroDivisionError("cyclotomic inverse of zero")
         if self.N == 1:
-            return Cyclo(1, (1 / Fraction(self.c[0]),), _reduced=True)
+            return _rat(1 / Fraction(self.c[0]))
         # extended Euclid on (self, Phi_N) over Q[x]
         phi = _cyclotomic_poly(self.N)
         r0, r1 = [Fraction(x) for x in phi], [Fraction(x) for x in self.c]
@@ -287,9 +300,10 @@ class Cyclo:
     # -- comparison / io
 
     def __eq__(self, other):
-        if not isinstance(other, (Cyclo, int, Fraction)):
-            return NotImplemented
-        other = _as_cyclo(other)
+        if type(other) is not Cyclo:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = _as_cyclo(other)
         if self.N == other.N:
             return self.c == other.c
         n, ca, cb = self._match(other)
@@ -334,9 +348,39 @@ class Cyclo:
 def _as_cyclo(x) -> Cyclo:
     if isinstance(x, Cyclo):
         return x
+    if type(x) is int:
+        return _rat(x)
     if isinstance(x, float):
         raise TypeError("floats are not exact; use Fraction")
     return Cyclo.rational(x)
+
+
+def _integral(x):
+    """x as an int when it is an integral Fraction, else unchanged."""
+    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
+
+
+_new = object.__new__
+_set_N = Cyclo.N.__set__
+_set_c = Cyclo.c.__set__
+
+
+def _cyclo(n: int, coeffs: tuple) -> Cyclo:
+    """Cyclo from a coefficient tuple already in canonical form at conductor n > 1."""
+    out = _new(Cyclo)
+    _set_N(out, n)
+    _set_c(out, coeffs)
+    return out
+
+
+def _rat(x) -> Cyclo:
+    """Conductor-1 Cyclo from an int or Fraction; an integral value is kept as int."""
+    if type(x) is not int and x.denominator == 1:
+        x = x.numerator
+    out = _new(Cyclo)
+    _set_N(out, 1)
+    _set_c(out, (x,))
+    return out
 
 
 CYC_ZERO = Cyclo.rational(0)
@@ -376,7 +420,7 @@ class Laurent:
     def of(x) -> "Laurent":
         """Constant scalar from int / Fraction / Cyclo."""
         c = _as_cyclo(x)
-        return Laurent({} if c.is_zero else {0: c}, _clean=True)
+        return _laurent({} if c.is_zero else {0: c})
 
     @staticmethod
     def one() -> "Laurent":
@@ -385,7 +429,7 @@ class Laurent:
     @staticmethod
     def v_pow(e: int, coeff=1) -> "Laurent":
         c = _as_cyclo(coeff)
-        return Laurent({} if c.is_zero else {e: c}, _clean=True)
+        return _laurent({} if c.is_zero else {e: c})
 
     @staticmethod
     def q_pow(k: int, coeff=1) -> "Laurent":
@@ -427,16 +471,22 @@ class Laurent:
             s = out.get(e)
             if s is None:
                 out[e] = c
+                continue
+            if s.N == 1 and c.N == 1:
+                x = s.c[0] + c.c[0]
+                s = _rat(x) if x else None
             else:
                 s = s + c
                 if s.is_zero:
-                    del out[e]
-                else:
-                    out[e] = s
-        return Laurent(out, _clean=True)
+                    s = None
+            if s is None:
+                del out[e]
+            else:
+                out[e] = s
+        return _laurent(out)
 
     def __neg__(self) -> "Laurent":
-        return Laurent({e: -c for e, c in self.t.items()}, _clean=True)
+        return _laurent({e: _rat(-c.c[0]) if c.N == 1 else -c for e, c in self.t.items()})
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -444,15 +494,37 @@ class Laurent:
     def __mul__(self, other):
         if not isinstance(other, Laurent):
             return self.scale(other)
-        if not self.t or not other.t:
-            return Laurent.zero()
-        out: dict[int, Cyclo] = {}
-        for e1, c1 in self.t.items():
-            for e2, c2 in other.t.items():
+        ta, tb = self.t, other.t
+        if not ta or not tb:
+            return L_ZERO
+        if len(tb) == 1:
+            ((e, c),) = tb.items()
+            return _mul_monomial(self, e, c)
+        if len(ta) == 1:
+            ((e, c),) = ta.items()
+            return _mul_monomial(other, e, c)
+        out: dict = {}
+        # products are never zero (Q(zeta_N) is a field); only sums can cancel
+        if all(c.N == 1 for c in ta.values()) and all(c.N == 1 for c in tb.values()):
+            vb = [(e2, c2.c[0]) for e2, c2 in tb.items()]
+            for e1, c1 in ta.items():
+                x1 = c1.c[0]
+                for e2, x2 in vb:
+                    e = e1 + e2
+                    s = out.get(e)
+                    if s is None:
+                        out[e] = x1 * x2
+                    else:
+                        s += x1 * x2
+                        if s:
+                            out[e] = s
+                        else:
+                            del out[e]
+            return _laurent({e: _rat(x) for e, x in out.items()})
+        for e1, c1 in ta.items():
+            for e2, c2 in tb.items():
                 e = e1 + e2
                 p = c1 * c2
-                if p.is_zero:
-                    continue
                 s = out.get(e)
                 if s is None:
                     out[e] = p
@@ -462,7 +534,7 @@ class Laurent:
                         del out[e]
                     else:
                         out[e] = s
-        return Laurent(out, _clean=True)
+        return _laurent(out)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -470,8 +542,8 @@ class Laurent:
     def scale(self, x) -> "Laurent":
         c = _as_cyclo(x)
         if c.is_zero or not self.t:
-            return Laurent.zero()
-        return Laurent({e: c * v for e, v in self.t.items()}, _clean=True)
+            return L_ZERO
+        return _mul_monomial(self, 0, c)
 
     def __pow__(self, n: int) -> "Laurent":
         if n < 0:
@@ -541,9 +613,7 @@ class Laurent:
             other = Laurent.of(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        if set(self.t) != set(other.t):
-            return False
-        return all(other.t[e] == c for e, c in self.t.items())
+        return self.t == other.t
 
     def __hash__(self):
         return hash(tuple(sorted(self.t.items(), key=lambda p: p[0])))
@@ -557,6 +627,27 @@ class Laurent:
     @staticmethod
     def from_obj(obj) -> "Laurent":
         return Laurent({e: Cyclo.from_obj(c) for e, c in obj})
+
+
+_set_t = Laurent.t.__set__
+
+
+def _laurent(terms: dict) -> Laurent:
+    """Laurent from a dict that holds no zero coefficient."""
+    out = _new(Laurent)
+    _set_t(out, terms)
+    return out
+
+
+def _mul_monomial(f: Laurent, e0: int, c0: Cyclo) -> Laurent:
+    """f * c0 v^e0 for a nonzero c0: shift and scale, nothing merges or cancels."""
+    t = f.t
+    if c0.N != 1:
+        return _laurent({e + e0: c * c0 for e, c in t.items()})
+    x = c0.c[0]
+    if x == 1:
+        return f if not e0 else _laurent({e + e0: c for e, c in t.items()})
+    return _laurent({e + e0: _rat(c.c[0] * x) if c.N == 1 else c * c0 for e, c in t.items()})
 
 
 def laurent_str(f: Laurent) -> str:
@@ -699,7 +790,8 @@ class TruncSeries:
         return self.coeffs[: d + 1] == other.coeffs[: d + 1]
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # equality compares only the common prefix, so hash what every order keeps
+        return hash(self.coeffs[0])
 
     def __repr__(self):
         terms = [f"({laurent_str(c)})*z^{m}" for m, c in enumerate(self.coeffs) if not c.is_zero]

@@ -96,6 +96,20 @@ def test_first_xi_diagonal_and_adjacent_entries():
     assert A.entries[1][2] == Laurent.of(-1)
 
 
+@pytest.mark.parametrize(
+    "xi",
+    [first_xi(binary_tetrahedral()), second_xi(cyclic(4), 3), first_xi(binary_dihedral(3))],
+    ids=["bt-first", "cyclic4-second", "bd3-first"],
+)
+def test_qcartan_matches_weighted_form_entrywise(xi):
+    g = xi.group
+    chars = [CxClassFunction.character(g, i) for i in range(g.n_classes)]
+    A = qcartan(xi)
+    for i, f in enumerate(chars):
+        for j, h in enumerate(chars):
+            assert A.entries[i][j] == weighted_form(xi, f, h), (i, j)
+
+
 def test_qcartan_cyclic1_second():
     A = qcartan(second_xi(cyclic(1), 1))
     assert A.entries[0][0] == QQ - QQ  # q+q^-1-p-p^-1 with p=q

@@ -201,8 +201,176 @@ def test_series_exp_of_log_one_minus_z():
     assert got == want
 
 
+def test_trunc_series_hash_agrees_with_eq():
+    a = TruncSeries(2, [Laurent.one(), Laurent.q_pow(1)])
+    b = TruncSeries(3, [Laurent.one(), Laurent.q_pow(1), Laurent.zero(), Laurent.of(7)])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_series_inverse():
     D = 6
     s = TruncSeries(D, [Laurent.one(), -Laurent.q_pow(1)])
     inv = s.inverse()
     assert s * inv == TruncSeries.one(D)
+
+
+# ---------------------------------------------------------------- fast paths
+
+
+def coefficient_values():
+    """int, Fraction and Cyclo values, rational and not, at conductors 1, 3, 4, 12."""
+    irrational = st.builds(
+        lambda n, k, x, y: Cyclo.root(n, k) * x + y,
+        st.sampled_from([3, 4, 12]),
+        st.integers(1, 11),
+        small_fracs.filter(bool),
+        small_fracs,
+    )
+    return st.one_of(
+        st.integers(-6, 6),
+        small_fracs,
+        small_fracs.map(Cyclo.rational),
+        irrational,
+    )
+
+
+@st.composite
+def mixed_laurents(draw, max_terms=4):
+    f = Laurent.zero()
+    for _ in range(draw(st.integers(0, max_terms))):
+        f = f + Laurent.v_pow(draw(st.integers(-5, 5)), draw(coefficient_values()))
+    return f
+
+
+def assert_canonical(f):
+    for c in f.t.values():
+        assert not c.is_zero
+        if c.N == 1:
+            assert type(c.c[0]) is int or c.c[0].denominator != 1, c.c
+        else:
+            assert len(c.c) > 1 and any(c.c[1:])
+
+
+def convolve(a, b):
+    """Reference product: the plain double loop over both supports."""
+    out = {}
+    for e1, c1 in a.t.items():
+        for e2, c2 in b.t.items():
+            out[e1 + e2] = out.get(e1 + e2, Cyclo.rational(0)) + c1 * c2
+    return Laurent(out)
+
+
+@settings(max_examples=80)
+@given(mixed_laurents(), mixed_laurents())
+def test_mixed_coefficients_stay_canonical(a, b):
+    for f in (a, b, a + b, a - b, a * b, -a, a.scale(3), a.scale(Fraction(1, 2))):
+        assert_canonical(f)
+    t = 1.7
+    assert abs((a * b).eval_real(t) - a.eval_real(t) * b.eval_real(t)) < 1e-9
+    assert abs((a + b).eval_real(t) - a.eval_real(t) - b.eval_real(t)) < 1e-9
+
+
+@settings(max_examples=80)
+@given(st.integers(-6, 6), coefficient_values().filter(lambda x: x != 0), mixed_laurents(max_terms=5))
+def test_monomial_times_polynomial_matches_convolution(e, c, f):
+    m = Laurent.v_pow(e, c)
+    want = convolve(m, f)
+    assert m * f == want
+    assert f * m == want
+    assert_canonical(m * f)
+    assert_canonical(f * m)
+
+
+@settings(max_examples=60)
+@given(mixed_laurents(max_terms=5), mixed_laurents(max_terms=5))
+def test_general_product_matches_convolution(a, b):
+    assert a * b == convolve(a, b)
+
+
+@settings(max_examples=60)
+@given(mixed_laurents(), mixed_laurents())
+def test_addition_cancelling_to_zero(a, b):
+    s = a + b
+    assert (s + (-s)).is_zero
+    assert (s - s).t == {}
+    assert (s - b) == a
+    assert_canonical(s - b)
+    assert (a + (-a)) == Laurent.zero()
+
+
+def test_addition_cancels_rational_and_cyclotomic_terms():
+    w = Cyclo.root(3)
+    f = Laurent({0: Cyclo.rational(Fraction(1, 2)), 2: w, 4: Cyclo.rational(3)})
+    g = Laurent({0: Cyclo.rational(Fraction(-1, 2)), 2: -w, 4: Cyclo.rational(-2)})
+    h = f + g
+    assert h.t == {4: Cyclo.rational(1)}
+    assert type(h.t[4].c[0]) is int
+
+
+@settings(max_examples=60)
+@given(mixed_laurents(), st.one_of(st.just(0), st.just(1), st.integers(-5, 5), small_fracs, coefficient_values()))
+def test_scale_matches_product_with_constant(f, x):
+    got = f.scale(x)
+    assert got == f * Laurent.of(x)
+    assert got == Laurent.of(x) * f
+    assert_canonical(got)
+    if x == 0:
+        assert got.is_zero
+    if x == 1:
+        assert got == f
+
+
+def test_scale_by_zero_one_and_cyclo():
+    f = Laurent({-2: Cyclo.rational(Fraction(2, 3)), 1: Cyclo.root(4)})
+    assert f.scale(0).is_zero and f.scale(Fraction(0)).is_zero and f.scale(Cyclo.rational(0)).is_zero
+    assert f.scale(1) == f and f.scale(Cyclo.rational(1)) == f
+    assert f.scale(Fraction(3, 2)) == Laurent({-2: Cyclo.rational(1), 1: Cyclo.root(4) * Fraction(3, 2)})
+    i = Cyclo.root(4)
+    assert f.scale(i) == Laurent({-2: i * Fraction(2, 3), 1: Cyclo.rational(-1)})
+    with pytest.raises(TypeError):
+        f.scale(0.5)
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.just(0), small_fracs), coefficient_values())
+def test_rational_times_cyclo(x, c):
+    c = Cyclo.rational(c) if not isinstance(c, Cyclo) else c
+    for got in (Cyclo.rational(x) * c, c * x, c * Cyclo.rational(x)):
+        assert abs(got.eval_complex() - x * c.eval_complex()) < 1e-9
+        assert got.is_zero == (x == 0 or c.is_zero)
+        assert_canonical(Laurent({0: got}))
+        if x == 0:
+            assert got == 0 and got.N == 1
+
+
+@settings(max_examples=80)
+@given(small_fracs, small_fracs)
+def test_integral_values_are_int(x, y):
+    for c in (Cyclo.rational(x) * Cyclo.rational(y), Cyclo.rational(x) + y, -Cyclo.rational(x)):
+        v = c.as_rational()
+        assert c == Fraction(v) and c == v
+        assert hash(c) == hash(Fraction(v))
+        if v.denominator == 1:
+            assert type(v) is int
+            assert c == int(v)
+        else:
+            assert type(v) is Fraction
+
+
+def test_integral_normalisation():
+    c = Cyclo.rational(Fraction(6, 3))
+    assert type(c.as_rational()) is int
+    assert c == Fraction(2) and c == 2 and c == Cyclo.rational(2)
+    assert hash(c) == hash(Fraction(2)) == hash(2)
+    assert c.as_rational().denominator == 1
+    assert type((Cyclo.rational(Fraction(1, 2)) * 4).as_rational()) is int
+    assert type(Cyclo.rational(Fraction(1, 3)).inverse().as_rational()) is int
+    # an irrational sum collapsing to a rational one, and JSON round trips, land on int
+    w = Cyclo.root(12, 5)
+    assert type((w + Cyclo.rational(Fraction(3, 1)) - w).as_rational()) is int
+    assert type(Cyclo.from_obj([1, [[0, "4/2"]]]).as_rational()) is int
+    assert type(eval_at_one(qint(4)).as_rational()) is int
+    assert repr(Cyclo.rational(Fraction(4, 2))) == "2"
+    assert Cyclo.rational(Fraction(8, 4)).to_obj() == [1, [[0, "2"]]]
