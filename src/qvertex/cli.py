@@ -11,8 +11,15 @@ import json
 import sys
 from dataclasses import dataclass
 
-from . import fock as fock_mod
-from .fock import FockContext, cocycle_condition_check, heisenberg_check, heisenberg_check_cls, monomial_states
+from .fock import (
+    ExtState,
+    FockContext,
+    LatticeContext,
+    cocycle_condition_check,
+    heisenberg_check,
+    heisenberg_check_cls,
+    monomial_states,
+)
 from .groups import GroupData, build_group, validate_group
 from .report import CheckReport
 from .repring import (
@@ -37,7 +44,6 @@ from .vertex import (
     y_plus,
 )
 from .wreath import exp_formula_check, isometry_check
-from .fock import ExtState
 
 
 @dataclass
@@ -90,10 +96,6 @@ def emit_reports(cfg: Config, reports: list[CheckReport]) -> int:
 # registry of check operations (the `all` command must cover every entry)
 
 
-def _chi_test_states(g, max_degree):
-    return monomial_states(g, "chi", max_degree)
-
-
 def run_repring_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     xi = make_xi(cfg, g)
     out = [hermitian_like_check(qcartan(xi)), mckay_eigencheck(xi)]
@@ -110,7 +112,7 @@ def run_fock_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     ctx = FockContext(make_xi(cfg, g))
     states = monomial_states(g, "chi", cfg.max_degree)
     states_c = monomial_states(g, "cls", cfg.max_degree)
-    out = [cocycle_condition_check(fock_mod.LatticeContext(ctx))]
+    out = [cocycle_condition_check(LatticeContext(ctx))]
     idx = range(min(2, g.n_classes))
     for m in range(1, cfg.max_mode + 1):
         for i in idx:
@@ -159,8 +161,9 @@ def run_vertex_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     return out
 
 
-def run_toroidal_checks(cfg: Config, g: GroupData, variant: str) -> list[CheckReport]:
-    scfg = SuiteConfig(
+def suite_config(cfg: Config, variant: str) -> SuiteConfig:
+    """The relation-suite configuration the CLI runs (and reports) for a variant."""
+    return SuiteConfig(
         cfg.group,
         xi=cfg.xi,
         variant=variant,
@@ -171,7 +174,10 @@ def run_toroidal_checks(cfg: Config, g: GroupData, variant: str) -> list[CheckRe
         max_states=8,
         serre_window=1,
     )
-    return run_suite(g, scfg)
+
+
+def run_toroidal_checks(cfg: Config, g: GroupData, variant: str) -> list[CheckReport]:
+    return run_suite(g, suite_config(cfg, variant))
 
 
 REGISTRY = {
@@ -304,12 +310,9 @@ def cmd_ope(cfg: Config) -> int:
 def cmd_toroidal(cfg: Config) -> int:
     g = build_group(cfg.group)
     variant = {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "typeA_qp"}[cfg.variant]
-    reports = run_toroidal_checks(cfg, g, variant)
+    scfg = suite_config(cfg, variant)
+    reports = run_suite(g, scfg)
     if cfg.fmt == "json":
-        scfg = SuiteConfig(cfg.group, xi=cfg.xi, variant=variant, k=cfg.k,
-                           p_exp=cfg.p_exp if variant == "typeA_qp" else None,
-                           max_degree=min(cfg.max_degree, 2), max_mode=min(cfg.max_mode, 2),
-                           max_states=8, serre_window=1)
         print(suite_json(g, scfg, reports))
         return 0 if all(r.passed for r in reports) else 1
     return emit_reports(cfg, reports)

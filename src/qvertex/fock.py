@@ -2,9 +2,12 @@
 
 Monomials are sorted tuples of (degree n, generator index) pairs: products of
 creation generators a_{-n}(gamma_i) (character basis, tag "chi") or a_{-n}(c)
-(class basis, tag "cls").  FockVector holds finitely many monomials with
-Laurent coefficients; ExtState additionally tensors each monomial with a point
-of the lattice Z^{r+1} spanned by the irreducible characters.
+(class basis, tag "cls").  One sparse state class, FockVector, maps keys to
+nonzero Laurent coefficients; its keys are monomials, and in the subclass
+ExtState they are (monomial, lattice point) pairs, the lattice Z^{r+1} being
+spanned by the irreducible characters.  The terms dict never holds a zero:
+constructors are handed zero-free dicts (a product of nonzero Laurent scalars
+is nonzero) and add_term drops cancellations.
 
 Normalisations:
   * a_{-n}(gamma) acts by multiplication;
@@ -47,49 +50,52 @@ def mono_str(m: Mono, basis: str) -> str:
 
 @dataclass
 class FockVector:
+    """Finite combination of keys with nonzero Laurent coefficients.
+
+    Invariant: ``terms`` holds no zero coefficient.  Arithmetic returns
+    ``type(self)``, so the lattice-extended ExtState shares it unchanged.
+    """
+
     basis: str  # "chi" | "cls"
     terms: dict[Mono, Laurent] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {m: c for m, c in self.terms.items() if not c.is_zero}
 
     @staticmethod
     def vacuum(basis: str = "chi") -> "FockVector":
         return FockVector(basis, {VACUUM: Laurent.one()})
 
-    @staticmethod
-    def zero(basis: str = "chi") -> "FockVector":
-        return FockVector(basis, {})
+    @classmethod
+    def zero(cls, basis: str = "chi"):
+        return cls(basis, {})
 
-    def add_term(self, m: Mono, c: Laurent) -> None:
-        cur = self.terms.get(m)
+    def add_term(self, key, c: Laurent) -> None:
+        cur = self.terms.get(key)
         s = c if cur is None else cur + c
         if s.is_zero:
-            self.terms.pop(m, None)
+            self.terms.pop(key, None)
         else:
-            self.terms[m] = s
+            self.terms[key] = s
 
-    def __add__(self, other: "FockVector") -> "FockVector":
+    def __add__(self, other):
         assert self.basis == other.basis
-        out = FockVector(self.basis, dict(self.terms))
-        for m, c in other.terms.items():
-            out.add_term(m, c)
+        out = type(self)(self.basis, dict(self.terms))
+        for k, c in other.terms.items():
+            out.add_term(k, c)
         return out
 
-    def __sub__(self, other: "FockVector") -> "FockVector":
+    def __sub__(self, other):
         return self + other.scale(Laurent.of(-1))
 
-    def scale(self, f: Laurent) -> "FockVector":
+    def scale(self, f: Laurent):
         if f.is_zero:
-            return FockVector.zero(self.basis)
-        return FockVector(self.basis, {m: c * f for m, c in self.terms.items()})
+            return self.zero(self.basis)
+        return type(self)(self.basis, {k: c * f for k, c in self.terms.items()})
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def __eq__(self, other):
-        return isinstance(other, FockVector) and self.basis == other.basis and self.terms == other.terms
+        return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
 
     def __repr__(self):
         if not self.terms:
@@ -131,11 +137,12 @@ class FockContext:
         """xi_{q^m}(c)."""
         return self.xi.f.values[c].subs_pow(m)
 
-    # -- Heisenberg action (character basis)
+    # -- Heisenberg action
 
     def create(self, n: int, i: int, v: FockVector) -> FockVector:
-        assert v.basis == "chi" and n > 0
-        return FockVector("chi", {mono_mul(m, (n, i)): c for m, c in v.terms.items()})
+        """a_{-n} of generator i (a character or a class, per v.basis): multiply it in."""
+        assert n > 0
+        return FockVector(v.basis, {mono_mul(m, (n, i)): c for m, c in v.terms.items()})
 
     def annihilate(self, n: int, i: int, v: FockVector) -> FockVector:
         """Apply a_n(gamma_i), n > 0: contraction with factor n per matched slot."""
@@ -152,12 +159,6 @@ class FockContext:
                 reduced.remove((deg, j))
                 out.add_term(tuple(reduced), coeff * self.pair_pow(i, j, n).scale(mult * n))
         return out
-
-    # -- Heisenberg action (class basis)
-
-    def create_cls(self, n: int, c: int, v: FockVector) -> FockVector:
-        assert v.basis == "cls" and n > 0
-        return FockVector("cls", {mono_mul(m, (n, c)): x for m, x in v.terms.items()})
 
     def annihilate_cls(self, n: int, c: int, v: FockVector) -> FockVector:
         """a_n(c): contraction value n zeta_c xi_{q^n}(c) against each a_{-n}(c^{-1})."""
@@ -176,51 +177,38 @@ class FockContext:
 
     def apply_mode(self, m: int, i: int, v: FockVector) -> FockVector:
         """a_m(gamma_i) with the sign convention m < 0 creation, m > 0 annihilation."""
-        if v.basis == "chi":
-            return self.create(-m, i, v) if m < 0 else self.annihilate(m, i, v)
-        return self.create_cls(-m, i, v) if m < 0 else self.annihilate_cls(m, i, v)
+        if m < 0:
+            return self.create(-m, i, v)
+        return self.annihilate(m, i, v) if v.basis == "chi" else self.annihilate_cls(m, i, v)
 
     # -- basis change
 
-    def to_chi(self, v: FockVector) -> FockVector:
-        """a_{-n}(c) = sum_gamma gamma(c^{-1}) a_{-n}(gamma), expanded per factor."""
-        if v.basis == "chi":
+    def _rebase(self, v: FockVector, matrix: list[list[Laurent]], basis: str) -> FockVector:
+        """Expand every factor a_{-n}(x) of v as sum_y matrix[x][y] a_{-n}(y)."""
+        if v.basis == basis:
             return v
-        n_idx = self.group.n_classes
-        out = FockVector.zero("chi")
+        out = FockVector.zero(basis)
         for m, coeff in v.terms.items():
-            cur = FockVector("chi", {VACUUM: coeff})
-            for deg, c in m:
-                nxt = FockVector.zero("chi")
-                for i in range(n_idx):
-                    w = self.chi_of_cls[c][i]
+            cur = {VACUUM: coeff}
+            for deg, x in m:
+                nxt = FockVector.zero(basis)
+                for y, w in enumerate(matrix[x]):
                     if w.is_zero:
                         continue
-                    for mono, x in cur.terms.items():
-                        nxt.add_term(mono_mul(mono, (deg, i)), x * w)
-                cur = nxt
-            out = out + cur
+                    for mono, c in cur.items():
+                        nxt.add_term(mono_mul(mono, (deg, y)), c * w)
+                cur = nxt.terms
+            for mono, c in cur.items():
+                out.add_term(mono, c)
         return out
+
+    def to_chi(self, v: FockVector) -> FockVector:
+        """a_{-n}(c) = sum_gamma gamma(c^{-1}) a_{-n}(gamma), expanded per factor."""
+        return self._rebase(v, self.chi_of_cls, "chi")
 
     def to_cls(self, v: FockVector) -> FockVector:
         """a_{-n}(gamma_i) = sum_c zeta_c^{-1} gamma_i(c) a_{-n}(c)."""
-        if v.basis == "cls":
-            return v
-        n_cls = self.group.n_classes
-        out = FockVector.zero("cls")
-        for m, coeff in v.terms.items():
-            cur = FockVector("cls", {VACUUM: coeff})
-            for deg, i in m:
-                nxt = FockVector.zero("cls")
-                for c in range(n_cls):
-                    w = self.cls_of_chi[i][c]
-                    if w.is_zero:
-                        continue
-                    for mono, x in cur.terms.items():
-                        nxt.add_term(mono_mul(mono, (deg, c)), x * w)
-                cur = nxt
-            out = out + cur
-        return out
+        return self._rebase(v, self.cls_of_chi, "cls")
 
     # -- bilinear form
 
@@ -412,15 +400,8 @@ class LatticeContext:
         return self.pairing(beta, beta)
 
 
-@dataclass
-class ExtState:
+class ExtState(FockVector):
     """Finite combination of (Fock monomial (x) lattice point) with Laurent coefficients."""
-
-    basis: str
-    terms: dict[tuple[Mono, tuple[int, ...]], Laurent] = field(default_factory=dict)
-
-    def __post_init__(self):
-        self.terms = {k: c for k, c in self.terms.items() if not c.is_zero}
 
     @staticmethod
     def vacuum(rank: int, basis: str = "chi") -> "ExtState":
@@ -428,52 +409,14 @@ class ExtState:
 
     @staticmethod
     def point(mono: Mono, beta: tuple[int, ...], basis: str = "chi", coeff: Laurent | None = None) -> "ExtState":
-        return ExtState(basis, {(mono, tuple(beta)): coeff if coeff is not None else Laurent.one()})
-
-    def add_term(self, key, c: Laurent) -> None:
-        cur = self.terms.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def __add__(self, other: "ExtState") -> "ExtState":
-        assert self.basis == other.basis
-        out = ExtState(self.basis, dict(self.terms))
-        for k, c in other.terms.items():
-            out.add_term(k, c)
-        return out
-
-    def __sub__(self, other: "ExtState") -> "ExtState":
-        return self + other.scale(Laurent.of(-1))
-
-    def scale(self, f: Laurent) -> "ExtState":
-        if f.is_zero:
-            return ExtState(self.basis, {})
-        return ExtState(self.basis, {k: c * f for k, c in self.terms.items()})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return isinstance(other, ExtState) and self.basis == other.basis and self.terms == other.terms
+        c = Laurent.one() if coeff is None else coeff
+        return ExtState(basis, {} if c.is_zero else {(mono, tuple(beta)): c})
 
     def __repr__(self):
         if not self.terms:
             return "0"
-        bits = []
-        for (m, beta), c in sorted(self.terms.items()):
-            bits.append(f"({c})*{mono_str(m, self.basis)}*e{list(beta)}")
-        return " + ".join(bits)
-
-
-def ext_create(ctx: FockContext, n: int, i: int, v: ExtState) -> ExtState:
-    out = ExtState(v.basis)
-    for (m, beta), c in v.terms.items():
-        out.add_term((mono_mul(m, (n, i)), beta), c)
-    return out
+        terms = sorted(self.terms.items())
+        return " + ".join(f"({c})*{mono_str(m, self.basis)}*e{list(beta)}" for (m, beta), c in terms)
 
 
 def ext_apply_mode(ctx: FockContext, m: int, i: int, v: ExtState) -> ExtState:

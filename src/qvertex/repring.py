@@ -67,10 +67,6 @@ class CxClassFunction:
     def scale(self, f: Laurent) -> "CxClassFunction":
         return CxClassFunction(self.group, tuple(a * f for a in self.values))
 
-    def value_subs_pow(self, m: int) -> "CxClassFunction":
-        """q -> q^m on every value (f_{q^m} in character-value formulas)."""
-        return CxClassFunction(self.group, tuple(a.subs_pow(m) for a in self.values))
-
 
 def antipode(f: CxClassFunction) -> CxClassFunction:
     g = f.group
@@ -158,9 +154,6 @@ class QCartanMatrix:
                 raise ValueError("Cartan matrix not integral at q = 1")
             out.append([int(v.as_rational()) for v in vals])
         return out
-
-    def entry_subs_pow(self, i: int, j: int, m: int) -> Laurent:
-        return self.entries[i][j].subs_pow(m)
 
 
 def qcartan(xi: WeightXi) -> QCartanMatrix:

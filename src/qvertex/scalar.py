@@ -27,8 +27,6 @@ import cmath
 from fractions import Fraction
 from math import gcd
 
-Rational = Fraction
-
 
 # --------------------------------------------------------------------------
 # cyclotomic polynomials and reduction tables
@@ -169,10 +167,6 @@ class Cyclo:
         if self.N != 1:
             raise ValueError(f"not a rational value: {self}")
         return self.c[0]
-
-    def lift(self, m: int) -> "Cyclo":
-        """Rewrite at conductor m (self.N must divide m); canonical shrink applies."""
-        return Cyclo(m, self._lift_coeffs(m))
 
     def _lift_coeffs(self, m: int) -> tuple[Fraction, ...]:
         """Raw coefficient vector of self at conductor m (self.N | m)."""
@@ -334,16 +328,6 @@ class Cyclo:
             coeffs[i] = Fraction(x)
         return Cyclo(n, coeffs)
 
-    def _single_term(self):
-        """(index, coeff) when exactly one coordinate is nonzero, else None."""
-        idx = -1
-        for i, x in enumerate(self.c):
-            if x:
-                if idx >= 0:
-                    return None
-                idx = i
-        return None if idx < 0 else (idx, self.c[idx])
-
 
 def _as_cyclo(x) -> Cyclo:
     if isinstance(x, Cyclo):
@@ -400,11 +384,8 @@ class Laurent:
 
     __slots__ = ("t",)
 
-    def __init__(self, terms: dict[int, Cyclo] | None = None, _clean: bool = False):
-        if terms is None:
-            terms = {}
-        if not _clean:
-            terms = {e: c for e, c in terms.items() if not c.is_zero}
+    def __init__(self, terms: dict[int, Cyclo] | None = None):
+        terms = {} if terms is None else {e: c for e, c in terms.items() if not c.is_zero}
         object.__setattr__(self, "t", terms)
 
     def __setattr__(self, *a):  # pragma: no cover
@@ -414,7 +395,7 @@ class Laurent:
 
     @staticmethod
     def zero() -> "Laurent":
-        return Laurent({}, _clean=True)
+        return _laurent({})
 
     @staticmethod
     def of(x) -> "Laurent":
@@ -424,7 +405,7 @@ class Laurent:
 
     @staticmethod
     def one() -> "Laurent":
-        return Laurent({0: CYC_ONE}, _clean=True)
+        return _laurent({0: CYC_ONE})
 
     @staticmethod
     def v_pow(e: int, coeff=1) -> "Laurent":
@@ -559,11 +540,11 @@ class Laurent:
 
     def bar(self) -> "Laurent":
         """v -> v^-1 together with cyclotomic conjugation of coefficients."""
-        return Laurent({-e: c.conj() for e, c in self.t.items()}, _clean=True)
+        return _laurent({-e: c.conj() for e, c in self.t.items()})
 
     def bar_q(self) -> "Laurent":
         """v -> v^-1 only; coefficients untouched (the antipode on values)."""
-        return Laurent({-e: c for e, c in self.t.items()}, _clean=True)
+        return _laurent({-e: c for e, c in self.t.items()})
 
     def subs_pow(self, m: int) -> "Laurent":
         """q -> q^m, i.e. scale every v-exponent by m (m != 0)."""
@@ -571,7 +552,7 @@ class Laurent:
             raise ValueError("q -> q^0 collapses the ring")
         if m == 1:
             return self
-        return Laurent({e * m: c for e, c in self.t.items()}, _clean=True)
+        return _laurent({e * m: c for e, c in self.t.items()})
 
     def exact_div(self, den: "Laurent") -> "Laurent":
         """Exact quotient self/den; raises if the division leaves a remainder."""
@@ -684,7 +665,7 @@ def qint(n: int) -> Laurent:
         return Laurent.zero()
     if n < 0:
         return -qint(-n)
-    return Laurent({2 * e: CYC_ONE for e in range(-(n - 1), n, 2)}, _clean=True)
+    return _laurent({2 * e: CYC_ONE for e in range(-(n - 1), n, 2)})
 
 
 def qfact(n: int) -> Laurent:

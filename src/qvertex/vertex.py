@@ -244,9 +244,6 @@ class VertexEngine:
                     out.add_term((merged, newb), base * c_ann * c_cre)
         return out
 
-    def mode_window(self, op: VOp, state: ExtState, lo: int, hi: int) -> dict[int, ExtState]:
-        return {n: self.mode(op, n, state) for n in range(lo, hi + 1)}
-
     # -- half vertex operators
 
     def half_vertex(self, kind: str, i: int, l_v: int, state: ExtState, budget: int) -> dict[int, ExtState]:

@@ -60,10 +60,6 @@ def z_part(lam: Partition) -> int:
     return out
 
 
-def part_length(lam: Partition) -> int:
-    return len(lam)
-
-
 def enumerate_types(g: GroupData, n: int) -> list[PartitionFn]:
     """All partition-valued functions of weight n, deterministic order."""
     k = g.n_classes

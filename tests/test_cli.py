@@ -107,3 +107,12 @@ def test_all_command_runs_registry(capsys):
     assert code == 0
     seen = {line.split()[1] for line in out.splitlines() if line.startswith("[")}
     assert {"repring.mckay", "fock.heisenberg", "wreath.isometry", "vertex.qpow", "toroidal.serre"} <= seen
+
+
+def test_toroidal_json_reports_the_p_exp_it_ran_with(capsys):
+    # the second weight runs at p = q^{p_exp}; the JSON config must say so
+    argv = ["toroidal", "--group", "cyclic:3", "--xi", "second", "--p-exp", "2",
+            "--max-degree", "1", "--max-mode", "1", "--format", "json"]
+    _, out, _ = run(argv, capsys)
+    config = json.loads(out)["config"]
+    assert config["xi"] == "second" and config["p_exp"] == 2

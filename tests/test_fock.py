@@ -15,11 +15,12 @@ from qvertex.fock import (
     inner_closed,
     lattice_mul_e,
     mono_deg,
+    mono_mul,
     monomial_states,
 )
 from qvertex.groups import binary_dihedral, cyclic
 from qvertex.repring import first_xi, second_xi
-from qvertex.scalar import Laurent
+from qvertex.scalar import L_ZERO, Laurent
 from qvertex.wreath import big_z, enumerate_types, rho_bar
 
 QQ = Laurent.q_pow(1) + Laurent.q_pow(-1)
@@ -61,6 +62,19 @@ def test_annihilate_degree2_carries_mode_factor():
     got = ctx.annihilate(2, 1, v)
     want = FockVector("chi", {VACUUM: (Laurent.q_pow(2) + Laurent.q_pow(-2)).scale(2)})
     assert got == want
+
+
+def test_class_basis_creation_multiplies_in():
+    # creation is basis-blind: a_{-n}(c) multiplies the factor (n, c) into every monomial
+    g = cyclic(3)
+    ctx = ctx_first(g)
+    for v in monomial_states(g, "cls", 2):
+        v = v.scale(Laurent.q_pow(1) + Laurent.of(2))
+        for n in (1, 2):
+            for c in range(g.n_classes):
+                want = FockVector("cls", {mono_mul(m, (n, c)): x for m, x in v.terms.items()})
+                got = ctx.apply_mode(-n, c, v)
+                assert got == want and got.basis == "cls"
 
 
 # ---------------------------------------------------------------- commutators
@@ -275,6 +289,39 @@ def test_ext_apply_mode_acts_on_fock_factor():
     u = ExtState.point(((1, 0),), (1, 0))
     out = ext_apply_mode(ctx, 1, 0, u)
     assert out == ExtState.point((), (1, 0), coeff=QQ)
+
+
+def test_ext_state_arithmetic_keeps_its_type():
+    u = ExtState.point(((1, 0),), (1, 0))
+    v = ExtState.point((), (0, 1), coeff=QQ)
+    assert type(u + v) is ExtState and type(u - v) is ExtState
+    assert type(u.scale(QQ)) is ExtState and type(u.scale(L_ZERO)) is ExtState
+    assert (u + v) - v == u
+    assert u.scale(QQ) == ExtState.point(((1, 0),), (1, 0), coeff=QQ)
+
+
+def test_difference_with_itself_is_empty():
+    g = cyclic(2)
+    for v in (ExtState.point(((1, 0),), (1, 0), coeff=QQ), FockVector("chi", {((1, 1),): QQ, VACUUM: Laurent.of(3)})):
+        d = v - v
+        assert d.terms == {} and d.is_zero and type(d) is type(v)
+    for v in monomial_states(g, "cls", 2):
+        assert (v - v).terms == {}
+
+
+def test_ext_point_drops_zero_coefficient():
+    p = ExtState.point(((1, 0),), (1, 0), coeff=L_ZERO)
+    assert p.is_zero and p.terms == {}
+    assert p == ExtState("chi")
+
+
+def test_fock_vector_never_equals_ext_state():
+    assert FockVector("chi") != ExtState("chi")
+    key = (((1, 0),), (0, 0))
+    same_terms = {key: Laurent.one()}
+    assert FockVector("chi", dict(same_terms)) != ExtState("chi", dict(same_terms))
+    assert ExtState("chi", dict(same_terms)) != FockVector("chi", dict(same_terms))
+    assert FockVector.vacuum() != ExtState.vacuum(0)
 
 
 def test_monomial_states_deterministic():

@@ -48,7 +48,7 @@ def test_cyclotomic_reduction_basics():
     i = Cyclo.root(4)
     assert i * i == Cyclo.rational(-1)
     z12 = Cyclo.root(12)
-    assert z12**3 if hasattr(z12, "__pow__") else True
+    assert z12 * z12 * z12 == Cyclo.root(4)
     # conductor collapse: rational values normalise to N = 1
     assert (w + (-w)).is_rational
     assert (Cyclo.root(6) * Cyclo.root(6) * Cyclo.root(6)).as_rational() == -1
