@@ -29,12 +29,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 
-from .fock import ExtState, FockContext, ext_apply_mode, mono_deg
+from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_deg
 from .groups import GroupData
 from .report import CheckReport, first_mismatch
 from .repring import WeightXi, first_xi, second_xi
-from .scalar import Laurent, qbinom, qint
+from .scalar import L_ONE, Laurent, qbinom, qint
 from .vertex import VOp, VertexEngine, fj_x
+from .wreath import partitions
 
 VARIANTS = ("toroidal_plus", "toroidal_minus", "affine", "typeA_qp")
 
@@ -66,7 +67,13 @@ class SuiteConfig:
 
 
 class RepMap:
-    """Realisation of the generators on (a sub/quotient space of) the Fock space."""
+    """Realisation of the generators on (a sub/quotient space of) the Fock space.
+
+    x_mode memoises the image of each basis term under x_i^s(n) for the life
+    of the RepMap, so one relation suite builds each column of a generator
+    once; the columns are keyed by the operator's data, not by (i, s), and
+    their keys and coefficients are interned.
+    """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
         self.cfg = cfg
@@ -80,9 +87,10 @@ class RepMap:
             quotient = cfg.p_exp in (1, -1)
             p_exp = cfg.p_exp
         elif cfg.xi == "second":
-            xi = second_xi(group, cfg.p_exp if cfg.p_exp is not None else 1)
+            # the second weight is the two-parameter one: p-mode at p = q^{p_exp}
+            p_exp = cfg.p_exp if cfg.p_exp is not None else 1
+            xi = second_xi(group, p_exp)
             quotient = False
-            p_exp = None
         else:
             xi = first_xi(group)
             quotient = False
@@ -93,14 +101,37 @@ class RepMap:
         self.k_eff = cfg.k if cfg.variant != "toroidal_minus" else -cfg.k
         self.affine = cfg.variant == "affine"
         self.indices = list(range(1, group.n_classes)) if self.affine else list(range(group.n_classes))
+        self._x_ops = {(i, s): fj_x(i, s, self.k_eff) for i in range(group.n_classes) for s in (1, -1)}
+        # (op data, n, basis) -> {basis key: ((out key, coeff), ...)}
+        self._columns: dict[tuple, dict[tuple, tuple]] = {}
+        self._interned: dict = {}
 
     # -- generators
 
     def x_op(self, i: int, sign: int) -> VOp:
-        return fj_x(i, sign, self.k_eff)
+        return self._x_ops[(i, sign)]
 
     def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
-        return self.eng.mode(self.x_op(i, sign), n, v)
+        """x_i^sign(n) v, assembled from memoised images of v's basis terms."""
+        op = self.x_op(i, sign)
+        cols_key = (op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv, n, v.basis)
+        cols = self._columns.get(cols_key)
+        if cols is None:
+            cols = self._columns[cols_key] = {}
+        out = ExtState(v.basis)
+        for key, c in v.terms.items():
+            col = cols.get(key)
+            if col is None:
+                col = cols[key] = self._column(op, n, v.basis, key)
+            for k2, c2 in col:
+                out.add_term(k2, c * c2)
+        return out
+
+    def _column(self, op: VOp, n: int, basis: str, key: tuple) -> tuple:
+        """The image of one basis term, with interned keys and coefficients."""
+        intern = self._interned.setdefault
+        image = self.eng.mode(op, n, ExtState(basis, {key: L_ONE}))
+        return tuple((intern(k, k), intern(c, c)) for k, c in image.terms.items())
 
     def a_mode(self, i: int, m: int, v: ExtState) -> ExtState:
         """a_i(m) = ([m]/m) a_m(gamma_i)."""
@@ -128,8 +159,6 @@ class RepMap:
             return ExtState(v.basis)
         qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
         base = self.k_diag(i, v, power=coeff_sign)
-        from .wreath import partitions  # partition combinatorics
-
         out = ExtState(v.basis)
         for lam in partitions(j):
             term = base
@@ -163,8 +192,6 @@ class RepMap:
                 e[i] = s
                 points.append(lat.reduce(tuple(e)))
         points = sorted(set(points))
-        from .fock import monomial_states
-
         monos = monomial_states(g, "chi", cfg.max_degree, indices=self.indices)
         states = []
         for mv in monos:
@@ -375,11 +402,11 @@ def _tuples(rng, n):
             yield (head,) + rest
 
 
-def check_psi_structure(rep: RepMap) -> CheckReport:
+def check_psi_structure(rep: RepMap, states=None) -> CheckReport:
     """Leading modes of the half-currents used by comm3: order 0 is k_i^{+-o},
     order 1 is the single a_i(+-1) term with coefficient +-o (q-q^-1) q^{k/2}."""
+    states = states if states is not None else rep.test_states()
     params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
-    states = rep.test_states()
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
     o = -rep.k_eff
 
@@ -418,12 +445,13 @@ def check_highest_weight(rep: RepMap) -> CheckReport:
     return first_mismatch("toroidal.highest_weight", params, pairs())
 
 
-def check_grading(rep: RepMap) -> CheckReport:
+def check_grading(rep: RepMap, states=None) -> CheckReport:
     """q^d bookkeeping: x_i^s(n) and a_i(n) shift the total degree by -n.
 
     Total degree = Fock degree + (1/2)<beta,beta>_1, checked on homogeneous
     states; this is the diagonal content of q^d x(n) q^{-d} = q^n x(n).
     """
+    states = states if states is not None else rep.test_states()
     params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
     lat = rep.eng.lat
 
@@ -439,7 +467,7 @@ def check_grading(rep: RepMap) -> CheckReport:
         for i in rep.indices:
             for s in (1, -1):
                 for n in range(-rep.cfg.max_mode, rep.cfg.max_mode + 1):
-                    for t, v in enumerate(rep.test_states()):
+                    for t, v in enumerate(states):
                         dv = degree(v)
                         if len(dv) != 1:
                             continue
@@ -450,14 +478,15 @@ def check_grading(rep: RepMap) -> CheckReport:
     return first_mismatch("toroidal.grading", params, pairs())
 
 
-def check_d2_grading(rep: RepMap) -> CheckReport:
+def check_d2_grading(rep: RepMap, states=None) -> CheckReport:
     """d_2 bookkeeping on the unquotiented space: x_i^s shifts m_0 by s delta_{i0}."""
+    states = states if states is not None else rep.test_states()
     params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
 
     def pairs():
         for i in rep.indices:
             for s in (1, -1):
-                for t, v in enumerate(rep.test_states()):
+                for t, v in enumerate(states):
                     m0s = {beta[0] for (_, beta) in v.terms}
                     if len(m0s) != 1:
                         continue
@@ -484,12 +513,12 @@ def run_suite(group: GroupData, cfg: SuiteConfig) -> list[CheckReport]:
         check_xx(rep, states),
         check_xpxm(rep, states),
         check_serre(rep, states),
-        check_psi_structure(rep),
+        check_psi_structure(rep, states),
         check_highest_weight(rep),
-        check_grading(rep),
+        check_grading(rep, states),
     ]
     if cfg.variant == "typeA_qp" and not rep.eng.lat.quotient:
-        out.append(check_d2_grading(rep))
+        out.append(check_d2_grading(rep, states))
     return out
 
 

@@ -116,3 +116,19 @@ def test_toroidal_json_reports_the_p_exp_it_ran_with(capsys):
     _, out, _ = run(argv, capsys)
     config = json.loads(out)["config"]
     assert config["xi"] == "second" and config["p_exp"] == 2
+
+
+def test_second_weight_runs_toroidal_suites_in_p_mode(capsys):
+    # the second weight is two-parameter: every check of every suite passes
+    argv = ["all", "--group", "cyclic:3", "--xi", "second", "--p-exp", "2", "--max-degree", "1", "--max-mode", "1"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert "FAIL" not in out
+    assert "toroidal.xx {'variant': 'toroidal_plus'" in out
+
+
+def test_second_weight_on_cyclic2_is_a_bad_config(capsys):
+    argv = ["toroidal", "--group", "cyclic:2", "--xi", "second", "--max-degree", "1", "--max-mode", "1"]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "p-mode requires a cyclic group of order >= 3" in err

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -12,7 +13,8 @@ from qvertex.toroidal import (
     suite_json,
 )
 from qvertex.fock import ExtState
-from qvertex.scalar import Laurent, qint
+from qvertex.scalar import Cyclo, Laurent, qint
+from qvertex.vertex import fj_x
 
 SMALL = dict(max_degree=1, max_mode=1, max_states=5, serre_window=1)
 
@@ -119,3 +121,92 @@ def test_failure_reports_carry_detail():
     bad = check_xpxm(rep, rep.test_states())
     assert not bad.passed
     assert set(bad.fail_detail) == {"where", "expected", "got"}
+
+
+# -- the memoised generator images
+
+CACHE_CASES = [
+    ("cyclic:2", cyclic(2), {"variant": "toroidal_plus"}),
+    ("cyclic:2", cyclic(2), {"variant": "toroidal_minus"}),
+    ("cyclic:2", cyclic(2), {"variant": "affine"}),
+    ("cyclic:3", cyclic(3), {"variant": "toroidal_plus"}),
+    ("cyclic:3", cyclic(3), {"variant": "toroidal_minus", "k": 1}),
+    ("cyclic:3", cyclic(3), {"variant": "affine"}),
+    ("cyclic:3", cyclic(3), {"variant": "typeA_qp", "p_exp": 1}),
+    ("cyclic:3", cyclic(3), {"variant": "typeA_qp", "p_exp": 2}),
+    ("cyclic:3", cyclic(3), {"variant": "toroidal_plus", "xi": "second", "p_exp": -1}),
+]
+
+MIXED = [
+    Laurent.one(),
+    Laurent.q_pow(1) - Laurent.of(2),
+    Laurent.v_pow(-1, Fraction(1, 3)),
+    Laurent.of(Cyclo.root(3)) + Laurent.q_pow(-2),
+]
+
+
+def cancelling_pair(rep, op, n, u, w):
+    """(c_u u + c_w w, key): the combination's image under op(n) loses the term
+    at key, which both images share; (None, None) when they share none."""
+    img_u, img_w = rep.eng.mode(op, n, u), rep.eng.mode(op, n, w)
+    common = sorted(set(img_u.terms) & set(img_w.terms))
+    if not common:
+        return None, None
+    key = common[0]
+    return u.scale(img_w.terms[key]) - w.scale(img_u.terms[key]), key
+
+
+@pytest.mark.parametrize("spec,group,kw", CACHE_CASES, ids=[f"{s}-{'-'.join(map(str, k.values()))}" for s, _, k in CACHE_CASES])
+def test_x_mode_matches_the_engine_cold_and_warm(spec, group, kw):
+    rep = RepMap(group, small_cfg(spec, **kw))
+    basis_states = rep.test_states()
+    mixed = [
+        sum((st.scale(MIXED[(t + r) % len(MIXED)]) for t, st in enumerate(basis_states) if t % 3 != r), ExtState("chi"))
+        for r in range(3)
+    ]
+    # multi-term states with nonzero lattice shifts, as the xx and serre checks feed back in
+    fed_back = [rep.eng.mode(rep.x_op(i, -1), -1, mixed[0]) for i in rep.indices]
+    states = basis_states + mixed + [w for w in fed_back if not w.is_zero]
+    cancelled = 0
+    for i in rep.indices:
+        for s in (1, -1):
+            op = rep.x_op(i, s)
+            for n in (-2, -1, 0, 1):
+                for v in states:
+                    want = rep.eng.mode(op, n, v)
+                    assert rep.x_mode(i, s, n, v) == want  # cold or partly warm
+                    assert rep.x_mode(i, s, n, v) == want  # warm
+                for u, w in zip(states, states[1:]):
+                    v, key = cancelling_pair(rep, op, n, u, w)
+                    if v is None:
+                        continue
+                    got = rep.x_mode(i, s, n, v)
+                    assert got == rep.eng.mode(op, n, v)
+                    assert key not in got.terms
+                    cancelled += 1
+    assert cancelled > 0
+
+
+def test_x_mode_results_do_not_alias_the_cache():
+    rep = RepMap(cyclic(3), small_cfg("cyclic:3"))
+    v = ExtState.vacuum(3)
+    first = rep.x_mode(1, 1, -3, v)
+    want = rep.eng.mode(rep.x_op(1, 1), -3, v)
+    assert first == want and len(first.terms) > 1
+    key = next(iter(first.terms))
+    first.add_term(key, Laurent.q_pow(5))
+    first.add_term(((), (7, 7, 7)), Laurent.one())
+    assert rep.x_mode(1, 1, -3, v) == want
+    second = rep.x_mode(1, 1, -3, v)
+    second.terms.clear()
+    assert rep.x_mode(1, 1, -3, v) == want
+
+
+def test_x_mode_cache_follows_a_replaced_operator():
+    rep = RepMap(cyclic(2), small_cfg("cyclic:2", k=-1))
+    v = ExtState.vacuum(2)
+    assert rep.x_mode(0, 1, -2, v) == rep.eng.mode(fj_x(0, 1, -1), -2, v)
+    rep.x_op = lambda i, sign: fj_x(i, sign, +1)
+    mirrored = rep.eng.mode(fj_x(0, 1, +1), -2, v)
+    assert mirrored != rep.eng.mode(fj_x(0, 1, -1), -2, v)
+    assert rep.x_mode(0, 1, -2, v) == mirrored
