@@ -43,7 +43,7 @@ from .vertex import (
     y_minus,
     y_plus,
 )
-from .wreath import exp_formula_check, isometry_check
+from .wreath import exp_formula_check, isometry_check, isometry_pair_reports
 
 
 @dataclass
@@ -291,15 +291,7 @@ def cmd_heisenberg(cfg: Config) -> int:
 def cmd_isometry(cfg: Config) -> int:
     g = build_group(cfg.group)
     ctx = FockContext(make_xi(cfg, g))
-    from .wreath import enumerate_types, isometry_pair_report
-
-    types = enumerate_types(g, cfg.n)
-    reports = [
-        isometry_pair_report(ctx, rho, sig, cfg.n, cfg.k_twist, cfg.l_twist)
-        for rho in types
-        for sig in types
-    ]
-    return emit_reports(cfg, reports)
+    return emit_reports(cfg, isometry_pair_reports(ctx, cfg.n, cfg.k_twist, cfg.l_twist))
 
 
 def cmd_ope(cfg: Config) -> int:

@@ -17,6 +17,11 @@ Normalisations:
     and by the norm formula with Z_rho;
   * the bilinear form is q-sesquilinear: <f u, g v> = f bar_q(g) <u, v>,
     <1,1> = 1, adjoint a_n^* = a_{-n}.
+
+The form is evaluated in Gram rows (FockContext.gram): every right-hand
+vector is expanded into character-basis monomials once, and every left vector
+once, into a dual row over those monomials; <u, v> for a single pair is the
+one-entry Gram row.
 """
 
 from __future__ import annotations
@@ -229,19 +234,44 @@ class FockContext:
         self._form_cache[key] = acc
         return acc
 
+    def gram(self, us, vs):
+        """Rows [<u, v> for v in vs], one per u of us, generated lazily.
+
+        Each v is expanded in the character basis once, with its barred
+        coefficients and monomial degrees.  Each u is expanded when its row is
+        pulled, into a dual row d_u[mv] = sum_mu cu <mu, mv> over the monomials
+        mu of equal degree, filled on demand; then <u, v> = sum_mv d_u[mv]
+        bar_q(cv).
+        """
+        cols = [
+            [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in self.to_chi(v).terms.items()]
+            for v in vs
+        ]
+        for u in us:
+            by_deg: dict[int, list[tuple[Mono, Laurent]]] = {}
+            for mu, cu in self.to_chi(u).terms.items():
+                by_deg.setdefault(mono_deg(mu), []).append((mu, cu))
+            dual: dict[Mono, Laurent] = {}
+            row = []
+            for col in cols:
+                acc = L_ZERO
+                for mv, deg, bar_cv in col:
+                    d = dual.get(mv)
+                    if d is None:
+                        d = L_ZERO
+                        for mu, cu in by_deg.get(deg, ()):
+                            f = self.form_mono(mu, mv)
+                            if not f.is_zero:
+                                d = d + cu * f
+                        dual[mv] = d
+                    if not d.is_zero:
+                        acc = acc + d * bar_cv
+                row.append(acc)
+            yield row
+
     def form(self, u: FockVector, v: FockVector) -> Laurent:
         """<u, v>_xi', q-linear in u and q-bar-linear in v."""
-        uc = self.to_chi(u)
-        vc = self.to_chi(v)
-        acc = L_ZERO
-        for mu, cu in uc.terms.items():
-            for mv, cv in vc.terms.items():
-                if mono_deg(mu) != mono_deg(mv):
-                    continue
-                f = self.form_mono(mu, mv)
-                if not f.is_zero:
-                    acc = acc + cu * cv.bar_q() * f
-        return acc
+        return next(self.gram([u], [v]))[0]
 
 
 # --------------------------------------------------------------------------

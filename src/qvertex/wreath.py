@@ -267,11 +267,17 @@ def exp_formula_check(ctx: FockContext, combo: Combo, n: int, variant: str = "et
 # the wreath-level weighted form and the isometry check
 
 
-def wreath_weighted_form(xi: WeightXi, f: WreathClassFunction, h: WreathClassFunction) -> Laurent:
-    """sum over types of Z_mu^{-1} eta_n(xi)(mu) f(mu) bar_q(h(mu))."""
+def wreath_weighted_form(
+    xi: WeightXi, f: WreathClassFunction, h: WreathClassFunction, types: list[PartitionFn] | None = None
+) -> Laurent:
+    """sum over types of Z_mu^{-1} eta_n(xi)(mu) f(mu) bar_q(h(mu)).
+
+    types is the list of level-n types to sum over (enumerate_types(g, f.n)
+    when None), so a caller pairing many functions enumerates them once.
+    """
     g = xi.group
     acc = Laurent.zero()
-    for mu in enumerate_types(g, f.n):
+    for mu in enumerate_types(g, f.n) if types is None else types:
         fv = f.value(mu)
         hv = h.value(mu)
         if fv.is_zero or hv.is_zero:
@@ -281,26 +287,44 @@ def wreath_weighted_form(xi: WeightXi, f: WreathClassFunction, h: WreathClassFun
     return acc
 
 
-def isometry_pair_report(ctx: FockContext, rho: PartitionFn, sig: PartitionFn, n: int, k: int, l: int) -> CheckReport:
-    """Single (rho, sigma) verdict of the isometry comparison (CLI output unit)."""
+def isometry_pairs(ctx: FockContext, n: int, k: int, l: int):
+    """Both sides of the isometry on every type pair (rho, sigma), rho-major.
+
+    Yields (rho, sigma, sides), sides being [("group side", expected, got),
+    ("fock side", expected, got)].  The Fock side reads the Gram rows of
+    a'_{-rho x q^k} against every a'_{-sigma_bar x q^l}: one row per rho.
+    """
     g = ctx.group
     xi = ctx.xi
-    diag = rho == sig
-    f = sigma_rho(g, rho, k)
-    h = sigma_rho(g, sig, l)
-    closed_group = inner_closed(ctx, rho, big_z(g, rho), n * (k - l)) if diag else Laurent.zero()
-    closed_fock = inner_closed(ctx, rho, big_z(g, rho), n * (l - k)) if diag else Laurent.zero()
-    u = FockVector("cls", {aprime_mono(rho): Laurent.q_pow(-n * k)})
-    v = FockVector("cls", {aprime_mono(rho_bar(g, sig)): Laurent.q_pow(-n * l)})
-    pairs = [
-        ("group side", closed_group, wreath_weighted_form(xi, f, h)),
-        ("fock side", closed_fock, ctx.form(u, v)),
+    types = enumerate_types(g, n)
+    us = (FockVector("cls", {aprime_mono(rho): Laurent.q_pow(-n * k)}) for rho in types)
+    vs = [FockVector("cls", {aprime_mono(rho_bar(g, sig)): Laurent.q_pow(-n * l)}) for sig in types]
+    hs = [sigma_rho(g, sig, l) for sig in types]
+    for rho, row in zip(types, ctx.gram(us, vs)):
+        f = sigma_rho(g, rho, k)
+        for sig, h, got_fock in zip(types, hs, row):
+            if rho == sig:
+                closed_group = inner_closed(ctx, rho, big_z(g, rho), n * (k - l))
+                closed_fock = inner_closed(ctx, rho, big_z(g, rho), n * (l - k))
+            else:
+                closed_group = closed_fock = Laurent.zero()
+            yield rho, sig, [
+                ("group side", closed_group, wreath_weighted_form(xi, f, h, types)),
+                ("fock side", closed_fock, got_fock),
+            ]
+
+
+def isometry_pair_reports(ctx: FockContext, n: int, k: int, l: int) -> list[CheckReport]:
+    """One wreath.isometry_pair verdict per (rho, sigma) type pair (CLI output unit)."""
+    g = ctx.group
+    return [
+        first_mismatch(
+            "wreath.isometry_pair",
+            {"group": g.name, "xi": ctx.xi.kind, "rho": str(rho), "sigma": str(sig), "n": n, "k": k, "l": l},
+            sides,
+        )
+        for rho, sig, sides in isometry_pairs(ctx, n, k, l)
     ]
-    return first_mismatch(
-        "wreath.isometry_pair",
-        {"group": g.name, "xi": xi.kind, "rho": str(rho), "sigma": str(sig), "n": n, "k": k, "l": l},
-        pairs,
-    )
 
 
 def isometry_check(ctx: FockContext, n: int, k: int, l: int) -> CheckReport:
@@ -312,25 +336,11 @@ def isometry_check(ctx: FockContext, n: int, k: int, l: int) -> CheckReport:
     q-power n(k-l) on the group side and n(l-k) on the Fock side (the antipode
     twist built into ch; see module docstring).
     """
-    g = ctx.group
     xi = ctx.xi
-    types = enumerate_types(g, n)
-    params = {"group": g.name, "xi": xi.kind, "p_exp": xi.p_exp, "n": n, "k": k, "l": l}
-
-    def pairs():
-        for rho in types:
-            f = sigma_rho(g, rho, k)
-            for sig in types:
-                h = sigma_rho(g, sig, l)
-                diag = rho == sig
-                closed_group = inner_closed(ctx, rho, big_z(g, rho), n * (k - l)) if diag else Laurent.zero()
-                got_group = wreath_weighted_form(xi, f, h)
-                yield (f"group side rho={rho} sigma={sig}", closed_group, got_group)
-
-                closed_fock = inner_closed(ctx, rho, big_z(g, rho), n * (l - k)) if diag else Laurent.zero()
-                u = FockVector("cls", {aprime_mono(rho): Laurent.q_pow(-n * k)})
-                v = FockVector("cls", {aprime_mono(rho_bar(g, sig)): Laurent.q_pow(-n * l)})
-                got_fock = ctx.form(u, v)
-                yield (f"fock side rho={rho} sigma={sig}", closed_fock, got_fock)
-
-    return first_mismatch("wreath.isometry", params, pairs())
+    params = {"group": ctx.group.name, "xi": xi.kind, "p_exp": xi.p_exp, "n": n, "k": k, "l": l}
+    triples = (
+        (f"{side} rho={rho} sigma={sig}", expected, got)
+        for rho, sig, sides in isometry_pairs(ctx, n, k, l)
+        for side, expected, got in sides
+    )
+    return first_mismatch("wreath.isometry", params, triples)

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from qvertex import cli, fock, repring, toroidal, vertex, wreath
 from qvertex.cli import REGISTRY, build_parser, main
@@ -132,3 +136,16 @@ def test_second_weight_on_cyclic2_is_a_bad_config(capsys):
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "p-mode requires a cyclic group of order >= 3" in err
+
+
+def test_python_dash_m_qvertex_runs_the_cli(capsys):
+    argv = ["isometry", "--group", "cyclic:3", "--n", "2", "--format", "json"]
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "qvertex", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    checks = json.loads(proc.stdout)["checks"]
+    assert len(checks) == 81 and all(c["pass"] for c in checks)
+    _, out, _ = run(argv, capsys)
+    assert proc.stdout == out

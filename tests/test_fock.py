@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from qvertex.fock import (
@@ -18,9 +20,9 @@ from qvertex.fock import (
     mono_mul,
     monomial_states,
 )
-from qvertex.groups import binary_dihedral, cyclic
+from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic
 from qvertex.repring import first_xi, second_xi
-from qvertex.scalar import L_ZERO, Laurent
+from qvertex.scalar import L_ZERO, Cyclo, Laurent
 from qvertex.wreath import big_z, enumerate_types, rho_bar
 
 QQ = Laurent.q_pow(1) + Laurent.q_pow(-1)
@@ -230,6 +232,118 @@ def test_inner_norms_match_closed_formula(xi_maker):
                     else:
                         want = Laurent.zero()
                     assert got == want, (rho, sig, k, l)
+
+
+# ---------------------------------------------------------------- Gram rows
+
+
+def form_oracle(ctx, u, v):
+    """The form as a plain double loop over character-basis monomials."""
+    acc = L_ZERO
+    for mu, cu in ctx.to_chi(u).terms.items():
+        for mv, cv in ctx.to_chi(v).terms.items():
+            if mono_deg(mu) == mono_deg(mv):
+                acc = acc + cu * cv.bar_q() * ctx.form_mono(mu, mv)
+    return acc
+
+
+GRAM_CONFIGS = {
+    "cyclic3-first": lambda: first_xi(cyclic(3)),
+    "cyclic3-second-p1": lambda: second_xi(cyclic(3), 1),
+    "cyclic3-second-p2": lambda: second_xi(cyclic(3), 2),
+    "bd2-first": lambda: first_xi(binary_dihedral(2)),
+    "bt-first": lambda: first_xi(binary_tetrahedral()),
+}
+
+
+def gram_vectors(g):
+    """Mixed-basis vectors: zero, monomials, multi-term with Laurent/Fraction/
+    cyclotomic coefficients and mixed degrees, and a class vector whose
+    character expansion cancels a term."""
+    r = g.n_classes - 1
+    cyc = Laurent.q_pow(-1, Cyclo.root(3)) + Laurent.of(Fraction(1, 2))
+    lau = Laurent.q_pow(2) - Laurent.q_pow(-1).scale(3)
+    frac = Laurent.of(Fraction(-2, 3))
+    return [
+        FockVector.zero("chi"),
+        FockVector.zero("cls"),
+        FockVector.vacuum("chi").scale(lau),
+        FockVector("chi", {((1, r),): Laurent.one()}),
+        FockVector("cls", {((2, 0),): Laurent.one()}),
+        FockVector("chi", {((1, 0),): lau, ((1, r),): cyc, ((2, 1 % g.n_classes),): frac}),
+        FockVector("cls", {((1, 0), (1, r)): cyc, ((2, r),): lau, ((1, 1 % g.n_classes),): frac}),
+        # gamma_0(c) = 1 on every class: the trivial character's term cancels
+        FockVector("cls", {((1, 0),): Laurent.one(), ((1, r),): -Laurent.one()}),
+        FockVector("cls", {((1, 0), (1, 0)): frac, VACUUM: cyc}),
+    ]
+
+
+@pytest.mark.parametrize("config", sorted(GRAM_CONFIGS))
+def test_gram_matches_pairwise_oracle(config):
+    ctx = FockContext(GRAM_CONFIGS[config]())
+    vecs = gram_vectors(ctx.group)
+    rows = list(ctx.gram(vecs, vecs[::-1]))
+    assert rows == [[form_oracle(ctx, u, v) for v in vecs[::-1]] for u in vecs]
+    assert any(not x.is_zero for row in rows for x in row)
+
+
+def test_gram_on_empty_and_zero_inputs():
+    ctx = ctx_first(cyclic(3))
+    vecs = gram_vectors(ctx.group)
+    assert list(ctx.gram([], vecs)) == []
+    assert list(ctx.gram(vecs, [])) == [[] for _ in vecs]
+    zero = FockVector.zero("cls")
+    assert list(ctx.gram([zero], vecs)) == [[L_ZERO] * len(vecs)]
+    assert [row[0] for row in ctx.gram(vecs, [zero])] == [L_ZERO] * len(vecs)
+
+
+def test_gram_rows_are_lazy():
+    ctx = ctx_first(binary_dihedral(2))
+    vecs = gram_vectors(ctx.group)
+    pulled = []
+    expanded = []
+    to_chi = ctx.to_chi
+    ctx.to_chi = lambda v: expanded.append(v) or to_chi(v)
+
+    def us():
+        for u in vecs:
+            pulled.append(u)
+            yield u
+
+    rows = ctx.gram(us(), vecs)
+    assert not pulled and not expanded
+    first = next(rows)
+    assert pulled == vecs[:1]
+    assert len(expanded) == len(vecs) + 1  # every v once, then u_0 alone
+    assert first == [form_oracle(ctx, vecs[0], v) for v in vecs]
+    assert next(rows) == [form_oracle(ctx, vecs[1], v) for v in vecs]
+    assert pulled == vecs[:2]
+
+
+def test_gram_pairs_only_monomials_of_equal_degree():
+    ctx = ctx_first(cyclic(3))
+    vecs = gram_vectors(ctx.group)
+    pairs = []
+    form_mono = ctx.form_mono
+    ctx.form_mono = lambda u, v: pairs.append((u, v)) or form_mono(u, v)
+    rows = list(ctx.gram(vecs, vecs))
+    assert pairs and all(mono_deg(u) == mono_deg(v) for u, v in pairs)
+    assert rows == [[form_oracle(ctx, u, v) for v in vecs] for u in vecs]
+
+
+@pytest.mark.parametrize("config", ["cyclic3-first", "cyclic3-second-p2", "bd2-first"])
+def test_form_sesquilinear_and_bar_symmetric_on_combinations(config):
+    ctx = FockContext(GRAM_CONFIGS[config]())
+    vecs = [v for v in gram_vectors(ctx.group) if v.basis == "chi"]
+    a = Laurent.q_pow(1, Cyclo.root(3)) - Laurent.of(Fraction(3, 4))
+    b = Laurent.q_pow(-2) + Laurent.q_pow(1).scale(2)
+    for u in vecs:
+        for w in vecs:
+            for v in vecs:
+                combo = u.scale(a) + w.scale(b)
+                assert ctx.form(combo, v) == a * ctx.form(u, v) + b * ctx.form(w, v)
+                assert ctx.form(v, combo) == a.bar_q() * ctx.form(v, u) + b.bar_q() * ctx.form(v, w)
+            assert ctx.form(u, w) == ctx.form(w, u).bar_q()
 
 
 # ---------------------------------------------------------------- lattice layer

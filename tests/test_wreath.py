@@ -6,10 +6,12 @@ scratch; the library never does.
 """
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
+from qvertex import cli, wreath
 from qvertex.fock import FockContext, FockVector, aprime_mono
 from qvertex.groups import binary_dihedral, cyclic
 from qvertex.repring import CxClassFunction, first_xi, second_xi
@@ -331,3 +333,58 @@ def test_isometry_second_xi():
     ctx = FockContext(second_xi(g, 1))
     rep = isometry_check(ctx, 2, 1, 0)
     assert rep.passed, rep.fail_detail
+
+
+def test_isometry_enumerates_types_once(monkeypatch):
+    g = cyclic(3)
+    calls = []
+    enum = wreath.enumerate_types
+    monkeypatch.setattr(wreath, "enumerate_types", lambda g, n: calls.append(n) or enum(g, n))
+    rep = isometry_check(FockContext(first_xi(g)), 2, 1, 0)
+    assert rep.passed and rep.n_cases == 2 * 9**2
+    assert calls == [2]
+    types = enum(g, 2)
+    f, h = sigma_rho(g, types[3], 1), sigma_rho(g, types[3], 0)
+    xi = first_xi(g)
+    assert wreath.wreath_weighted_form(xi, f, h, types) == wreath.wreath_weighted_form(xi, f, h) != Laurent.zero()
+
+
+SEEDED_FAILURE = {
+    "where": "fock side rho=((1, 1), (), ()) sigma=((1, 1), (), ())",
+    "expected": "18*q^2 - 72*q + 108 - 72*q^-1 + 18*q^-2",
+    "got": "8*q^2 - 40*q + 74 - 60*q^-1 + 18*q^-2",
+}
+
+
+def seed_wrong_pairing(ctx):
+    """Move the cached pairing <gamma_0, gamma_1>^{q} by a factor q."""
+    ctx._pair_cache[(0, 1, 1)] = ctx.pair_pow(0, 1, 1) * Laurent.q_pow(1)
+
+
+def test_isometry_fails_on_a_wrong_pairing():
+    ctx = FockContext(first_xi(cyclic(3)))
+    seed_wrong_pairing(ctx)
+    rep = isometry_check(ctx, 2, 0, 0)
+    assert not rep.passed
+    assert rep.n_cases == 22  # group side and Fock side of the first 11 pairs
+    assert rep.fail_detail == SEEDED_FAILURE
+
+
+def test_isometry_cli_fails_on_a_wrong_pairing(monkeypatch, capsys):
+    class Seeded(cli.FockContext):
+        def __init__(self, xi):
+            super().__init__(xi)
+            seed_wrong_pairing(self)
+
+    monkeypatch.setattr(cli, "FockContext", Seeded)
+    code = cli.main(["isometry", "--group", "cyclic:3", "--n", "2", "--format", "json"])
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert code == 1
+    assert len(checks) == 81
+    failed = [c for c in checks if not c["pass"]]
+    assert len(failed) == 36
+    first = failed[0]
+    assert checks.index(first) == 10
+    assert first["params"]["rho"] == first["params"]["sigma"] == "((1, 1), (), ())"
+    assert first["cases"] == 2
+    assert first["fail_detail"] == {**SEEDED_FAILURE, "where": "fock side"}
