@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -75,7 +76,14 @@ def make_xi(cfg: Config, g: GroupData):
     return first_xi(g)
 
 
+def require_cases(reports: list[CheckReport]) -> None:
+    """A run that checked nothing is a configuration error, not a success."""
+    if not sum(r.n_cases for r in reports):
+        raise ConfigError("precondition violated: the configuration checks no case")
+
+
 def emit_reports(cfg: Config, reports: list[CheckReport]) -> int:
+    require_cases(reports)
     ok = all(r.passed for r in reports)
     if cfg.fmt == "json":
         print(json.dumps({"checks": [r.to_obj() for r in reports]}, sort_keys=False))
@@ -278,8 +286,6 @@ def cmd_mckay(cfg: Config) -> int:
 
 def cmd_positivity(cfg: Config) -> int:
     g = build_group(cfg.group)
-    if cfg.t <= 0:
-        raise ConfigError("precondition violated: positivity probe requires t > 0")
     return emit_reports(cfg, [positivity_probe(make_xi(cfg, g), cfg.t)])
 
 
@@ -305,6 +311,7 @@ def cmd_toroidal(cfg: Config) -> int:
     scfg = suite_config(cfg, variant)
     reports = run_suite(g, scfg)
     if cfg.fmt == "json":
+        require_cases(reports)
         print(suite_json(g, scfg, reports))
         return 0 if all(r.passed for r in reports) else 1
     return emit_reports(cfg, reports)
@@ -360,14 +367,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def validate_numbers(kwargs: dict) -> None:
+    """Bounds and orders must be >= 0; the positivity parameter finite and > 0."""
+    for name in ("window", "max_mode", "max_degree", "series_order", "n"):
+        value = kwargs.get(name)
+        if value is not None and value < 0:
+            raise ConfigError(f"precondition violated: --{name.replace('_', '-')} must be >= 0, got {value}")
+    t = kwargs.get("t")
+    if t is not None and not (math.isfinite(t) and t > 0):
+        raise ConfigError(f"precondition violated: positivity probe requires a finite t > 0, got {t}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     kwargs = {k: v for k, v in vars(args).items() if k != "command"}
-    window = kwargs.pop("window", None)
-    if window is not None:
-        kwargs["max_mode"] = window
-    cfg = Config(**kwargs)
     try:
+        validate_numbers(kwargs)
+        window = kwargs.pop("window", None)
+        if window is not None:
+            kwargs["max_mode"] = window
+        cfg = Config(**kwargs)
         if cfg.xi == "second" or vars(args).get("variant") == "qp":
             g_probe = build_group(cfg.group)
             if g_probe.cartan_layout is None or g_probe.cartan_layout[0] != "A":

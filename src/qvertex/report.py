@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -34,9 +33,6 @@ class CheckReport:
         if self.notes:
             out["notes"] = self.notes
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj(), sort_keys=False)
 
 
 def first_mismatch(check_id: str, params: dict, pairs, n_cases: int | None = None, notes=None) -> CheckReport:

@@ -428,16 +428,6 @@ class Laurent:
     def coeff(self, e: int) -> Cyclo:
         return self.t.get(e, CYC_ZERO)
 
-    def constant_term(self) -> Cyclo:
-        return self.t.get(0, CYC_ZERO)
-
-    def as_constant(self) -> Cyclo:
-        if not self.t:
-            return CYC_ZERO
-        if set(self.t) != {0}:
-            raise ValueError(f"not a constant: {self}")
-        return self.t[0]
-
     # -- arithmetic
 
     def __add__(self, other: "Laurent") -> "Laurent":

@@ -18,6 +18,16 @@ In p-mode (type A, second weight) the zero mode carries the extra factor
 p^{-(1/2) sum_j <w, m_j gamma_j> b_{ij}} with b the cyclic skew matrix; the sign
 conventions here were pinned by exact computation against the OPE tables and
 are exercised by the test suite.
+
+ope_product_check verifies A(z)B(w) = eps * scalar * z^g * f(w/z) :A(z)B(w):
+coefficient by coefficient over a window of modes (m, n).  The left side
+applies B_n and then A_m to each test state through VertexEngine.mode.  The
+right side builds, per (operator pair, state) and per check, one table N of
+the normal-ordered coefficients :A(z)B(w): v in one walk, and convolves it
+along diagonals with the factor series:
+sum_d (eps * scalar * f_d) N[-m-1-g+d, -n-1-d].  The two sides are computed
+independently; neither reads a result of the other, and the table dies with
+the check.
 """
 
 from __future__ import annotations
@@ -239,9 +249,9 @@ class VertexEngine:
                 a = target - s_pair + b
                 if a < 0:
                     continue
+                bc = base * c_ann
                 for m_cre, c_cre in self.cre_terms(op, a):
-                    merged = tuple(sorted(m_ann + m_cre))
-                    out.add_term((merged, newb), base * c_ann * c_cre)
+                    out.add_term((tuple(sorted(m_ann + m_cre)), newb), bc * c_cre)
         return out
 
     # -- half vertex operators
@@ -345,10 +355,20 @@ def ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, Laur
     return g_ab, scalar, contraction_series(eng, opA, opB, D)
 
 
-def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, za: int, wb: int, state: ExtState) -> ExtState:
-    """Coefficient of z^{za} w^{wb} in :opA(z) opB(w): applied to state."""
+def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple[int, int]],
+                      state: ExtState) -> dict[tuple[int, int], ExtState]:
+    """Coefficients of z^{za} w^{wb} in :opA(z) opB(w): applied to state, for each (za, wb) in keys.
+
+    One walk over the state's terms, the annihilation pairs and the creation
+    terms computes every requested coefficient once; a key missing from the
+    result has coefficient zero.  Each product of the walk is formed at the
+    loop level where its factors are fixed, so an output term costs one.
+    """
+    za_by_wb: dict[int, list[int]] = {}
+    for za, wb in keys:
+        za_by_wb.setdefault(wb, []).append(za)
     lat = eng.lat
-    out = ExtState(state.basis)
+    out: dict[tuple[int, int], ExtState] = {}
     shiftA = eng.shift_vec(opA.i, opA.w_sign)
     shiftB = eng.shift_vec(opB.i, opB.w_sign)
     for (mono, beta), coeff in state.terms.items():
@@ -364,36 +384,25 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, za: int, wb: int, s
         if sign < 0:
             base = -base
         for bA, mA, cA in eng.ann_expand(opA, mono):
+            bcA = base * cA
             for bB, mB, cB in eng.ann_expand(opB, mA):
-                aA = za - sA + bA
-                aB = wb - sB + bB
-                if aA < 0 or aB < 0:
-                    continue
-                for mcA, ccA in eng.cre_terms(opA, aA):
+                bcAB = bcA * cB
+                for wb, zas in za_by_wb.items():
+                    aB = wb - sB + bB
+                    if aB < 0:
+                        continue
                     for mcB, ccB in eng.cre_terms(opB, aB):
-                        merged = tuple(sorted(mB + mcA + mcB))
-                        out.add_term((merged, shift), base * cA * cB * ccA * ccB)
-    return out
-
-
-def product_coeff_via_factor(eng: VertexEngine, opA: VOp, opB: VOp, m: int, n: int, state: ExtState,
-                             d_cap: int = 64, factor=None) -> ExtState:
-    """RHS of the OPE: eps(w_A,w_B) * factor * :opA opB:, at modes (m, n).
-
-    Expands the commutation factor in powers of w/z (the |w| < |z| region) and
-    convolves with the normal-ordered coefficients.
-    """
-    if factor is None:
-        factor = signed_ope_factor(eng, opA, opB, d_cap)
-    g_ab, scalar, series = factor
-    out = ExtState(state.basis)
-    for d in range(min(d_cap, series.order) + 1):
-        fd = series.coeffs[d]
-        if fd.is_zero:
-            continue
-        term = normal_pair_coeff(eng, opA, opB, -m - 1 - g_ab + d, -n - 1 - d, state)
-        if not term.is_zero:
-            out = out + term.scale(fd * scalar)
+                        bcABB = bcAB * ccB
+                        mBB = mB + mcB
+                        for za in zas:
+                            aA = za - sA + bA
+                            if aA < 0:
+                                continue
+                            acc = out.get((za, wb))
+                            if acc is None:
+                                acc = out[(za, wb)] = ExtState(state.basis)
+                            for mcA, ccA in eng.cre_terms(opA, aA):
+                                acc.add_term((tuple(sorted(mBB + mcA)), shift), bcABB * ccA)
     return out
 
 
@@ -418,19 +427,35 @@ def annihilation_bound(eng: VertexEngine, state: ExtState) -> int:
 
 def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states: list[ExtState],
                       check_id: str, params: dict) -> CheckReport:
-    """opA(z) opB(w) == factor * :opA opB:, coefficientwise over the mode window."""
+    """opA(z) opB(w) == factor * :opA opB:, coefficientwise over the mode window.
+
+    The factor is expanded in powers of w/z (the |w| < |z| region); see the
+    module docstring for how each side is computed.
+    """
     d_extra = max((annihilation_bound(eng, s) for s in states), default=4)
     d_cap = 2 * window + d_extra + 6
-    factor = signed_ope_factor(eng, opA, opB, d_cap)
+    g_ab, scalar, series = signed_ope_factor(eng, opA, opB, d_cap)
+    factors = [(d, scalar * fd) for d, fd in enumerate(series.coeffs) if not fd.is_zero]
+    mode_range = range(-window, window + 1)
+    keys = {(-m - 1 - g_ab + d, -n - 1 - d) for m in mode_range for n in mode_range for d, _ in factors}
+
+    def rhs(table: dict[tuple[int, int], ExtState], m: int, n: int, basis: str) -> ExtState:
+        out = ExtState(basis)
+        for d, fs in factors:
+            term = table.get((-m - 1 - g_ab + d, -n - 1 - d))
+            if term is not None:
+                for key, c in term.terms.items():
+                    out.add_term(key, fs * c)
+        return out
 
     def pairs():
         for t, v in enumerate(states):
-            for n in range(-window, window + 1):
+            table = normal_pair_coeff(eng, opA, opB, keys, v)
+            for n in mode_range:
                 bn = eng.mode(opB, n, v)
-                for m in range(-window, window + 1):
+                for m in mode_range:
                     lhs = eng.mode(opA, m, bn)
-                    rhs = product_coeff_via_factor(eng, opA, opB, m, n, v, d_cap=d_cap, factor=factor)
-                    yield (f"state #{t} modes ({m},{n})", rhs, lhs)
+                    yield (f"state #{t} modes ({m},{n})", rhs(table, m, n, v.basis), lhs)
 
     return first_mismatch(check_id, params, pairs())
 

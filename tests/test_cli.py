@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qvertex import cli, fock, repring, toroidal, vertex, wreath
 from qvertex.cli import REGISTRY, build_parser, main
+from qvertex.report import CheckReport
 
 
 def run(argv, capsys):
@@ -40,6 +43,26 @@ def test_bad_config_exit2(capsys):
     assert code == 2 and "t > 0" in err
     code, _, err = run(["mckay", "--group", "nope:3"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv,precondition", [
+    (["ope", "--group", "cyclic:2", "--window", "-1"], "--window must be >= 0"),
+    (["isometry", "--group", "cyclic:2", "--n", "-1"], "--n must be >= 0"),
+    (["heisenberg", "--group", "cyclic:2", "--max-mode", "-1"], "--max-mode must be >= 0"),
+    (["ope", "--group", "cyclic:2", "--max-degree", "-1"], "--max-degree must be >= 0"),
+    (["ope", "--group", "cyclic:2", "--series-order", "-1"], "--series-order must be >= 0"),
+    (["positivity", "--group", "cyclic:2", "--t", "nan"], "finite t > 0"),
+    (["positivity", "--group", "cyclic:2", "--t", "inf"], "finite t > 0"),
+])
+def test_invalid_numbers_exit2(argv, precondition, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and precondition in err and out == ""
+
+
+def test_run_that_checks_nothing_exits2(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_vertex_checks", lambda cfg, g: [CheckReport("vertex.qpow", {}, passed=True)])
+    code, out, err = run(["ope", "--group", "cyclic:2"], capsys)
+    assert code == 2 and "checks no case" in err and out == ""
 
 
 def test_chartable_text_and_json(capsys):
@@ -101,8 +124,6 @@ def test_registry_covers_every_check_operation():
     registered = {fn for fn, _ in REGISTRY.values()}
     for module in (repring, wreath, fock, vertex, toroidal):
         for name in check_function_names(module):
-            if name in ("isometry_pair_report",):
-                continue
             assert name in registered, f"{module.__name__}.{name} not registered for `all`"
 
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from qvertex import vertex
 from qvertex.fock import ExtState, FockContext, ext_form
 from qvertex.groups import cyclic
 from qvertex.repring import first_xi, second_xi
@@ -283,6 +284,61 @@ def test_ope_pmode_prefactor_is_half_b_power():
     _, s21, _ = ope_factor(eng, y_plus(2, 1, 0, -1), y_plus(1, 1, 0, -1), 2)
     assert s12 == Laurent.q_pow(1)
     assert s21 == Laurent.q_pow(-1)
+
+
+# ---------------------------------------------------------------- the OPE checks can fail
+
+
+def test_ope_product_check_fails_on_a_moved_factor_coefficient(monkeypatch):
+    signed = vertex.signed_ope_factor
+
+    def moved(eng, opA, opB, D):
+        g_ab, scalar, series = signed(eng, opA, opB, D)
+        coeffs = list(series.coeffs)
+        coeffs[1] = coeffs[1] * Laurent.q_pow(1)
+        return g_ab, scalar, TruncSeries(series.order, coeffs)
+
+    monkeypatch.setattr(vertex, "signed_ope_factor", moved)
+    eng = eng_first(cyclic(3))
+    rep = ope_product_check(eng, y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1), 2, states_for(None, 3), "t", {})
+    assert not rep.passed
+    assert rep.fail_detail["where"] == "state #0 modes (-2,-2)" and rep.n_cases == 1
+
+
+def test_ope_product_check_fails_without_the_relative_cocycle_sign(monkeypatch):
+    eng = eng_first(cyclic(3))
+    opA, opB = y_plus(1, 1, 0, -1), y_plus(0, 1, 0, -1)
+    assert eng.lat.cocycle_sign(eng.shift_vec(1, 1), eng.shift_vec(0, 1)) == -1
+    monkeypatch.setattr(vertex, "signed_ope_factor", ope_factor)
+    rep = ope_product_check(eng, opA, opB, 2, states_for(None, 3), "t", {})
+    assert not rep.passed
+    assert rep.fail_detail["where"] == "state #0 modes (-2,-2)" and rep.n_cases == 1
+
+
+def test_ope_table_check_fails_on_a_perturbed_closed_form(monkeypatch):
+    table = vertex.table_factor
+
+    def moved(eng, opA, opB, D):
+        g_ab, scalar, series = table(eng, opA, opB, D)
+        coeffs = list(series.coeffs)
+        coeffs[2] = coeffs[2] * Laurent.q_pow(1)
+        return g_ab, scalar, TruncSeries(series.order, coeffs)
+
+    monkeypatch.setattr(vertex, "table_factor", moved)
+    rep = ope_table_check(eng_first(cyclic(3)), y_plus(0, 1, 0, -1), y_minus(0, 1, 0, -1), 8, "t", {})
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "x^2", "expected": "q^3 + q + q^-1", "got": "q^2 + 1 + q^-2"}
+    assert rep.n_cases == 4
+
+
+def test_contraction_check_fails_on_a_moved_pairing():
+    eng = eng_first(cyclic(3))
+    ctx = eng.fock
+    ctx._pair_cache[(0, 1, 4)] = ctx.pair_pow(0, 1, 4) * Laurent.q_pow(1)
+    rep = contraction_check(eng, 0, 1, -1, 0, 8)
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "x^4", "expected": "q^-4", "got": "1/4*q^-3 + 3/4*q^-4"}
+    assert rep.n_cases == 5
 
 
 def test_fj_ops_match_shifted_y():
