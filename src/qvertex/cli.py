@@ -134,10 +134,10 @@ def run_fock_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
 def run_wreath_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     ctx = FockContext(make_xi(cfg, g))
     out = []
-    for n in range(min(cfg.max_degree, 3) + 1):
+    for n in range(cfg.max_degree + 1):
         out.append(exp_formula_check(ctx, [(1, g.n_classes - 1, 1)], n, "eta"))
         out.append(exp_formula_check(ctx, [(1, g.n_classes - 1, 0)], n, "eps"))
-    out.append(isometry_check(ctx, min(cfg.n, 2), cfg.k_twist, cfg.l_twist))
+    out.append(isometry_check(ctx, cfg.n, cfg.k_twist, cfg.l_twist))
     return out
 
 
@@ -164,7 +164,7 @@ def run_vertex_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
         for i, j in pairs:
             opA, opB = mk(i, j)
             params = {"group": g.name, "xi": cfg.xi, "i": i, "j": j, "k": k}
-            out.append(ope_product_check(eng, opA, opB, min(cfg.max_mode, 2), states, name, params))
+            out.append(ope_product_check(eng, opA, opB, cfg.max_mode, states, name, params))
             out.append(ope_table_check(eng, opA, opB, cfg.series_order, name + ":table", params))
     return out
 
@@ -177,8 +177,8 @@ def suite_config(cfg: Config, variant: str) -> SuiteConfig:
         variant=variant,
         k=cfg.k,
         p_exp=cfg.p_exp if variant == "typeA_qp" or cfg.xi == "second" else None,
-        max_degree=min(cfg.max_degree, 2),
-        max_mode=min(cfg.max_mode, 2),
+        max_degree=cfg.max_degree,
+        max_mode=cfg.max_mode,
         max_states=8,
         serre_window=1,
     )
@@ -189,29 +189,29 @@ def run_toroidal_checks(cfg: Config, g: GroupData, variant: str) -> list[CheckRe
 
 
 REGISTRY = {
-    "repring.hermitian": ("hermitian_like_check", run_repring_checks),
-    "repring.mckay": ("mckay_eigencheck", run_repring_checks),
-    "repring.cartan_q1": ("cartan_specialization_check", run_repring_checks),
-    "repring.qp_degeneracy": ("qp_degeneracy_check", run_repring_checks),
-    "repring.positivity": ("positivity_probe", run_repring_checks),
-    "fock.cocycle": ("cocycle_condition_check", run_fock_checks),
-    "fock.heisenberg": ("heisenberg_check", run_fock_checks),
-    "fock.heisenberg_cls": ("heisenberg_check_cls", run_fock_checks),
-    "wreath.exp": ("exp_formula_check", run_wreath_checks),
-    "wreath.isometry": ("isometry_check", run_wreath_checks),
-    "vertex.qpow": ("qpow_consistency_check", run_vertex_checks),
-    "vertex.contraction": ("contraction_check", run_vertex_checks),
-    "vertex.ope_product": ("ope_product_check", run_vertex_checks),
-    "vertex.ope_table": ("ope_table_check", run_vertex_checks),
-    "toroidal.heisenberg": ("check_heisenberg_rel", run_toroidal_checks),
-    "toroidal.a_x": ("check_a_x", run_toroidal_checks),
-    "toroidal.xx": ("check_xx", run_toroidal_checks),
-    "toroidal.xpxm": ("check_xpxm", run_toroidal_checks),
-    "toroidal.serre": ("check_serre", run_toroidal_checks),
-    "toroidal.psi_structure": ("check_psi_structure", run_toroidal_checks),
-    "toroidal.highest_weight": ("check_highest_weight", run_toroidal_checks),
-    "toroidal.grading": ("check_grading", run_toroidal_checks),
-    "toroidal.d2_grading": ("check_d2_grading", run_toroidal_checks),
+    "repring.hermitian": "hermitian_like_check",
+    "repring.mckay": "mckay_eigencheck",
+    "repring.cartan_q1": "cartan_specialization_check",
+    "repring.qp_degeneracy": "qp_degeneracy_check",
+    "repring.positivity": "positivity_probe",
+    "fock.cocycle": "cocycle_condition_check",
+    "fock.heisenberg": "heisenberg_check",
+    "fock.heisenberg_cls": "heisenberg_check_cls",
+    "wreath.exp": "exp_formula_check",
+    "wreath.isometry": "isometry_check",
+    "vertex.qpow": "qpow_consistency_check",
+    "vertex.contraction": "contraction_check",
+    "vertex.ope_product": "ope_product_check",
+    "vertex.ope_table": "ope_table_check",
+    "toroidal.heisenberg": "check_heisenberg_rel",
+    "toroidal.a_x": "check_a_x",
+    "toroidal.xx": "check_xx",
+    "toroidal.xpxm": "check_xpxm",
+    "toroidal.serre": "check_serre",
+    "toroidal.psi_structure": "check_psi_structure",
+    "toroidal.highest_weight": "check_highest_weight",
+    "toroidal.grading": "check_grading",
+    "toroidal.d2_grading": "check_d2_grading",
 }
 
 

@@ -25,9 +25,11 @@ In type-A p-mode the commutation relation multipliers carry p^{b_ji}
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import factorial, prod
 
 from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_deg
 from .groups import GroupData
@@ -69,15 +71,17 @@ class SuiteConfig:
 class RepMap:
     """Realisation of the generators on (a sub/quotient space of) the Fock space.
 
-    x_mode memoises the image of each basis term under x_i^s(n) for the life
-    of the RepMap, so one relation suite builds each column of a generator
-    once; the columns are keyed by the operator's data, not by (i, s), and
-    their keys and coefficients are interned.
+    Every generator -- a_i(m), k_i^{+-1}, the psi half-current modes and
+    x_i^s(n) -- applies through `_apply`, which builds the image of each basis
+    term (a column) once per RepMap, so one relation suite builds each column
+    of a generator once.  Columns are keyed by the generator's data (for x the
+    operator's data, not (i, s)), and their keys and coefficients are interned.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
         self.cfg = cfg
         self.group = group
+        self.params = {"variant": cfg.variant, "k": cfg.k}
         if cfg.k not in (-1, 1):
             raise ValueError("level-one vertex representations exist for k = +-1 only")
         if cfg.variant == "typeA_qp":
@@ -102,9 +106,27 @@ class RepMap:
         self.affine = cfg.variant == "affine"
         self.indices = list(range(1, group.n_classes)) if self.affine else list(range(group.n_classes))
         self._x_ops = {(i, s): fj_x(i, s, self.k_eff) for i in range(group.n_classes) for s in (1, -1)}
-        # (op data, n, basis) -> {basis key: ((out key, coeff), ...)}
+        # generator key + (basis,) -> {basis key: ((out key, coeff), ...)}
         self._columns: dict[tuple, dict[tuple, tuple]] = {}
         self._interned: dict = {}
+
+    def _apply(self, gen: tuple, image, v: ExtState) -> ExtState:
+        """sum_t c_t image(t) over v's terms c_t t, each column image(t) built once.
+
+        image maps a single basis term (coefficient one) to its image; gen
+        names the generator, so two generators never share a column.
+        """
+        cols = self._columns.setdefault(gen + (v.basis,), {})
+        out = ExtState(v.basis)
+        for key, c in v.terms.items():
+            col = cols.get(key)
+            if col is None:
+                intern = self._interned.setdefault
+                img = image(ExtState(v.basis, {key: L_ONE}))
+                col = cols[key] = tuple((intern(k, k), intern(c2, c2)) for k, c2 in img.terms.items())
+            for k2, c2 in col:
+                out.add_term(k2, c * c2)
+        return out
 
     # -- generators
 
@@ -112,42 +134,29 @@ class RepMap:
         return self._x_ops[(i, sign)]
 
     def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
-        """x_i^sign(n) v, assembled from memoised images of v's basis terms."""
+        """x_i^sign(n) v."""
         op = self.x_op(i, sign)
-        cols_key = (op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv, n, v.basis)
-        cols = self._columns.get(cols_key)
-        if cols is None:
-            cols = self._columns[cols_key] = {}
-        out = ExtState(v.basis)
-        for key, c in v.terms.items():
-            col = cols.get(key)
-            if col is None:
-                col = cols[key] = self._column(op, n, v.basis, key)
-            for k2, c2 in col:
-                out.add_term(k2, c * c2)
-        return out
-
-    def _column(self, op: VOp, n: int, basis: str, key: tuple) -> tuple:
-        """The image of one basis term, with interned keys and coefficients."""
-        intern = self._interned.setdefault
-        image = self.eng.mode(op, n, ExtState(basis, {key: L_ONE}))
-        return tuple((intern(k, k), intern(c, c)) for k, c in image.terms.items())
+        gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv, n)
+        return self._apply(gen, lambda t: self.eng.mode(op, n, t), v)
 
     def a_mode(self, i: int, m: int, v: ExtState) -> ExtState:
         """a_i(m) = ([m]/m) a_m(gamma_i)."""
         if m == 0:
             raise ValueError("a_i(0) is not a generator here")
         scale = qint(abs(m)).scale(Fraction(1, abs(m)))
-        return ext_apply_mode(self.fock, m, i, v).scale(scale)
+        return self._apply(("a", i, m), lambda t: ext_apply_mode(self.fock, m, i, t).scale(scale), v)
 
     def k_diag(self, i: int, v: ExtState, power: int = 1) -> ExtState:
-        out = ExtState(v.basis)
-        for (mono, beta), c in v.terms.items():
-            out.add_term((mono, beta), c * Laurent.q_pow(power * self.eng.lat.pairing_row(i, beta)))
-        return out
+        """k_i^power: q^{power <gamma_i, beta>_1} on the lattice point beta."""
+
+        def image(t: ExtState) -> ExtState:
+            (_, beta), = t.terms
+            return t.scale(Laurent.q_pow(power * self.eng.lat.pairing_row(i, beta)))
+
+        return self._apply(("k", i, power), image, v)
 
     def psi_mode(self, i: int, mode_sign: int, coeff_sign: int, j: int, v: ExtState) -> ExtState:
-        """Mode j >= 0 (coefficient of w^{-mode_sign*j}) of the half-current
+        """Mode j (coefficient of w^{-mode_sign*j}; zero for j < 0) of the half-current
 
             k_i^{coeff_sign} exp(coeff_sign (q-q^-1) sum_{n>0} a_i(mode_sign*n)
                                  q^{k n/2} w^{-mode_sign*n}).
@@ -155,28 +164,22 @@ class RepMap:
         The comm3 check combines (mode_sign, coeff_sign) = (+1, o) and (-1, -o)
         with o = -k: at k = -1 these are the printed psi^+ / psi^-.
         """
-        if j < 0:
-            return ExtState(v.basis)
-        qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
-        base = self.k_diag(i, v, power=coeff_sign)
-        out = ExtState(v.basis)
-        for lam in partitions(j):
-            term = base
-            coeff = Laurent.one()
-            mult: dict[int, int] = {}
-            for part in lam:
-                mult[part] = mult.get(part, 0) + 1
-            denom = 1
-            for m in mult.values():
-                fact = 1
-                for t in range(1, m + 1):
-                    fact *= t
-                denom *= fact
-            for part in lam:
-                term = self.a_mode(i, mode_sign * part, term)
-                coeff = coeff * qdiff * Laurent.v_pow(self.k_eff * part)
-            out = out + term.scale(coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom)))
-        return out
+
+        def image(t: ExtState) -> ExtState:
+            qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
+            base = self.k_diag(i, t, power=coeff_sign)
+            out = ExtState(t.basis)
+            for lam in partitions(j):
+                term = base
+                coeff = Laurent.one()
+                for part in lam:
+                    term = self.a_mode(i, mode_sign * part, term)
+                    coeff = coeff * qdiff * Laurent.v_pow(self.k_eff * part)
+                denom = prod(factorial(c) for c in Counter(lam).values())
+                out = out + term.scale(coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom)))
+            return out
+
+        return self._apply(("psi", i, mode_sign, coeff_sign, j), image, v)
 
     # -- deterministic test states
 
@@ -211,11 +214,9 @@ def sign_pow(sign: int, n: int) -> int:
 # relation checks
 
 
-def check_heisenberg_rel(rep: RepMap, states=None) -> CheckReport:
+def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """[a_i(m), a_j(n)] = delta_{m,-n} ([m] A_ij^{q^m} [m] / m) at c = 1."""
-    states = states if states is not None else rep.test_states()
     cfg = rep.cfg
-    params = {"variant": cfg.variant, "k": cfg.k}
 
     def pairs():
         for i in rep.indices:
@@ -233,14 +234,12 @@ def check_heisenberg_rel(rep: RepMap, states=None) -> CheckReport:
                                 rhs = ExtState(v.basis)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.heisenberg", params, pairs())
+    return first_mismatch("toroidal.heisenberg", rep.params, pairs())
 
 
-def check_a_x(rep: RepMap, states=None) -> CheckReport:
+def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """[a_i(m), x_j^s(n)] = s ([m]/m) A_ij^{q^m} q^{s k |m|/2} x_j^s(m+n)."""
-    states = states if states is not None else rep.test_states()
     cfg = rep.cfg
-    params = {"variant": cfg.variant, "k": cfg.k}
 
     def pairs():
         for i in rep.indices:
@@ -261,7 +260,7 @@ def check_a_x(rep: RepMap, states=None) -> CheckReport:
                                 rhs = rep.x_mode(j, s, m + n, v).scale(coeff)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.a_x", params, pairs())
+    return first_mismatch("toroidal.a_x", rep.params, pairs())
 
 
 def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
@@ -290,10 +289,8 @@ def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
     return ({(1, 0): one, (0, 1): -M}, {(1, 0): M, (0, 1): -one})
 
 
-def check_xx(rep: RepMap, states=None) -> CheckReport:
-    states = states if states is not None else rep.test_states()
+def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
     cfg = rep.cfg
-    params = {"variant": cfg.variant, "k": cfg.k}
 
     def pairs():
         for i in rep.indices:
@@ -311,20 +308,18 @@ def check_xx(rep: RepMap, states=None) -> CheckReport:
                                     rhs = rhs + rep.x_mode(j, s, n + w, rep.x_mode(i, s, m + u, v)).scale(c)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.xx", params, pairs())
+    return first_mismatch("toroidal.xx", rep.params, pairs())
 
 
-def check_xpxm(rep: RepMap, states=None) -> CheckReport:
+def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """[x_i^+(m), x_j^-(n)] = delta_ij (q^{om} Psi^+_{m+n} - q^{-om} Psi^-_{-(m+n)})/(q-q^-1).
 
     o = -k; the Psi-modes are the normal-ordered residues at the delta supports
     z = q^{-k} w and z = q^{k} w (cross-validated on vacuum and one-particle
     states, as the two delta-terms only make sense through this extraction).
     """
-    states = states if states is not None else rep.test_states()
     cfg = rep.cfg
     o = -rep.k_eff
-    params = {"variant": cfg.variant, "k": cfg.k}
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
 
     def pairs():
@@ -349,14 +344,12 @@ def check_xpxm(rep: RepMap, states=None) -> CheckReport:
                                     )
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.xpxm", params, pairs())
+    return first_mismatch("toroidal.xpxm", rep.params, pairs())
 
 
-def check_serre(rep: RepMap, states=None) -> CheckReport:
+def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """Sym over z_1..z_N of sum_s (-1)^s [N;s] x_i...x_j...x_i annihilates everything."""
-    states = states if states is not None else rep.test_states()
     cfg = rep.cfg
-    params = {"variant": cfg.variant, "k": cfg.k}
     W = cfg.serre_window
 
     def pairs():
@@ -390,7 +383,7 @@ def check_serre(rep: RepMap, states=None) -> CheckReport:
                                 acc,
                             )
 
-    return first_mismatch("toroidal.serre", params, pairs())
+    return first_mismatch("toroidal.serre", rep.params, pairs())
 
 
 def _tuples(rng, n):
@@ -402,11 +395,9 @@ def _tuples(rng, n):
             yield (head,) + rest
 
 
-def check_psi_structure(rep: RepMap, states=None) -> CheckReport:
+def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """Leading modes of the half-currents used by comm3: order 0 is k_i^{+-o},
     order 1 is the single a_i(+-1) term with coefficient +-o (q-q^-1) q^{k/2}."""
-    states = states if states is not None else rep.test_states()
-    params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
     o = -rep.k_eff
 
@@ -424,12 +415,11 @@ def check_psi_structure(rep: RepMap, states=None) -> CheckReport:
                     )
                     yield (f"order1 (i={i},ms={ms},state={t})", want, rep.psi_mode(i, ms, cs, 1, v))
 
-    return first_mismatch("toroidal.psi_structure", params, pairs())
+    return first_mismatch("toroidal.psi_structure", rep.params, pairs())
 
 
 def check_highest_weight(rep: RepMap) -> CheckReport:
     """a_i(n) and x_i^{+-}(n) annihilate 1 (x) e^0 for n >= (1 resp. 0); k_i fixes it."""
-    params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
     vac = ExtState.vacuum(rep.group.n_classes)
     zero = ExtState("chi")
 
@@ -442,17 +432,15 @@ def check_highest_weight(rep: RepMap) -> CheckReport:
                 yield (f"x-_{i}({n})|0>", zero, rep.x_mode(i, -1, n, vac))
             yield (f"k_{i}|0>", vac, rep.k_diag(i, vac))
 
-    return first_mismatch("toroidal.highest_weight", params, pairs())
+    return first_mismatch("toroidal.highest_weight", rep.params, pairs())
 
 
-def check_grading(rep: RepMap, states=None) -> CheckReport:
+def check_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """q^d bookkeeping: x_i^s(n) and a_i(n) shift the total degree by -n.
 
     Total degree = Fock degree + (1/2)<beta,beta>_1, checked on homogeneous
     states; this is the diagonal content of q^d x(n) q^{-d} = q^n x(n).
     """
-    states = states if states is not None else rep.test_states()
-    params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
     lat = rep.eng.lat
 
     def degree(state: ExtState) -> set:
@@ -475,13 +463,11 @@ def check_grading(rep: RepMap, states=None) -> CheckReport:
                         want = {next(iter(dv)) - n} if out.terms else set()
                         yield (f"x (i={i},s={s},n={n},state={t})", want, degree(out))
 
-    return first_mismatch("toroidal.grading", params, pairs())
+    return first_mismatch("toroidal.grading", rep.params, pairs())
 
 
-def check_d2_grading(rep: RepMap, states=None) -> CheckReport:
+def check_d2_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """d_2 bookkeeping on the unquotiented space: x_i^s shifts m_0 by s delta_{i0}."""
-    states = states if states is not None else rep.test_states()
-    params = {"variant": rep.cfg.variant, "k": rep.cfg.k}
 
     def pairs():
         for i in rep.indices:
@@ -494,7 +480,7 @@ def check_d2_grading(rep: RepMap, states=None) -> CheckReport:
                     want = {next(iter(m0s)) + (s if i == 0 else 0)} if out.terms else set()
                     yield (f"(i={i},s={s},state={t})", want, {b[0] for (_, b) in out.terms} or set())
 
-    return first_mismatch("toroidal.d2_grading", params, pairs())
+    return first_mismatch("toroidal.d2_grading", rep.params, pairs())
 
 
 # --------------------------------------------------------------------------

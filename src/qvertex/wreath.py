@@ -267,18 +267,11 @@ def exp_formula_check(ctx: FockContext, combo: Combo, n: int, variant: str = "et
 # the wreath-level weighted form and the isometry check
 
 
-def wreath_weighted_form(
-    xi: WeightXi, f: WreathClassFunction, h: WreathClassFunction, types: list[PartitionFn] | None = None
-) -> Laurent:
-    """sum over types of Z_mu^{-1} eta_n(xi)(mu) f(mu) bar_q(h(mu)).
-
-    types is the list of level-n types to sum over (enumerate_types(g, f.n)
-    when None), so a caller pairing many functions enumerates them once.
-    """
+def wreath_weighted_form(xi: WeightXi, f: WreathClassFunction, h: WreathClassFunction) -> Laurent:
+    """sum over types of Z_mu^{-1} eta_n(xi)(mu) f(mu) bar_q(h(mu)), read off f's support."""
     g = xi.group
     acc = Laurent.zero()
-    for mu in enumerate_types(g, f.n) if types is None else types:
-        fv = f.value(mu)
+    for mu, fv in f.values.items():
         hv = h.value(mu)
         if fv.is_zero or hv.is_zero:
             continue
@@ -309,7 +302,7 @@ def isometry_pairs(ctx: FockContext, n: int, k: int, l: int):
             else:
                 closed_group = closed_fock = Laurent.zero()
             yield rho, sig, [
-                ("group side", closed_group, wreath_weighted_form(xi, f, h, types)),
+                ("group side", closed_group, wreath_weighted_form(xi, f, h)),
                 ("fock side", closed_fock, got_fock),
             ]
 

@@ -121,7 +121,7 @@ def check_function_names(module):
 def test_registry_covers_every_check_operation():
     """A check function defined in the core modules but missing from the CLI
     registry is a build failure."""
-    registered = {fn for fn, _ in REGISTRY.values()}
+    registered = set(REGISTRY.values())
     for module in (repring, wreath, fock, vertex, toroidal):
         for name in check_function_names(module):
             assert name in registered, f"{module.__name__}.{name} not registered for `all`"
@@ -170,3 +170,19 @@ def test_python_dash_m_qvertex_runs_the_cli(capsys):
     assert len(checks) == 81 and all(c["pass"] for c in checks)
     _, out, _ = run(argv, capsys)
     assert proc.stdout == out
+
+
+def test_ope_window_runs_as_given(capsys):
+    # --window 3 is the (2*3+1)^2 mode pairs on both states, not a capped window 2
+    code, out, _ = run(["ope", "--group", "cyclic:2", "--window", "3", "--format", "json"], capsys)
+    assert code == 0
+    ypyp = [c for c in json.loads(out)["checks"] if c["id"] == "ope:YpYp"]
+    assert len(ypyp) == 2 and all(c["cases"] == 98 and c["pass"] for c in ypyp)
+
+
+def test_toroidal_bounds_run_as_given(capsys):
+    argv = ["toroidal", "--group", "cyclic:2", "--max-mode", "3", "--max-degree", "1", "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["max_mode"] == 3 and config["max_degree"] == 1

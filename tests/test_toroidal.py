@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
+from qvertex import toroidal
 from qvertex.groups import binary_dihedral, cyclic
 from qvertex.toroidal import (
     RepMap,
@@ -114,7 +116,7 @@ def test_failure_reports_carry_detail():
     from qvertex.vertex import fj_x
 
     rep = RepMap(cyclic(2), small_cfg("cyclic:2", k=-1))
-    assert check_xpxm(rep).passed
+    assert check_xpxm(rep, rep.test_states()).passed
     # swap the realised operators to the mirrored shift while the expected
     # formulas stay at k = -1: the check must fail and name a coefficient
     rep.x_op = lambda i, sign: fj_x(i, sign, +1)
@@ -210,3 +212,83 @@ def test_x_mode_cache_follows_a_replaced_operator():
     mirrored = rep.eng.mode(fj_x(0, 1, +1), -2, v)
     assert mirrored != rep.eng.mode(fj_x(0, 1, -1), -2, v)
     assert rep.x_mode(0, 1, -2, v) == mirrored
+
+
+def test_one_rep_map_serving_every_generator_matches_a_fresh_one_per_call():
+    """No two generators share a column: a, k, psi and x, called in both bases
+    and with every sign combination on one RepMap, agree with a fresh RepMap."""
+    cfg = small_cfg("cyclic:3")
+    calls = []
+    for basis in ("chi", "cls"):
+        for j in range(3):
+            u = ExtState.point(((1, j),), (1, 0, -1), basis=basis)
+            for i in (0, 1):
+                calls += [("a_mode", (i, m, u)) for m in (-1, 1, 2)]
+                calls += [("k_diag", (i, u, p)) for p in (1, -1)]
+                calls += [("psi_mode", (i, ms, cs, jj, u)) for ms in (1, -1) for cs in (1, -1) for jj in (1, 2)]
+                if basis == "chi":
+                    calls += [("x_mode", (i, s, n, u)) for s in (1, -1) for n in (-1, 0)]
+    warm = RepMap(cyclic(3), cfg)
+    for name, args in calls:
+        assert getattr(warm, name)(*args) == getattr(RepMap(cyclic(3), cfg), name)(*args), (name, args)
+
+
+# -- every relation check fails on a seeded defect, at a named coefficient
+
+
+def scale_a1_by_q(rep, monkeypatch):
+    a_mode = rep.a_mode
+    rep.a_mode = lambda i, m, v: a_mode(i, m, v).scale(Laurent.q_pow(1)) if m == 1 else a_mode(i, m, v)
+
+
+def mirror_x_op(rep, monkeypatch):
+    rep.x_op = lambda i, sign: fj_x(i, sign, -rep.k_eff)
+
+
+def classical_binomials(rep, monkeypatch):
+    monkeypatch.setattr(toroidal, "qbinom", lambda n, s: Laurent.of(math.comb(n, s)))
+
+
+def sign_pow_one(rep, monkeypatch):
+    monkeypatch.setattr(toroidal, "sign_pow", lambda sign, n: 1)
+
+
+def a_of_minus_m(rep, monkeypatch):
+    a_mode = rep.a_mode
+    rep.a_mode = lambda i, m, v: a_mode(i, -m, v)
+
+
+def x_of_n_plus_1(rep, monkeypatch):
+    x_mode = rep.x_mode
+    rep.x_mode = lambda i, s, n, v: x_mode(i, s, n + 1, v)
+
+
+def x_of_minus_s(rep, monkeypatch):
+    x_mode = rep.x_mode
+    rep.x_mode = lambda i, s, n, v: x_mode(i, -s, n, v)
+
+
+SEEDED = [
+    (toroidal.check_heisenberg_rel, {}, scale_a1_by_q, "(i=0,j=0,m=-1,n=1,state=0)", 6),
+    (toroidal.check_a_x, {}, scale_a1_by_q, "(i=0,j=0,s=1,m=1,n=-1,state=1)", 17),
+    (toroidal.check_xx, {}, mirror_x_op, "(i=0,j=0,s=1,m=-1,n=-1,state=1)", 2),
+    (toroidal.check_serre, {}, classical_binomials, "(i=0,j=1,modes=(-1, -1),n=-1,state=0)", 1),
+    (toroidal.check_psi_structure, {}, sign_pow_one, "order1 (i=0,ms=-1,state=0)", 12),
+    (toroidal.check_highest_weight, {}, a_of_minus_m, "a_0(1)|0>", 1),
+    (toroidal.check_grading, {}, x_of_n_plus_1, "x (i=0,s=1,n=-1,state=1)", 2),
+    (toroidal.check_d2_grading, {"variant": "typeA_qp", "p_exp": 2}, x_of_minus_s, "(i=0,s=1,state=0)", 1),
+]
+
+
+@pytest.mark.parametrize("check,kw,seed,where,n_cases", SEEDED, ids=[s[0].__name__ for s in SEEDED])
+def test_each_check_fails_on_a_seeded_defect(check, kw, seed, where, n_cases, monkeypatch):
+    def run_check(rep):
+        return check(rep) if check is toroidal.check_highest_weight else check(rep, rep.test_states())
+
+    assert run_check(RepMap(cyclic(3), small_cfg("cyclic:3", **kw))).passed
+    rep = RepMap(cyclic(3), small_cfg("cyclic:3", **kw))  # seeded before any column is built
+    seed(rep, monkeypatch)
+    bad = run_check(rep)
+    assert not bad.passed
+    assert bad.fail_detail["where"] == where
+    assert bad.n_cases == n_cases

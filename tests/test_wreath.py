@@ -344,9 +344,15 @@ def test_isometry_enumerates_types_once(monkeypatch):
     assert rep.passed and rep.n_cases == 2 * 9**2
     assert calls == [2]
     types = enum(g, 2)
-    f, h = sigma_rho(g, types[3], 1), sigma_rho(g, types[3], 0)
     xi = first_xi(g)
-    assert wreath.wreath_weighted_form(xi, f, h, types) == wreath.wreath_weighted_form(xi, f, h) != Laurent.zero()
+    sig, full = sigma_rho(g, types[3], 1), eta_wreath(g, CxClassFunction.character(g, 0), 2)
+    for f, h in ((sig, sigma_rho(g, types[3], 0)), (sig, full), (full, sig), (full, full)):
+        # brute force over every level-2 type: sum_mu Z_mu^-1 eta(mu) f(mu) bar_q(h(mu))
+        oracle = Laurent.zero()
+        for mu in types:
+            term = f.value(mu) * h.value(mu).bar_q() * eta_value(xi.f, mu)
+            oracle = oracle + term.scale(Fraction(1, big_z(g, mu)))
+        assert wreath.wreath_weighted_form(xi, f, h) == oracle != Laurent.zero()
 
 
 SEEDED_FAILURE = {
