@@ -14,6 +14,14 @@ half-twist-normalised generators used by the toroidal suite are all
 instances; modes are coefficients of z^{-n-1} (the diagonal lattice norm
 is 2 for every built-in weight).
 
+VertexEngine.mode applies V(z) in two stages.  The annihilation stage does
+not depend on n: it applies the annihilation exponential, the lattice shift
+with its cocycle sign and the zero mode to every term of the state, and sums
+like terms into one coefficient per (monomial, lattice point, z-order),
+skipping z-orders that no requested mode reaches.  The creation stage then
+multiplies each of those groups by the creation exponential's component for
+the requested mode.
+
 In p-mode (type A, second weight) the zero mode carries the extra factor
 p^{-(1/2) sum_j <w, m_j gamma_j> b_{ij}} with b the cyclic skew matrix; the sign
 conventions here were pinned by exact computation against the OPE tables and
@@ -21,13 +29,15 @@ are exercised by the test suite.
 
 ope_product_check verifies A(z)B(w) = eps * scalar * z^g * f(w/z) :A(z)B(w):
 coefficient by coefficient over a window of modes (m, n).  The left side
-applies B_n and then A_m to each test state through VertexEngine.mode.  The
+applies B_n to each test state through VertexEngine.mode, runs A's
+annihilation stage once on B_n v, and A's creation stage once per m.  The
 right side builds, per (operator pair, state) and per check, one table N of
 the normal-ordered coefficients :A(z)B(w): v in one walk, and convolves it
 along diagonals with the factor series:
 sum_d (eps * scalar * f_d) N[-m-1-g+d, -n-1-d].  The two sides are computed
-independently; neither reads a result of the other, and the table dies with
-the check.
+independently; neither reads a result of the other, and both tables (the
+left side's annihilation stage of B_n v, the right side's N) die with the
+check.
 """
 
 from __future__ import annotations
@@ -39,6 +49,9 @@ from .fock import ExtState, FockContext, FockVector, LatticeContext, Mono, mono_
 from .report import CheckReport, first_mismatch
 from .scalar import L_ONE, L_ZERO, Laurent, TruncSeries, qbinom, qint, series_exp
 from .wreath import partitions, z_part
+
+# (annihilated monomial, shifted lattice point, z-order e) -> summed coefficient
+AnnTable = dict[tuple[Mono, tuple[int, ...], int], Laurent]
 
 # --------------------------------------------------------------------------
 # the q-power function (1-z)^a_{q^2}
@@ -69,10 +82,6 @@ def qpow_series_binom(a: int, D: int) -> TruncSeries:
         c = qbinom(a, m)
         coeffs.append(c if m % 2 == 0 else -c)
     return TruncSeries(D, coeffs)
-
-
-def qpow_series(a: int, D: int) -> TruncSeries:
-    return qpow_series_exp(a, D)
 
 
 def qpow_consistency_check(a: int, D: int) -> CheckReport:
@@ -232,10 +241,16 @@ class VertexEngine:
 
     # -- single-operator modes
 
-    def mode(self, op: VOp, n: int, state: ExtState) -> ExtState:
-        """Coefficient of z^{-n-1} in op(z) applied to the state."""
-        target = -n - 1
-        out = ExtState(state.basis)
+    def annihilation_stage(self, op: VOp, state: ExtState, n_min: int) -> AnnTable:
+        """The n-independent half of op(z) on the state, like terms summed.
+
+        Maps (m_ann, newb, e) to the summed coefficient of m_ann (x) e^newb
+        at z^{-e} after the annihilation exponential, the lattice shift with
+        its cocycle and reduction signs, and the zero mode; e = b - <w, beta>
+        for an annihilation term of z-order b.  Terms that no mode n >= n_min
+        reaches (e <= n_min) are skipped; groups that cancel are dropped.
+        """
+        table: AnnTable = {}
         shift = self.shift_vec(op.i, op.w_sign)
         for (mono, beta), coeff in state.terms.items():
             s_pair = op.w_sign * self.lat.pairing_row(op.i, beta)
@@ -246,13 +261,31 @@ class VertexEngine:
             if sign * rsign < 0:
                 base = -base
             for b, m_ann, c_ann in self.ann_expand(op, mono):
-                a = target - s_pair + b
-                if a < 0:
+                e = b - s_pair
+                if e <= n_min:
                     continue
+                key = (m_ann, newb, e)
                 bc = base * c_ann
-                for m_cre, c_cre in self.cre_terms(op, a):
-                    out.add_term((tuple(sorted(m_ann + m_cre)), newb), bc * c_cre)
+                prev = table.get(key)
+                table[key] = bc if prev is None else prev + bc
+        return {key: c for key, c in table.items() if not c.is_zero}
+
+    def creation_stage(self, op: VOp, n: int, table: AnnTable, basis: str) -> ExtState:
+        """Coefficient of z^{-n-1}: each group times the creation exponential's z^{e-n-1} part."""
+        out = ExtState(basis)
+        for (m_ann, newb, e), c in table.items():
+            a = e - n - 1
+            if a < 0:
+                continue
+            for m_cre, c_cre in self.cre_terms(op, a):
+                out.add_term((tuple(sorted(m_ann + m_cre)), newb), c * c_cre)
         return out
+
+    def mode(self, op: VOp, n: int, state: ExtState) -> ExtState:
+        """Coefficient of z^{-n-1} in op(z) applied to the state: the
+        annihilation stage (n-independent, like terms summed; n only bounds
+        the z-orders it keeps) followed by the creation stage for n."""
+        return self.creation_stage(op, n, self.annihilation_stage(op, state, n), state.basis)
 
     # -- half vertex operators
 
@@ -320,7 +353,7 @@ def contraction_check(eng: VertexEngine, i: int, j: int, k: int, l: int, D: int)
     got = series_exp(TruncSeries(D, coeffs))
     notes = []
     if deformed:
-        reference = qpow_series(g_ij, D)
+        reference = qpow_series_exp(g_ij, D)
     else:
         # single monomial entry c v^e (A1 constants, p-shifted adjacents):
         # exp(-sum (c/n)(v^e x)^n) = (1 - v^e x)^c classically
@@ -453,8 +486,9 @@ def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states
             table = normal_pair_coeff(eng, opA, opB, keys, v)
             for n in mode_range:
                 bn = eng.mode(opB, n, v)
+                ann = eng.annihilation_stage(opA, bn, -window)
                 for m in mode_range:
-                    lhs = eng.mode(opA, m, bn)
+                    lhs = eng.creation_stage(opA, m, ann, bn.basis)
                     yield (f"state #{t} modes ({m},{n})", rhs(table, m, n, v.basis), lhs)
 
     return first_mismatch(check_id, params, pairs())

@@ -147,6 +147,30 @@ def test_heisenberg_second_xi():
                 assert heisenberg_check(ctx, m, -m, i, j, states).passed
 
 
+def test_heisenberg_check_fails_on_a_moved_pairing():
+    # m < 0: the right side reads <g0,g1>^{q^-1}, the commutator <g1,g0>^{q}
+    g = cyclic(3)
+    ctx = ctx_first(g)
+    ctx._pair_cache[(0, 1, -1)] = ctx.pair_pow(0, 1, -1) * Laurent.q_pow(1)
+    rep = heisenberg_check(ctx, -1, 1, 0, 1, monomial_states(g, "chi", 2))
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "state #0", "expected": "(q)*1", "got": "(1)*1"}
+    assert rep.n_cases == 1
+
+
+def test_heisenberg_check_cls_fails_on_a_moved_xi_value():
+    # m < 0: the right side reads xi_{q^-1}(c), the commutator xi_{q}(c^-1)
+    g = cyclic(3)
+    ctx = ctx_first(g)
+    xi_pow = ctx.xi_pow
+    ctx.xi_pow = lambda c, m: xi_pow(c, m) * Laurent.q_pow(1) if (c, m) == (1, -1) else xi_pow(c, m)
+    rep = heisenberg_check_cls(ctx, -1, 1, 1, g.inv(1), monomial_states(g, "cls", 2))
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "state #0", "expected": "(-3*q^2 - 3*q - 3)*1",
+                               "got": "(-3*q - 3 - 3*q^-1)*1"}
+    assert rep.n_cases == 1
+
+
 # ---------------------------------------------------------------- basis change
 
 

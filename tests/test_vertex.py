@@ -17,7 +17,6 @@ from qvertex.vertex import (
     ope_product_check,
     ope_table_check,
     qpow_consistency_check,
-    qpow_series,
     qpow_series_binom,
     qpow_series_exp,
     qpow_series_product,
@@ -35,18 +34,18 @@ def eng_first(g):
 
 
 def test_qpow_a1_is_one_minus_z():
-    s = qpow_series(1, 8)
+    s = qpow_series_exp(1, 8)
     assert s.coeffs[0] == L_ONE and s.coeffs[1] == -L_ONE
     assert all(c.is_zero for c in s.coeffs[2:])
 
 
 def test_qpow_a2_factorisation():
     want = TruncSeries(8, [L_ONE, -Laurent.q_pow(1)]) * TruncSeries(8, [L_ONE, -Laurent.q_pow(-1)])
-    assert qpow_series(2, 8) == want
+    assert qpow_series_exp(2, 8) == want
 
 
 def test_qpow_a_minus1_geometric():
-    s = qpow_series(-1, 8)
+    s = qpow_series_exp(-1, 8)
     assert all(s.coeffs[m] == L_ONE for m in range(9))
 
 
@@ -58,6 +57,22 @@ def test_qpow_triple_consistency(a):
 def test_qpow_forms_disagree_mid_proof():
     # sanity: the three generators really are different code paths
     assert qpow_series_exp(2, 6) == qpow_series_product(2, 6) == qpow_series_binom(2, 6)
+
+
+def test_qpow_consistency_check_fails_on_a_moved_binomial_coefficient(monkeypatch):
+    binom = vertex.qpow_series_binom
+
+    def moved(a, D):
+        s = binom(a, D)
+        coeffs = list(s.coeffs)
+        coeffs[2] = coeffs[2] * Laurent.q_pow(1)
+        return TruncSeries(s.order, coeffs)
+
+    monkeypatch.setattr(vertex, "qpow_series_binom", moved)
+    rep = qpow_consistency_check(2, 10)
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "exp vs binomial, z^2", "expected": "1", "got": "q"}
+    assert rep.n_cases == 6
 
 
 def test_classical_pow():
@@ -123,6 +138,110 @@ def test_adjoint_relation():
                         assert ext_form(ctx, eng.mode(yp, n, u), v) == ext_form(ctx, u, eng.mode(ym, -n, v))
 
 
+# ---------------------------------------------------------------- two-stage modes against a term-by-term oracle
+
+
+def mode_term_by_term(eng, op, n, state):
+    """Reference walk: every (state term, annihilation term) pair times every
+    creation term, nothing summed before the output."""
+    out = ExtState(state.basis)
+    shift = eng.shift_vec(op.i, op.w_sign)
+    for (mono, beta), coeff in state.terms.items():
+        s_pair = op.w_sign * eng.lat.pairing_row(op.i, beta)
+        sign = eng.lat.cocycle_sign(shift, beta)
+        rsign, newb = eng.lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))
+        base = coeff * Laurent.v_pow(op.zqv * s_pair + eng.p_factor_v(op.i, op.w_sign, beta))
+        if sign * rsign < 0:
+            base = -base
+        for b, m_ann, c_ann in eng.ann_expand(op, mono):
+            a = -n - 1 - s_pair + b
+            if a < 0:
+                continue
+            for m_cre, c_cre in eng.cre_terms(op, a):
+                out.add_term((tuple(sorted(m_ann + m_cre)), newb), base * c_ann * c_cre)
+    return out
+
+
+def mixed_state(terms):
+    """ExtState from (mono, beta, coeff) triples with distinct keys."""
+    return ExtState("chi", {(mono, beta): c for mono, beta, c in terms})
+
+
+# same-degree monomials at one lattice point merge under annihilation; the
+# degree-0 term at (0,0,1) meets a_{-1}(g0) at (0,0,0) on one z-order with a
+# different lattice point; odd first coordinates flip the cocycle of g1, g2
+MIXED = mixed_state([
+    ((), (0, 0, 0), Laurent.of(3)),
+    (((1, 0),), (0, 0, 0), Laurent.q_pow(1)),
+    ((), (0, 0, 1), Laurent.of(Fraction(1, 2))),
+    (((1, 0), (1, 1)), (1, 0, 0), Laurent.of(2)),
+    (((2, 1),), (1, 0, 0), -Laurent.q_pow(-1)),
+    (((1, 1), (1, 1)), (1, 0, 0), Laurent.q_pow(2) + Laurent.of(1)),
+    (((1, 2),), (1, 1, 0), Laurent.of(-1)),
+    (((1, 1), (2, 0)), (0, -1, 1), Laurent.q_pow(-1)),
+])
+
+ORACLE_OPS = [y_plus(1, 1, 0, -1), y_plus(2, -1, 2, 1), y_minus(1, 1, 0, -1), y_minus(0, -1, -2, 1),
+              fj_x(1, 1, -1), fj_x(2, -1, 1), fj_x(0, 1, 1)]
+
+
+@pytest.mark.parametrize("op", ORACLE_OPS, ids=lambda op: op.label)
+def test_mode_matches_the_term_by_term_walk(op):
+    eng = eng_first(cyclic(3))
+    shift = eng.shift_vec(op.i, op.w_sign)
+    if op.i:
+        assert {eng.lat.cocycle_sign(shift, beta) for _, beta in MIXED.terms} == {1, -1}
+    assert len(eng.annihilation_stage(op, MIXED, -4)) < sum(len(eng.ann_expand(op, m)) for m, _ in MIXED.terms)
+    for n in range(-4, 4):
+        assert eng.mode(op, n, MIXED) == mode_term_by_term(eng, op, n, MIXED), n
+
+
+def test_mode_drops_a_group_that_cancels():
+    eng = eng_first(cyclic(3))
+    op = y_plus(1, 1, 0, -1)
+    t1 = ExtState.point(((1, 0), (1, 1)), (1, 0, 0))
+    t2 = ExtState.point(((2, 1),), (1, 0, 0))
+    tab1, tab2 = eng.annihilation_stage(op, t1, -5), eng.annihilation_stage(op, t2, -5)
+    group = ((), (1, 1, 0), 3)
+    assert group in tab1 and group in tab2
+    state = t1.scale(tab2[group]) - t2.scale(tab1[group])
+    tab = eng.annihilation_stage(op, state, -5)
+    assert group not in tab and tab
+    hit = False
+    for n in range(-4, 4):
+        got = eng.mode(op, n, state)
+        assert got == mode_term_by_term(eng, op, n, state), n
+        hit |= not got.is_zero
+    assert hit
+
+
+@pytest.mark.parametrize("p_exp", [1, -1])
+def test_quotient_mode_merges_lattice_points_a_delta_apart(p_exp):
+    eng = VertexEngine(FockContext(second_xi(cyclic(3), p_exp)), quotient=True, p_exp=p_exp)
+    state = mixed_state([
+        (((1, 1),), (0, 1, 0), Laurent.of(2)),
+        (((1, 1),), (1, 2, 1), Laurent.q_pow(1)),
+        (((1, 2),), (0, 0, -1), Laurent.of(-1)),
+        (((1, 2),), (-1, -1, -2), Laurent.q_pow(-1) + Laurent.of(1)),
+        ((), (0, 1, 1), Laurent.of(5)),
+    ])
+    for op in (fj_x(0, 1, -1), fj_x(1, -1, 1), y_plus(2, 1, 0, -1), y_minus(0, 1, 0, -1)):
+        shift = eng.shift_vec(op.i, op.w_sign)
+        newbs = {eng.lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))[1] for _, beta in state.terms}
+        assert len(newbs) < len({beta for _, beta in state.terms})
+        for n in range(-3, 3):
+            assert eng.mode(op, n, state) == mode_term_by_term(eng, op, n, state), (op.label, n)
+
+
+def test_one_annihilation_table_serves_a_mode_window():
+    eng = eng_first(cyclic(3))
+    for op in ORACLE_OPS:
+        table = eng.annihilation_stage(op, MIXED, -3)
+        for m in range(-3, 4):
+            got = eng.creation_stage(op, m, table, MIXED.basis)
+            assert got == eng.mode(op, m, MIXED) == mode_term_by_term(eng, op, m, MIXED), (op.label, m)
+
+
 # ---------------------------------------------------------------- half vertex
 
 
@@ -178,9 +297,9 @@ def test_contraction_matches_qpow_deformed_cases():
     eng = eng_first(g)
     # E-(gamma_i x q^a, z) against H+(gamma_j x q^b, w): series in x = q^{a-b} w/z
     ser = contraction_series(eng, y_plus(1, 1, 0, 0), y_plus(1, 1, 0, 0), 10)
-    assert ser == qpow_series(2, 10)
+    assert ser == qpow_series_exp(2, 10)
     ser = contraction_series(eng, y_plus(1, 1, 0, 0), y_plus(2, 1, 0, 0), 10)
-    assert ser == qpow_series(-1, 10)
+    assert ser == qpow_series_exp(-1, 10)
     # a zero-pairing pair needs a diagram with non-adjacent vertices
     eng4 = eng_first(cyclic(4))
     ser = contraction_series(eng4, y_plus(0, 1, 0, 0), y_plus(2, 1, 0, 0), 10)
