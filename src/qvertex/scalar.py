@@ -6,7 +6,7 @@ when operators contribute q^{1/2}-shifts.  The kernel has three layers:
 
   * Cyclo        -- an element of Q[x]/Phi_N(x), x mapped to a primitive N-th
                     root of unity; rationals are the N = 1 case.
-  * Laurent      -- finitely supported map (v-exponent -> Cyclo).
+  * Laurent      -- finitely supported map (v-exponent -> element of Q(zeta_N)).
   * TruncSeries  -- dense truncated power series in one auxiliary variable
                     with Laurent coefficients.
 
@@ -14,9 +14,13 @@ Representation.  A Cyclo is canonical: reduced modulo Phi_N, and normalised to
 conductor N = 1 whenever its value is rational.  A rational value is stored as
 a Python ``int`` when it is integral and as a ``Fraction`` otherwise, so
 ``as_rational()`` returns ``int | Fraction`` (the two compare and hash equal).
-A Laurent never stores a zero coefficient.  Arithmetic on conductor-1 values
-and products with a one-term Laurent operand run on the raw rationals, without
-re-validating the canonical form.
+A Laurent takes one of two canonical forms, decided by its value alone.  When
+every coefficient is rational (zero included) it holds integer numerators over
+one shared denominator d > 0, reduced so that gcd(d, *numerators) == 1; sums
+and products run on plain ints and normalise once per result, with no Fraction
+per coefficient.  Otherwise it maps exponents to nonzero Cyclo coefficients.
+A result of cyclotomic operands whose irrational parts cancel returns to the
+rational form.  ``Laurent.t`` reads either form as {exponent: Cyclo}.
 
 All values are immutable after construction.
 """
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import cmath
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 # --------------------------------------------------------------------------
@@ -376,17 +380,26 @@ CYC_ONE = Cyclo.rational(1)
 
 
 class Laurent:
-    """Finitely supported map v-exponent -> Cyclo; v^2 = q.
+    """Finitely supported map v-exponent -> Q(zeta_N); v^2 = q.
 
     Integer q-powers sit at even v-exponents; the q^{1/2}-shifts of vertex
-    operator calculus occupy the odd ones.
+    operator calculus occupy the odd ones.  The value picks one of two
+    canonical forms:
+
+      * rational (``_d > 0``): ``_t`` maps exponents to nonzero int numerators
+        over the one denominator ``_d``, with gcd(_d, *numerators) == 1;
+      * cyclotomic (``_d == 0``): ``_t`` maps exponents to nonzero Cyclo
+        coefficients, at least one of them irrational.
+
+    ``t`` is the read-only view {exponent: Cyclo} in either form.
     """
 
-    __slots__ = ("t",)
+    __slots__ = ("_t", "_d")
 
     def __init__(self, terms: dict[int, Cyclo] | None = None):
-        terms = {} if terms is None else {e: c for e, c in terms.items() if not c.is_zero}
-        object.__setattr__(self, "t", terms)
+        f = _from_cyclos({} if terms is None else {e: c for e, c in terms.items() if not c.is_zero})
+        _set_t(self, f._t)
+        _set_d(self, f._d)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Laurent is immutable")
@@ -395,22 +408,27 @@ class Laurent:
 
     @staticmethod
     def zero() -> "Laurent":
-        return _laurent({})
+        return _laurent({}, 1)
 
     @staticmethod
     def of(x) -> "Laurent":
         """Constant scalar from int / Fraction / Cyclo."""
-        c = _as_cyclo(x)
-        return _laurent({} if c.is_zero else {0: c})
+        return Laurent.v_pow(0, x)
 
     @staticmethod
     def one() -> "Laurent":
-        return _laurent({0: CYC_ONE})
+        return _laurent({0: 1}, 1)
 
     @staticmethod
     def v_pow(e: int, coeff=1) -> "Laurent":
-        c = _as_cyclo(coeff)
-        return _laurent({} if c.is_zero else {e: c})
+        if type(coeff) is not int and not isinstance(coeff, Fraction):
+            c = _as_cyclo(coeff)
+            if c.N != 1:
+                return _laurent({e: c}, 0)
+            coeff = c.c[0]
+        if type(coeff) is int:
+            return _laurent({e: coeff} if coeff else {}, 1)
+        return _laurent({e: coeff.numerator} if coeff else {}, coeff.denominator)
 
     @staticmethod
     def q_pow(k: int, coeff=1) -> "Laurent":
@@ -419,45 +437,65 @@ class Laurent:
     # -- inspection
 
     @property
+    def t(self) -> dict[int, Cyclo]:
+        """The coefficients as {v-exponent: Cyclo}; read-only."""
+        d = self._d
+        if not d:
+            return self._t
+        return {e: _rat(_ratval(n, d)) for e, n in self._t.items()}
+
+    @property
     def is_zero(self) -> bool:
-        return not self.t
+        return not self._t
 
     def support(self) -> list[int]:
-        return sorted(self.t)
+        return sorted(self._t)
 
     def coeff(self, e: int) -> Cyclo:
-        return self.t.get(e, CYC_ZERO)
+        c = self._t.get(e)
+        if c is None:
+            return CYC_ZERO
+        return _rat(_ratval(c, self._d)) if self._d else c
 
     # -- arithmetic
 
     def __add__(self, other: "Laurent") -> "Laurent":
         if not isinstance(other, Laurent):
             return NotImplemented
-        if not self.t:
+        ta, tb = self._t, other._t
+        if not ta:
             return other
-        if not other.t:
+        if not tb:
             return self
-        out = dict(self.t)
-        for e, c in other.t.items():
+        da, db = self._d, other._d
+        if not da:
+            return _add_cyclo(ta, tb) if not db else _add_rational(ta, tb, db)
+        if not db:
+            return _add_rational(tb, ta, da)
+        if da == db:
+            out = dict(ta)
+            fb = 1
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            da *= fa
+            out = {e: n * fa for e, n in ta.items()}
+        for e, n in tb.items():
             s = out.get(e)
             if s is None:
-                out[e] = c
-                continue
-            if s.N == 1 and c.N == 1:
-                x = s.c[0] + c.c[0]
-                s = _rat(x) if x else None
+                out[e] = n * fb
             else:
-                s = s + c
-                if s.is_zero:
-                    s = None
-            if s is None:
-                del out[e]
-            else:
-                out[e] = s
-        return _laurent(out)
+                s += n * fb
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
+        return _normal(out, da)
 
     def __neg__(self) -> "Laurent":
-        return _laurent({e: _rat(-c.c[0]) if c.N == 1 else -c for e, c in self.t.items()})
+        if self._d:
+            return _laurent({e: -n for e, n in self._t.items()}, self._d)
+        return _laurent({e: -c for e, c in self._t.items()}, 0)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -465,56 +503,61 @@ class Laurent:
     def __mul__(self, other):
         if not isinstance(other, Laurent):
             return self.scale(other)
-        ta, tb = self.t, other.t
+        ta, tb = self._t, other._t
         if not ta or not tb:
             return L_ZERO
-        if len(tb) == 1:
-            ((e, c),) = tb.items()
-            return _mul_monomial(self, e, c)
-        if len(ta) == 1:
-            ((e, c),) = ta.items()
-            return _mul_monomial(other, e, c)
-        out: dict = {}
-        # products are never zero (Q(zeta_N) is a field); only sums can cancel
-        if all(c.N == 1 for c in ta.values()) and all(c.N == 1 for c in tb.values()):
-            vb = [(e2, c2.c[0]) for e2, c2 in tb.items()]
-            for e1, c1 in ta.items():
-                x1 = c1.c[0]
-                for e2, x2 in vb:
+        da, db = self._d, other._d
+        if len(ta) < len(tb):
+            ta, tb, da, db = tb, ta, db, da
+        if da and db:
+            if len(tb) == 1:
+                ((e, n),) = tb.items()
+                return _mul_rational_monomial(ta, da, e, n, db)
+            out: dict = {}
+            get = out.get
+            for e1, x1 in ta.items():
+                for e2, x2 in tb.items():
                     e = e1 + e2
-                    s = out.get(e)
-                    if s is None:
-                        out[e] = x1 * x2
-                    else:
-                        s += x1 * x2
-                        if s:
-                            out[e] = s
-                        else:
-                            del out[e]
-            return _laurent({e: _rat(x) for e, x in out.items()})
+                    out[e] = get(e, 0) + x1 * x2
+            # products are never zero (Q(zeta_N)[v^+-1] is a domain); only sums cancel
+            return _normal({e: n for e, n in out.items() if n}, da * db)
+        if da:
+            return _mul_by_rational(tb, ta, da)
+        if db:
+            return _mul_by_rational(ta, tb, db)
+        if len(tb) == 1:
+            ((e0, c0),) = tb.items()
+            return _from_cyclos({e + e0: c * c0 for e, c in ta.items()})
+        out = {}
         for e1, c1 in ta.items():
             for e2, c2 in tb.items():
                 e = e1 + e2
-                p = c1 * c2
                 s = out.get(e)
-                if s is None:
-                    out[e] = p
-                else:
-                    s = s + p
-                    if s.is_zero:
-                        del out[e]
-                    else:
-                        out[e] = s
-        return _laurent(out)
+                out[e] = c1 * c2 if s is None else s + c1 * c2
+        return _from_cyclos({e: c for e, c in out.items() if not c.is_zero})
 
     def __rmul__(self, other):
         return self.scale(other)
 
     def scale(self, x) -> "Laurent":
-        c = _as_cyclo(x)
-        if c.is_zero or not self.t:
+        t, d = self._t, self._d
+        if type(x) is not int and not isinstance(x, Fraction):
+            c = _as_cyclo(x)
+            if c.N == 1:
+                x = c.c[0]
+            elif not t:
+                return L_ZERO
+            elif d:
+                return _mul_by_rational({0: c}, t, d)
+            else:
+                return _from_cyclos({e: y * c for e, y in t.items()})
+        if not x or not t:
             return L_ZERO
-        return _mul_monomial(self, 0, c)
+        if not d:
+            return _laurent(_scale_cyclos(t, 0, x), 0)
+        if type(x) is int:
+            return _mul_rational_monomial(t, d, 0, x, 1)
+        return _mul_rational_monomial(t, d, 0, x.numerator, x.denominator)
 
     def __pow__(self, n: int) -> "Laurent":
         if n < 0:
@@ -530,11 +573,13 @@ class Laurent:
 
     def bar(self) -> "Laurent":
         """v -> v^-1 together with cyclotomic conjugation of coefficients."""
-        return _laurent({-e: c.conj() for e, c in self.t.items()})
+        if self._d:
+            return self.bar_q()
+        return _laurent({-e: c.conj() for e, c in self._t.items()}, 0)
 
     def bar_q(self) -> "Laurent":
         """v -> v^-1 only; coefficients untouched (the antipode on values)."""
-        return _laurent({-e: c for e, c in self.t.items()})
+        return _laurent({-e: c for e, c in self._t.items()}, self._d)
 
     def subs_pow(self, m: int) -> "Laurent":
         """q -> q^m, i.e. scale every v-exponent by m (m != 0)."""
@@ -542,7 +587,7 @@ class Laurent:
             raise ValueError("q -> q^0 collapses the ring")
         if m == 1:
             return self
-        return _laurent({e * m: c for e, c in self.t.items()})
+        return _laurent({e * m: c for e, c in self._t.items()}, self._d)
 
     def exact_div(self, den: "Laurent") -> "Laurent":
         """Exact quotient self/den; raises if the division leaves a remainder."""
@@ -550,10 +595,11 @@ class Laurent:
             raise ZeroDivisionError
         if self.is_zero:
             return Laurent.zero()
-        dmin, dmax = min(den.t), max(den.t)
-        emin = min(self.t) - dmin  # lowest possible quotient exponent
-        lead_inv = den.t[dmax].inverse()
-        rem = dict(self.t)
+        dt = den.t
+        dmin, dmax = min(dt), max(dt)
+        emin = min(self._t) - dmin  # lowest possible quotient exponent
+        lead_inv = dt[dmax].inverse()
+        rem = self.t.copy()
         out: dict[int, Cyclo] = {}
         while rem:
             e = max(rem) - dmax
@@ -561,7 +607,7 @@ class Laurent:
                 raise ArithmeticError("inexact Laurent division")
             c = rem[max(rem)] * lead_inv
             out[e] = out.get(e, CYC_ZERO) + c
-            for de, dc in den.t.items():
+            for de, dc in dt.items():
                 k = e + de
                 s = rem.get(k, CYC_ZERO) - c * dc
                 if s.is_zero:
@@ -584,10 +630,11 @@ class Laurent:
             other = Laurent.of(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self.t == other.t
+        return self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        return hash(tuple(sorted(self.t.items(), key=lambda p: p[0])))
+        # equal cyclotomic Cyclos may differ in conductor, so only the support is hashed there
+        return hash((self._d, frozenset(self._t.items()) if self._d else frozenset(self._t)))
 
     def __repr__(self):
         return laurent_str(self)
@@ -600,36 +647,140 @@ class Laurent:
         return Laurent({e: Cyclo.from_obj(c) for e, c in obj})
 
 
-_set_t = Laurent.t.__set__
+_set_t = Laurent._t.__set__
+_set_d = Laurent._d.__set__
 
 
-def _laurent(terms: dict) -> Laurent:
-    """Laurent from a dict that holds no zero coefficient."""
+def _laurent(terms: dict, d: int) -> Laurent:
+    """Laurent from fields already in canonical form (d == 0: cyclotomic)."""
     out = _new(Laurent)
     _set_t(out, terms)
+    _set_d(out, d)
     return out
 
 
-def _mul_monomial(f: Laurent, e0: int, c0: Cyclo) -> Laurent:
-    """f * c0 v^e0 for a nonzero c0: shift and scale, nothing merges or cancels."""
-    t = f.t
-    if c0.N != 1:
-        return _laurent({e + e0: c * c0 for e, c in t.items()})
-    x = c0.c[0]
+def _ratval(n: int, d: int):
+    """n/d as an int when integral, else as a Fraction."""
+    return n // d if n % d == 0 else Fraction(n, d)
+
+
+def _normal(nums: dict, d: int) -> Laurent:
+    """Rational form of nonzero int numerators over d > 0, divided by their common gcd."""
+    if d == 1:
+        return _laurent(nums, 1)
+    g = gcd(d, *nums.values())
+    if g != 1:
+        d //= g
+        nums = {e: n // g for e, n in nums.items()}
+    return _laurent(nums, d)
+
+
+def _from_cyclos(terms: dict) -> Laurent:
+    """Canonical Laurent from nonzero Cyclo coefficients."""
+    for c in terms.values():
+        if c.N != 1:
+            return _laurent(terms, 0)
+    d = 1
+    for c in terms.values():
+        x = c.c[0]
+        if type(x) is not int:
+            d = lcm(d, x.denominator)
+    # d is the lcm of reduced denominators, so no prime divides d and every numerator
+    nums = {}
+    for e, c in terms.items():
+        x = c.c[0]
+        nums[e] = x * d if type(x) is int else x.numerator * (d // x.denominator)
+    return _laurent(nums, d)
+
+
+def _cyclo_times(c: Cyclo, x) -> Cyclo:
+    """Irrational c times a nonzero int or Fraction x."""
+    return _cyclo(c.N, tuple(x * y if y else 0 for y in c.c))
+
+
+def _scale_cyclos(terms: dict, e0: int, x) -> dict:
+    """{e + e0: c * x} for Cyclo coefficients and a nonzero int or Fraction x."""
     if x == 1:
-        return f if not e0 else _laurent({e + e0: c for e, c in t.items()})
-    return _laurent({e + e0: _rat(c.c[0] * x) if c.N == 1 else c * c0 for e, c in t.items()})
+        return {e + e0: c for e, c in terms.items()} if e0 else terms
+    return {e + e0: _rat(c.c[0] * x) if c.N == 1 else _cyclo_times(c, x) for e, c in terms.items()}
+
+
+def _mul_rational_monomial(t: dict, d: int, e0: int, p: int, q: int) -> Laurent:
+    """(t/d) * (p/q) v^e0 in rational form, for p != 0 and gcd(p, q) == 1.
+
+    gcd(d, *t) == 1 and gcd(p, q) == 1, so the product's numerators share with
+    d*q exactly gcd(q, *t) * gcd(p, d): two gcds, no reduction per coefficient.
+    """
+    g = gcd(q, *t.values()) if q != 1 else 1
+    h = gcd(p, d) if d != 1 else 1
+    if h != 1:
+        p //= h
+        d //= h
+    if g != 1:
+        q //= g
+        return _laurent({e + e0: n // g * p for e, n in t.items()}, d * q)
+    if p == 1:
+        return _laurent({e + e0: n for e, n in t.items()} if e0 else t, d * q)
+    return _laurent({e + e0: n * p for e, n in t.items()}, d * q)
+
+
+def _mul_by_rational(tc: dict, t: dict, d: int) -> Laurent:
+    """Cyclotomic coefficients tc times the rational form t/d; the product stays cyclotomic."""
+    if len(t) == 1:
+        ((e0, n),) = t.items()
+        return _laurent(_scale_cyclos(tc, e0, _ratval(n, d)), 0)
+    out: dict = {}
+    for e0, n in t.items():
+        for e, p in _scale_cyclos(tc, e0, _ratval(n, d)).items():
+            s = out.get(e)
+            out[e] = p if s is None else s + p
+    return _laurent({e: c for e, c in out.items() if not c.is_zero}, 0)
+
+
+def _add_rational(tc: dict, t: dict, d: int) -> Laurent:
+    """Cyclotomic coefficients tc plus the rational form t/d; the sum stays cyclotomic."""
+    out = dict(tc)
+    for e, n in t.items():
+        x = _ratval(n, d)
+        s = out.get(e)
+        if s is None:
+            out[e] = _rat(x)
+        elif s.N != 1:
+            c = s.c
+            out[e] = _cyclo(s.N, (c[0] + x,) + c[1:])
+        elif s.c[0] + x:
+            out[e] = _rat(s.c[0] + x)
+        else:  # the rational coefficients cancel
+            del out[e]
+    return _laurent(out, 0)
+
+
+def _add_cyclo(ta: dict, tb: dict) -> Laurent:
+    """Sum of two cyclotomic forms; irrational parts may cancel to a rational value."""
+    out = dict(ta)
+    for e, c in tb.items():
+        s = out.get(e)
+        if s is None:
+            out[e] = c
+            continue
+        s = s + c
+        if s.is_zero:
+            del out[e]
+        else:
+            out[e] = s
+    return _from_cyclos(out)
 
 
 def laurent_str(f: Laurent) -> str:
     """Human rendering; integral q-powers print in q, otherwise fall back to v."""
     if f.is_zero:
         return "0"
-    use_q = all(e % 2 == 0 for e in f.t)
+    t = f.t
+    use_q = all(e % 2 == 0 for e in t)
     sym, div = ("q", 2) if use_q else ("v", 1)
     parts = []
-    for e in sorted(f.t, reverse=True):
-        c = f.t[e]
+    for e in sorted(t, reverse=True):
+        c = t[e]
         cs = repr(c)
         if "+" in cs or ("-" in cs[1:]) or "*" in cs:
             cs = f"({cs})"
@@ -655,7 +806,7 @@ def qint(n: int) -> Laurent:
         return Laurent.zero()
     if n < 0:
         return -qint(-n)
-    return _laurent({2 * e: CYC_ONE for e in range(-(n - 1), n, 2)})
+    return _laurent({2 * e: 1 for e in range(-(n - 1), n, 2)}, 1)
 
 
 def qfact(n: int) -> Laurent:
@@ -677,8 +828,10 @@ def qbinom(a: int, m: int) -> Laurent:
 
 def eval_at_one(f: Laurent) -> Cyclo:
     """Exact specialisation v = 1 (hence q = 1)."""
+    if f._d:
+        return _rat(_ratval(sum(f._t.values()), f._d))
     out = CYC_ZERO
-    for c in f.t.values():
+    for c in f._t.values():
         out = out + c
     return out
 

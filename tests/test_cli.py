@@ -1,3 +1,4 @@
+import hashlib
 import inspect
 import json
 import os
@@ -186,3 +187,16 @@ def test_toroidal_bounds_run_as_given(capsys):
     assert code == 0
     config = json.loads(out)["config"]
     assert config["max_mode"] == 3 and config["max_degree"] == 1
+
+
+@pytest.mark.parametrize("argv,sha256", [
+    (["ope", "--group", "cyclic:4", "--xi", "second", "--p-exp", "-1"],
+     "9ede7a827a20f9d16c6974c2716b13bcdfe62cd81702771194d208d74021a4cc"),
+    (["cartan", "--group", "bt"], "4dbc7e9ca592478b45635105206c54ce4530092e2aba1dbda5bed2d5035eba0b"),
+    (["isometry", "--group", "bt", "--n", "2"], "a0ac0c6bc8a2512cd766abd60794bcef2fb1ed98942131227a427f147c298364"),
+])
+def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
+    # the JSON is the exactness contract: a kernel change must leave every byte in place
+    code, out, _ = run([*argv, "--format", "json"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256

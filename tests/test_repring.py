@@ -1,8 +1,10 @@
 import pytest
 
+from qvertex import repring
 from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic
 from qvertex.repring import (
     CxClassFunction,
+    QCartanMatrix,
     antipode,
     cartan_specialization_check,
     first_xi,
@@ -210,3 +212,54 @@ def test_positivity_probe_rejects_nonpositive_t():
         positivity_probe(first_xi(cyclic(2)), -2.0)
     with pytest.raises(ValueError):
         positivity_probe(first_xi(cyclic(2)), 0.0)
+
+
+# -- the McKay, Cartan and degeneracy checks fail on a seeded defect, at a named place
+
+
+def moved_cartan_entry(monkeypatch, i, j, shift):
+    """qcartan with entry (i, j) replaced by shift(entry)."""
+    orig = repring.qcartan
+
+    def seeded(xi):
+        A = orig(xi)
+        rows = [list(row) for row in A.entries]
+        rows[i][j] = shift(rows[i][j])
+        return QCartanMatrix(A.xi, tuple(tuple(row) for row in rows))
+
+    monkeypatch.setattr(repring, "qcartan", seeded)
+
+
+def test_mckay_eigencheck_fails_on_a_moved_cartan_entry(monkeypatch):
+    g = cyclic(3)
+    assert mckay_eigencheck(first_xi(g)).passed
+    moved_cartan_entry(monkeypatch, 1, 2, lambda a: a * Laurent.q_pow(1))
+    bad = mckay_eigencheck(first_xi(g))
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "class c0, row 1"
+    assert bad.n_cases == 2
+
+
+def test_cartan_specialization_fails_on_a_perturbed_cartan_entry(monkeypatch):
+    g = binary_tetrahedral()
+    assert cartan_specialization_check(g).passed
+    # a q-shift is invisible at q = 1; a changed constant term is not
+    moved_cartan_entry(monkeypatch, 0, 1, lambda a: a * Laurent.q_pow(1))
+    assert cartan_specialization_check(g).passed
+    moved_cartan_entry(monkeypatch, 0, 1, lambda a: a + Laurent.one())
+    bad = cartan_specialization_check(g)
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "matrix"
+    assert bad.n_cases == 49
+
+
+def test_qp_degeneracy_fails_on_a_shifted_eigenvalue_exponent(monkeypatch):
+    g = cyclic(4)
+    orig = repring.qp_eigenvalues
+    monkeypatch.setattr(repring, "qp_eigenvalues", lambda g, p_exp: orig(g, p_exp + 1))
+    bad = qp_degeneracy_check(g, 1)
+    assert bad.check_id == "repring.qp_degeneracy"  # the eigencheck before it still passes
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "zero eigenvalue set"
+    assert bad.fail_detail["expected"] == "[0]" and bad.fail_detail["got"] == "[]"
+    assert bad.n_cases == 4

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -374,3 +375,154 @@ def test_integral_normalisation():
     assert type(eval_at_one(qint(4)).as_rational()) is int
     assert repr(Cyclo.rational(Fraction(4, 2))) == "2"
     assert Cyclo.rational(Fraction(8, 4)).to_obj() == [1, [[0, "2"]]]
+
+
+# ---------------------------------------------------------------- kernel forms
+
+
+def add_terms(a, b):
+    """Reference sum: merge the {e: Cyclo} views, dropping cancelled exponents."""
+    out = dict(a.t)
+    for e, c in b.t.items():
+        out[e] = out.get(e, Cyclo.rational(0)) + c
+    return {e: c for e, c in out.items() if not c.is_zero}
+
+
+def scale_terms(f, x):
+    """Reference scale: every Cyclo coefficient times x."""
+    x = x if isinstance(x, Cyclo) else Cyclo.rational(x)
+    return {e: c * x for e, c in f.t.items() if not (c * x).is_zero}
+
+
+def render(terms):
+    """Reference rendering of a {e: Cyclo} map, in q when every exponent is even."""
+    if not terms:
+        return "0"
+    sym, div = ("q", 2) if all(e % 2 == 0 for e in terms) else ("v", 1)
+    parts = []
+    for e in sorted(terms, reverse=True):
+        cs = repr(terms[e])
+        if "+" in cs or "-" in cs[1:] or "*" in cs:
+            cs = f"({cs})"
+        p = e // div
+        mon = sym if p == 1 else f"{sym}^{p}"
+        parts.append(cs if p == 0 else mon if cs == "1" else f"-{mon}" if cs == "-1" else f"{cs}*{mon}")
+    return " + ".join(parts).replace("+ -", "- ")
+
+
+def assert_form(f):
+    """The value decides the form: rational numerators over one reduced denominator, or Cyclos."""
+    rational = all(c.is_rational for c in f.t.values())
+    assert (f._d > 0) == rational, (f._d, f.t)
+    if rational:
+        assert all(type(n) is int and n != 0 for n in f._t.values()), f._t
+        assert gcd(f._d, *f._t.values()) == 1, (f._d, f._t)
+    else:
+        assert f._d == 0
+        assert all(type(c) is Cyclo and not c.is_zero for c in f._t.values()), f._t
+
+
+wide_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+
+@st.composite
+def kernel_laurents(draw, max_terms=4):
+    """Laurents with rational (denominators up to 12) and conductor-3, 4 and 12 coefficients."""
+    t = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        x = draw(wide_fracs)
+        if draw(st.booleans()):
+            x = Cyclo.root(draw(st.sampled_from([3, 4, 12])), draw(st.integers(1, 11))) * draw(wide_fracs) + x
+        t[draw(st.integers(-4, 4))] = Cyclo.rational(x) if not isinstance(x, Cyclo) else x
+    return Laurent(t)
+
+
+scalars = st.one_of(
+    st.integers(-12, 12),
+    wide_fracs,
+    st.builds(lambda k, x: Cyclo.root(12, k) * x, st.integers(0, 11), wide_fracs),
+)
+
+
+@settings(max_examples=120)
+@given(kernel_laurents(), kernel_laurents(), scalars)
+def test_kernel_matches_cyclo_references(a, b, x):
+    assert_form(a)
+    assert_form(b)
+    cases = [
+        (a + b, add_terms(a, b)),
+        (a - b, add_terms(a, -b)),
+        (a * b, convolve(a, b).t),
+        (-a, {e: -c for e, c in a.t.items()}),
+        (a.scale(x), scale_terms(a, x)),
+        (a * x, scale_terms(a, x)),
+        (a.bar(), {-e: c.conj() for e, c in a.t.items()}),
+        (a.bar_q(), {-e: c for e, c in a.t.items()}),
+        (a.subs_pow(3), {3 * e: c for e, c in a.t.items()}),
+        (a.subs_pow(-2), {-2 * e: c for e, c in a.t.items()}),
+    ]
+    for got, want in cases:
+        assert got.t == want
+        assert got == Laurent(want)
+        assert_form(got)
+    sum_at_one = Cyclo.rational(0)
+    for c in a.t.values():
+        sum_at_one = sum_at_one + c
+    assert eval_at_one(a) == sum_at_one
+    assert Laurent.from_obj(a.to_obj()) == a
+    assert a.to_obj() == [[e, a.t[e].to_obj()] for e in sorted(a.t)]
+    assert laurent_str(a) == render(a.t)
+    if not b.is_zero:
+        q = convolve(a, b).exact_div(b)
+        assert q == a
+        assert_form(q)
+
+
+def test_irrational_product_lands_in_rational_form():
+    w = Cyclo.root(3)
+    f = Laurent.v_pow(1, w) * Laurent.v_pow(2, w * w)  # zeta_3 * zeta_3^2 = 1
+    assert f == Laurent.v_pow(3) and f._d == 1 and f._t == {3: 1}
+    g = Laurent({0: w, 1: w * Fraction(1, 2)}) * Laurent.v_pow(0, w * w)
+    assert g == Laurent({0: Cyclo.rational(1), 1: Cyclo.rational(Fraction(1, 2))})
+    assert g._d == 2 and g._t == {0: 2, 1: 1}
+    assert Laurent.v_pow(0, w).scale(w * w) == Laurent.one()
+    assert_form(Laurent.v_pow(0, w).scale(w * w))
+    a = Laurent({0: w, 1: w})  # zeta_3 (1 + v)
+    b = Laurent({0: w * w, 1: -(w * w)})  # zeta_3^2 (1 - v)
+    h = a * b
+    assert h._d == 1 and h._t == {0: 1, 2: -1}
+    assert_form(h)
+
+
+def test_sum_whose_irrational_parts_cancel_is_rational():
+    w = Cyclo.root(12, 5)
+    f = Laurent({0: w + Fraction(1, 6), 2: Cyclo.rational(Fraction(1, 4))})
+    g = Laurent({0: -w + Fraction(1, 3), 2: Cyclo.rational(Fraction(1, 4))})
+    h = f + g
+    assert h._d == 2 and h._t == {0: 1, 2: 1}
+    assert h == Laurent({0: Cyclo.rational(Fraction(1, 2)), 2: Cyclo.rational(Fraction(1, 2))})
+    assert (f - f)._t == {} and (f - f) == Laurent.zero()
+
+
+def test_rational_sum_normalises_its_shared_denominator():
+    half = Laurent.of(Fraction(1, 2))
+    assert ((half + half)._d, (half + half)._t) == (1, {0: 1})
+    f = Laurent({0: Cyclo.rational(Fraction(1, 6)), 1: Cyclo.rational(Fraction(1, 3))})
+    g = Laurent({0: Cyclo.rational(Fraction(1, 3)), 1: Cyclo.rational(Fraction(1, 6))})
+    assert (f._d, f._t) == (6, {0: 1, 1: 2})
+    h = f + g  # (3 + 3v)/6 = (1 + v)/2
+    assert (h._d, h._t) == (2, {0: 1, 1: 1})
+    assert (-f)._d == 6 and (-f)._t == {0: -1, 1: -2}
+    assert_form(-f)
+
+
+def test_monomial_denominator_sharing_a_factor_with_the_numerators():
+    f = Laurent({0: Cyclo.rational(Fraction(2, 3)), 1: Cyclo.rational(Fraction(4, 3))})  # (2 + 4v)/3
+    assert (f._d, f._t) == (3, {0: 2, 1: 4})
+    for got in (f * Laurent.v_pow(2, Fraction(1, 2)), f.scale(Fraction(1, 2)).subs_pow(1) * Laurent.v_pow(2)):
+        assert (got._d, got._t) == (3, {2: 1, 3: 2})  # gcd(G, q) = gcd(2, 2) = 2
+    got = f * Laurent.v_pow(0, Fraction(9, 4))  # gcd(p, d) = 3 and gcd(G, q) = 2
+    assert (got._d, got._t) == (2, {0: 3, 1: 6})
+    assert got == Laurent({0: Cyclo.rational(Fraction(3, 2)), 1: Cyclo.rational(3)})
+    assert (f * Laurent.v_pow(0, Fraction(3, 2)))._t == {0: 1, 1: 2}
+    assert (f * Laurent.v_pow(0, Fraction(3, 2)))._d == 1

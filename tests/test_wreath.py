@@ -281,6 +281,36 @@ def test_exp_formula_first_xi_itself():
         assert exp_formula_check(ctx, combo, n, "eta").passed
 
 
+def test_exp_formula_fails_on_a_moved_chi_of_cls_entry():
+    g = cyclic(3)
+    combo = [(1, 1, 1)]
+    assert exp_formula_check(FockContext(first_xi(g)), combo, 2, "eta").passed
+    ctx = FockContext(first_xi(g))
+    ctx.chi_of_cls[1][1] = ctx.chi_of_cls[1][1] * Laurent.q_pow(1)
+    bad = exp_formula_check(ctx, combo, 2, "eta")
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "fock vector"
+    assert bad.n_cases == 9
+
+
+def test_exp_formula_fails_on_a_perturbed_eta_fock_coefficient(monkeypatch):
+    g = cyclic(3)
+    combo = [(1, 1, 1)]
+    orig = wreath.eta_fock
+
+    def seeded(g, combo, n):
+        v = orig(g, combo, n)
+        key = min(v.terms)
+        v.terms[key] = v.terms[key] * Laurent.q_pow(1)
+        return v
+
+    monkeypatch.setattr(wreath, "eta_fock", seeded)
+    bad = exp_formula_check(FockContext(first_xi(g)), combo, 2, "eta")
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "fock vector"
+    assert bad.n_cases == 9
+
+
 def test_ch_multiplicative_on_generating_functions():
     # value-route series of eta_n(beta q^a + gamma q^b) equals the series product
     g = cyclic(2)
