@@ -22,6 +22,13 @@ The form is evaluated in Gram rows (FockContext.gram): every right-hand
 vector is expanded into character-basis monomials once, and every left vector
 once, into a dual row over those monomials; <u, v> for a single pair is the
 one-entry Gram row.
+
+The basis change (FockContext.to_chi / to_cls) is a tensor-power change of
+basis, applied by sum factorisation: one factor per pass over the whole
+vector, each entry keyed by (monomial expanded so far, factors still to
+expand), with like keys merged between passes.  Terms that cancel across the
+input's monomials -- ch(eta_n) has hundreds of class monomials and a few dozen
+character monomials -- thus cancel as soon as their prefixes agree.
 """
 
 from __future__ import annotations
@@ -189,22 +196,31 @@ class FockContext:
     # -- basis change
 
     def _rebase(self, v: FockVector, matrix: list[list[Laurent]], basis: str) -> FockVector:
-        """Expand every factor a_{-n}(x) of v as sum_y matrix[x][y] a_{-n}(y)."""
+        """Expand every factor a_{-n}(x) of v as sum_y matrix[x][y] a_{-n}(y).
+
+        One factor per pass over the whole vector: each entry is keyed by
+        (monomial already expanded, suffix of v's monomial still to expand).
+        A pass pops the first factor (deg, x) of every suffix and adds
+        matrix[x][y] times the entry under (done * a_{-deg}(y), tail); like
+        keys merge before the next pass, so cancellation across v's monomials
+        happens per factor, not after the full product expansion.  An entry
+        with an empty suffix is finished and goes to the output.
+        """
         if v.basis == basis:
             return v
         out = FockVector.zero(basis)
-        for m, coeff in v.terms.items():
-            cur = {VACUUM: coeff}
-            for deg, x in m:
-                nxt = FockVector.zero(basis)
+        cur = {(VACUUM, m): c for m, c in v.terms.items()}
+        while cur:
+            nxt = FockVector.zero(basis)
+            for (done, rest), c in cur.items():
+                if not rest:
+                    out.add_term(done, c)
+                    continue
+                (deg, x), tail = rest[0], rest[1:]
                 for y, w in enumerate(matrix[x]):
-                    if w.is_zero:
-                        continue
-                    for mono, c in cur.items():
-                        nxt.add_term(mono_mul(mono, (deg, y)), c * w)
-                cur = nxt.terms
-            for mono, c in cur.items():
-                out.add_term(mono, c)
+                    if not w.is_zero:
+                        nxt.add_term((mono_mul(done, (deg, y)), tail), c * w)
+            cur = nxt.terms
         return out
 
     def to_chi(self, v: FockVector) -> FockVector:

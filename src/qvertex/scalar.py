@@ -308,9 +308,11 @@ class Cyclo:
         return ca == cb
 
     def __hash__(self):
+        # equal values may sit at different conductors; the normalised trace does not
+        # depend on the conductor, and it is the value itself when that is rational
         if self.N == 1:
             return hash(self.c[0])
-        return hash((self.N, self.c))
+        return hash(_normalised_trace(self.N, self.c))
 
     def __repr__(self):
         if self.N == 1:
@@ -331,6 +333,21 @@ class Cyclo:
         for i, x in pairs:
             coeffs[i] = Fraction(x)
         return Cyclo(n, coeffs)
+
+
+def _normalised_trace(n: int, coeffs: tuple) -> Fraction:
+    """Tr(x)/phi(n) for x = sum_k coeffs[k] zeta_n^k in Q(zeta_n).
+
+    zeta_n^k is a primitive m-th root of unity, m = n / gcd(n, k), with trace
+    mu(m) phi(n)/phi(m); mu(m), the sum of the primitive m-th roots, is minus
+    the x^{phi(m)-1} coefficient of Phi_m.
+    """
+    acc = Fraction(0)
+    for k, x in enumerate(coeffs):
+        if x:
+            m = n // gcd(n, k)
+            acc += Fraction(-_cyclotomic_poly(m)[-2] * x, _euler_phi(m))
+    return acc
 
 
 def _as_cyclo(x) -> Cyclo:
@@ -633,8 +650,11 @@ class Laurent:
         return self._d == other._d and self._t == other._t
 
     def __hash__(self):
-        # equal cyclotomic Cyclos may differ in conductor, so only the support is hashed there
-        return hash((self._d, frozenset(self._t.items()) if self._d else frozenset(self._t)))
+        t, d = self._t, self._d
+        if d == 1 and (not t or len(t) == 1 and 0 in t):
+            return hash(t.get(0, 0))  # == accepts an int, so an integral constant hashes as that int
+        # a Cyclo hash costs a trace per coefficient, so only the support is hashed there
+        return hash((d, frozenset(t.items()) if d else frozenset(t)))
 
     def __repr__(self):
         return laurent_str(self)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -203,6 +204,88 @@ def test_basis_change_conjugates_commutator():
     # a_1(c0) = sum_gamma gamma(c0^{-1}) a_1(gamma) = a_1(g0) + a_1(g1)
     out_chi = ctx.apply_mode(1, 0, v_chi) + ctx.apply_mode(1, 1, v_chi)
     assert ctx.to_chi(out_cls) == out_chi
+
+
+def rebase_oracle(g, v, basis):
+    """v in the other basis, one monomial at a time, from the character table.
+
+    a_{-n}(c) = sum_i gamma_i(c^{-1}) a_{-n}(gamma_i) and
+    a_{-n}(gamma_i) = sum_c zeta_c^{-1} gamma_i(c) a_{-n}(c); each monomial
+    is the product of its factors' expansions, summed over every choice of
+    one term per factor.
+    """
+    r = g.n_classes
+    if basis == "chi":
+        row = [[g.char_table[i][g.inv(c)] for i in range(r)] for c in range(r)]
+    else:
+        row = [[g.char_table[i][c] * Fraction(1, g.zeta(c)) for c in range(r)] for i in range(r)]
+    out = {}
+    for m, coeff in v.terms.items():
+        for ys in product(range(r), repeat=len(m)):
+            w = Cyclo.rational(1)
+            for (_, x), y in zip(m, ys):
+                w = w * row[x][y]
+            if w.is_zero:
+                continue
+            key = tuple(sorted((deg, y) for (deg, _), y in zip(m, ys)))
+            out[key] = out.get(key, L_ZERO) + coeff * Laurent.of(w)
+    return FockVector(basis, {k: c for k, c in out.items() if not c.is_zero})
+
+
+def oracle_coeff(t):
+    """Coefficient of the t-th monomial: rational and cyclotomic Laurents alternate."""
+    if t % 2 == 0:
+        return Laurent.q_pow(t % 3 - 1).scale(Fraction(t + 1, 2))
+    return Laurent.v_pow(t % 5 - 2, Cyclo.root(12, t)) + Laurent.of(Fraction(-1, t))
+
+
+def oracle_vectors(g, basis):
+    """Multi-term vectors of degree up to 4 whose monomials share factors."""
+    def combo(monos):
+        return FockVector(basis, {m: oracle_coeff(t) for t, m in enumerate(monos)})
+
+    r = g.n_classes
+    deg3 = [s for v in monomial_states(g, basis, 3) for s in v.terms if mono_deg(s) == 3]
+    deg4 = [((1, 0), (1, 1), (2, 2)), ((1, 1), (1, 2), (2, 0)), ((1, 0), (1, 2), (2, 1)),
+            ((2, 1), (2, r - 1)), ((1, 1), (1, 1), (1, 1), (1, r - 1)), ((1, 0), (3, 1)), ((4, 2),)]
+    return [combo(deg3[::8]), combo(deg3[4::8] + deg4), combo(deg4), combo([VACUUM] + deg4[:3])]
+
+
+@pytest.mark.parametrize("gname", ["bt", "cyclic6"])
+@pytest.mark.parametrize("basis", ["cls", "chi"])
+def test_basis_change_matches_per_monomial_oracle(gname, basis):
+    g = binary_tetrahedral() if gname == "bt" else cyclic(6)
+    ctx = ctx_first(g)
+    there, back = (ctx.to_chi, ctx.to_cls) if basis == "cls" else (ctx.to_cls, ctx.to_chi)
+    other = "chi" if basis == "cls" else "cls"
+    vectors = oracle_vectors(g, basis)
+    for v in vectors:
+        got = there(v)
+        assert got.basis == other and all(not c.is_zero for c in got.terms.values())
+        assert got == rebase_oracle(g, v, other)
+    for v in vectors[2:]:  # the round trip on the two shorter vectors keeps the test quick
+        assert back(there(v)) == v
+    assert there(FockVector.zero(basis)).is_zero
+
+
+@pytest.mark.parametrize("gname", ["bt", "cyclic6"])
+def test_basis_change_cancels_across_monomials(gname):
+    # sum_c zeta_c^{-1} a_{-1}(c) a_{-2}(c^{-1}): in the character basis the
+    # cross terms a_{-1}(gamma_i) a_{-2}(gamma_j), i != j, of different
+    # monomials cancel by column orthogonality, leaving one term per gamma_i
+    g = binary_tetrahedral() if gname == "bt" else cyclic(6)
+    ctx = ctx_first(g)
+    r = g.n_classes
+    v = FockVector("cls", {tuple(sorted(((1, c), (2, g.inv(c))))): Laurent.of(Fraction(1, g.zeta(c)))
+                           for c in range(r)})
+    got = ctx.to_chi(v)
+    assert got == rebase_oracle(g, v, "chi")
+    assert len(got.terms) == r < r * r
+    # the image of a character-basis vector cancels back down to it
+    w = FockVector("chi", {((1, 1), (1, 2), (2, 0)): oracle_coeff(1), ((1, 2), (3, 1)): oracle_coeff(2)})
+    cls = ctx.to_cls(w)
+    assert len(cls.terms) > 2
+    assert ctx.to_chi(cls) == w
 
 
 # ---------------------------------------------------------------- bilinear form

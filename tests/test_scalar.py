@@ -377,6 +377,32 @@ def test_integral_normalisation():
     assert Cyclo.rational(Fraction(8, 4)).to_obj() == [1, [[0, "2"]]]
 
 
+def test_cyclo_hash_ignores_conductor():
+    # zeta_3 held at conductor 3 and at conductor 12 is one value, one hash, one set element
+    a, b = Cyclo.root(3), Cyclo.root(12, 4)
+    assert a.N == 3 and b.N == 12
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    for n in (4, 5, 6, 8, 12):
+        for k in range(n):
+            x = Cyclo.root(n, k) + Cyclo.rational(Fraction(1, 3)) * Cyclo.root(n, 2 * k + 1)
+            y = Cyclo.root(2 * n, 2 * k) + Cyclo.rational(Fraction(1, 3)) * Cyclo.root(2 * n, 4 * k + 2)
+            assert x == y and hash(x) == hash(y)
+    # a rational value reached through irrational terms hashes as the rational
+    w = Cyclo.root(12, 5)
+    assert hash(w + Cyclo.rational(Fraction(3, 2)) - w) == hash(Fraction(3, 2))
+
+
+def test_laurent_int_equality_agrees_with_hash():
+    for n in (0, 3, -7):
+        assert Laurent.of(n) == n and hash(Laurent.of(n)) == hash(n)
+        assert len({Laurent.of(n), n}) == 1
+    assert Laurent.zero() == 0 and hash(Laurent.zero()) == hash(0)
+    assert Laurent.of(Fraction(6, 3)) == 2 and hash(Laurent.of(Fraction(6, 3))) == hash(2)
+    # non-constant and non-integral values never equal an int
+    assert Laurent.q_pow(1) != 1 and Laurent.of(Fraction(1, 2)) != 0
+
+
 # ---------------------------------------------------------------- kernel forms
 
 
