@@ -1,5 +1,8 @@
 """Command-line front end: every verification suite and data product.
 
+Each subcommand accepts only the options it reads (the table `COMMANDS`);
+any other option is a usage error (exit 2).
+
 Exit codes: 0 all executed checks pass, 1 at least one check failed,
 2 configuration error (the message names the violated precondition).
 """
@@ -69,11 +72,7 @@ class ConfigError(Exception):
 
 
 def make_xi(cfg: Config, g: GroupData):
-    if cfg.xi == "second":
-        if g.cartan_layout is None or g.cartan_layout[0] != "A":
-            raise ConfigError("precondition violated: --xi second requires a cyclic group")
-        return second_xi(g, cfg.p_exp)
-    return first_xi(g)
+    return second_xi(g, cfg.p_exp) if cfg.xi == "second" else first_xi(g)
 
 
 def require_cases(reports: list[CheckReport]) -> None:
@@ -144,8 +143,7 @@ def run_wreath_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
 def run_vertex_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     out = [qpow_consistency_check(a, cfg.series_order) for a in (-2, -1, 0, 1, 2)]
     xi = make_xi(cfg, g)
-    p_exp = cfg.p_exp if cfg.xi == "second" else None
-    eng = VertexEngine(FockContext(xi), p_exp=p_exp)
+    eng = VertexEngine(FockContext(xi), p_exp=xi.p_exp)
     rank = g.n_classes
     for i in range(rank):
         for j in range(rank):
@@ -180,7 +178,6 @@ def suite_config(cfg: Config, variant: str) -> SuiteConfig:
         max_degree=cfg.max_degree,
         max_mode=cfg.max_mode,
         max_states=8,
-        serre_window=1,
     )
 
 
@@ -236,8 +233,7 @@ def run_all(cfg: Config, g: GroupData) -> list[CheckReport]:
 # subcommands
 
 
-def cmd_chartable(cfg: Config) -> int:
-    g = build_group(cfg.group)
+def cmd_chartable(cfg: Config, g: GroupData) -> int:
     bad = validate_group(g)
     if cfg.fmt == "json":
         doc = {
@@ -267,8 +263,7 @@ def cmd_chartable(cfg: Config) -> int:
     return 1 if bad else 0
 
 
-def cmd_cartan(cfg: Config) -> int:
-    g = build_group(cfg.group)
+def cmd_cartan(cfg: Config, g: GroupData) -> int:
     A = qcartan(make_xi(cfg, g))
     if cfg.fmt == "json":
         print(json.dumps({"group": g.name, "xi": cfg.xi, "entries": [[e.to_obj() for e in row] for row in A.entries]}))
@@ -279,36 +274,8 @@ def cmd_cartan(cfg: Config) -> int:
     return 0
 
 
-def cmd_mckay(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, [mckay_eigencheck(make_xi(cfg, g))])
-
-
-def cmd_positivity(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, [positivity_probe(make_xi(cfg, g), cfg.t)])
-
-
-def cmd_heisenberg(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, run_fock_checks(cfg, g))
-
-
-def cmd_isometry(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    ctx = FockContext(make_xi(cfg, g))
-    return emit_reports(cfg, isometry_pair_reports(ctx, cfg.n, cfg.k_twist, cfg.l_twist))
-
-
-def cmd_ope(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, run_vertex_checks(cfg, g))
-
-
-def cmd_toroidal(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    variant = {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "typeA_qp"}[cfg.variant]
-    scfg = suite_config(cfg, variant)
+def cmd_toroidal(cfg: Config, g: GroupData) -> int:
+    scfg = suite_config(cfg, {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "typeA_qp"}[cfg.variant])
     reports = run_suite(g, scfg)
     if cfg.fmt == "json":
         require_cases(reports)
@@ -317,81 +284,71 @@ def cmd_toroidal(cfg: Config) -> int:
     return emit_reports(cfg, reports)
 
 
-def cmd_affine(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, run_toroidal_checks(cfg, g, "affine"))
-
-
-def cmd_all(cfg: Config) -> int:
-    g = build_group(cfg.group)
-    return emit_reports(cfg, run_all(cfg, g))
-
-
+# Each subcommand: its runner (exit code from (cfg, group)) and the Config
+# fields it reads besides --group and --format.  The lambdas look their
+# callees up when they run, so a patched module attribute takes effect.
+WEIGHT = ("xi", "p_exp")
 COMMANDS = {
-    "chartable": cmd_chartable,
-    "cartan": cmd_cartan,
-    "mckay": cmd_mckay,
-    "positivity": cmd_positivity,
-    "heisenberg": cmd_heisenberg,
-    "isometry": cmd_isometry,
-    "ope": cmd_ope,
-    "toroidal": cmd_toroidal,
-    "affine": cmd_affine,
-    "all": cmd_all,
+    "chartable": (lambda cfg, g: cmd_chartable(cfg, g), ()),
+    "cartan": (lambda cfg, g: cmd_cartan(cfg, g), WEIGHT),
+    "mckay": (lambda cfg, g: emit_reports(cfg, [mckay_eigencheck(make_xi(cfg, g))]), WEIGHT),
+    "positivity": (lambda cfg, g: emit_reports(cfg, [positivity_probe(make_xi(cfg, g), cfg.t)]), (*WEIGHT, "t")),
+    "heisenberg": (lambda cfg, g: emit_reports(cfg, run_fock_checks(cfg, g)), (*WEIGHT, "max_degree", "max_mode")),
+    "isometry": (
+        lambda cfg, g: emit_reports(cfg, isometry_pair_reports(FockContext(make_xi(cfg, g)), cfg.n, cfg.k_twist, cfg.l_twist)),
+        (*WEIGHT, "n", "k_twist", "l_twist"),
+    ),
+    "ope": (lambda cfg, g: emit_reports(cfg, run_vertex_checks(cfg, g)), (*WEIGHT, "k", "max_mode", "series_order")),
+    "toroidal": (lambda cfg, g: cmd_toroidal(cfg, g), (*WEIGHT, "k", "max_degree", "max_mode", "variant")),
+    "affine": (lambda cfg, g: emit_reports(cfg, run_toroidal_checks(cfg, g, "affine")), (*WEIGHT, "k", "max_degree", "max_mode")),
+    "all": (lambda cfg, g: emit_reports(cfg, run_all(cfg, g)), (*WEIGHT, "k", "max_degree", "max_mode", "series_order")),
+}
+
+# argparse keywords per Config field; an option left out keeps the Config default
+OPTIONS = {
+    "xi": dict(choices=["first", "second"]),
+    "p_exp": dict(type=int, help="p = q^k_p for the second weight"),
+    "k": dict(type=int, help="vertex shift (default -1)"),
+    "max_degree": dict(type=int),
+    "max_mode": dict(type=int),
+    "series_order": dict(type=int),
+    "t": dict(type=float),
+    "n": dict(type=int),
+    "k_twist": dict(type=int),
+    "l_twist": dict(type=int),
+    "variant": dict(choices=["plus", "minus", "qp"]),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="qvertex", description="Exact checks for quantum vertex representations from finite subgroups of SU(2).")
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--group", default="cyclic:2", help="cyclic:N | bd:N | bt | file:PATH")
-        p.add_argument("--xi", choices=["first", "second"], default="first")
-        p.add_argument("--k", type=int, default=-1, help="vertex shift (default -1)")
-        p.add_argument("--p-exp", type=int, default=1, dest="p_exp", help="p = q^k_p for the second weight")
-        p.add_argument("--max-degree", type=int, default=2, dest="max_degree")
-        p.add_argument("--max-mode", type=int, default=2, dest="max_mode")
-        p.add_argument("--series-order", type=int, default=8, dest="series_order")
-        p.add_argument("--format", choices=["text", "json"], default="text", dest="fmt")
-        if name == "positivity":
-            p.add_argument("--t", type=float, default=2.0)
-        if name == "isometry":
-            p.add_argument("--n", type=int, default=2)
-            p.add_argument("--k-twist", type=int, default=0, dest="k_twist")
-            p.add_argument("--l-twist", type=int, default=0, dest="l_twist")
-        if name == "ope":
-            p.add_argument("--window", type=int, default=None, help="mode window (alias of --max-mode)")
-        if name == "toroidal":
-            p.add_argument("--variant", choices=["plus", "minus", "qp"], default="plus")
+    for name, (_, fields) in COMMANDS.items():
+        p = sub.add_parser(name, argument_default=argparse.SUPPRESS, allow_abbrev=False)
+        p.add_argument("--group", help="cyclic:N | bd:N | bt | file:PATH")
+        p.add_argument("--format", choices=["text", "json"], dest="fmt")
+        for field in fields:
+            p.add_argument("--" + field.replace("_", "-"), dest=field, **OPTIONS[field])
     return ap
 
 
-def validate_numbers(kwargs: dict) -> None:
+def validate_numbers(cfg: Config) -> None:
     """Bounds and orders must be >= 0; the positivity parameter finite and > 0."""
-    for name in ("window", "max_mode", "max_degree", "series_order", "n"):
-        value = kwargs.get(name)
-        if value is not None and value < 0:
+    for name in ("max_mode", "max_degree", "series_order", "n"):
+        value = getattr(cfg, name)
+        if value < 0:
             raise ConfigError(f"precondition violated: --{name.replace('_', '-')} must be >= 0, got {value}")
-    t = kwargs.get("t")
-    if t is not None and not (math.isfinite(t) and t > 0):
-        raise ConfigError(f"precondition violated: positivity probe requires a finite t > 0, got {t}")
+    if not (math.isfinite(cfg.t) and cfg.t > 0):
+        raise ConfigError(f"precondition violated: positivity probe requires a finite t > 0, got {cfg.t}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    kwargs = {k: v for k, v in vars(args).items() if k != "command"}
+    kwargs = vars(build_parser().parse_args(argv))
+    run = COMMANDS[kwargs.pop("command")][0]
+    cfg = Config(**kwargs)
     try:
-        validate_numbers(kwargs)
-        window = kwargs.pop("window", None)
-        if window is not None:
-            kwargs["max_mode"] = window
-        cfg = Config(**kwargs)
-        if cfg.xi == "second" or vars(args).get("variant") == "qp":
-            g_probe = build_group(cfg.group)
-            if g_probe.cartan_layout is None or g_probe.cartan_layout[0] != "A":
-                raise ConfigError("precondition violated: the second weight and typeA_qp require a cyclic group")
-        return COMMANDS[args.command](cfg)
+        validate_numbers(cfg)
+        return run(cfg, build_group(cfg.group))
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2

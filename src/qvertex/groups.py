@@ -57,10 +57,13 @@ class GroupData:
 
 def build_group(spec: str) -> GroupData:
     """Parse a group spec string: cyclic:N | bd:N | bt | file:PATH."""
-    if spec.startswith("cyclic:"):
-        return cyclic(int(spec.split(":", 1)[1]))
-    if spec.startswith("bd:"):
-        return binary_dihedral(int(spec.split(":", 1)[1]))
+    for prefix, build in (("cyclic:", cyclic), ("bd:", binary_dihedral)):
+        if spec.startswith(prefix):
+            try:
+                n = int(spec[len(prefix):])
+            except ValueError:
+                raise ValueError(f"group spec {spec!r}: expected {prefix}N with an integer N") from None
+            return build(n)
     if spec == "bt":
         return binary_tetrahedral()
     if spec.startswith("file:"):

@@ -40,6 +40,7 @@ from .vertex import VOp, VertexEngine, fj_x
 from .wreath import partitions
 
 VARIANTS = ("toroidal_plus", "toroidal_minus", "affine", "typeA_qp")
+SERRE_WINDOW = 1  # Serre relations are checked on the modes -1..1 of each z_i
 
 
 @dataclass
@@ -52,7 +53,6 @@ class SuiteConfig:
     max_degree: int = 2
     max_mode: int = 2
     max_states: int = 10
-    serre_window: int = 1
 
     def to_obj(self) -> dict:
         return {
@@ -64,7 +64,7 @@ class SuiteConfig:
             "max_degree": self.max_degree,
             "max_mode": self.max_mode,
             "max_states": self.max_states,
-            "serre_window": self.serre_window,
+            "serre_window": SERRE_WINDOW,
         }
 
 
@@ -84,23 +84,16 @@ class RepMap:
         self.params = {"variant": cfg.variant, "k": cfg.k}
         if cfg.k not in (-1, 1):
             raise ValueError("level-one vertex representations exist for k = +-1 only")
-        if cfg.variant == "typeA_qp":
-            if cfg.p_exp is None:
-                raise ValueError("typeA_qp requires p_exp")
-            xi: WeightXi = second_xi(group, cfg.p_exp)
-            quotient = cfg.p_exp in (1, -1)
-            p_exp = cfg.p_exp
-        elif cfg.xi == "second":
+        if cfg.variant == "typeA_qp" and cfg.p_exp is None:
+            raise ValueError("typeA_qp requires p_exp")
+        if cfg.variant == "typeA_qp" or cfg.xi == "second":
             # the second weight is the two-parameter one: p-mode at p = q^{p_exp}
-            p_exp = cfg.p_exp if cfg.p_exp is not None else 1
-            xi = second_xi(group, p_exp)
-            quotient = False
+            xi: WeightXi = second_xi(group, 1 if cfg.p_exp is None else cfg.p_exp)
         else:
             xi = first_xi(group)
-            quotient = False
-            p_exp = None
         self.fock = FockContext(xi)
-        self.eng = VertexEngine(self.fock, quotient=quotient, p_exp=p_exp)
+        quotient = cfg.variant == "typeA_qp" and xi.p_exp in (1, -1)
+        self.eng = VertexEngine(self.fock, quotient=quotient, p_exp=xi.p_exp)
         # the effective shift: toroidal_minus is the mirrored correspondence
         self.k_eff = cfg.k if cfg.variant != "toroidal_minus" else -cfg.k
         self.affine = cfg.variant == "affine"
@@ -349,8 +342,7 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
 
 def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """Sym over z_1..z_N of sum_s (-1)^s [N;s] x_i...x_j...x_i annihilates everything."""
-    cfg = rep.cfg
-    W = cfg.serre_window
+    W = SERRE_WINDOW
 
     def pairs():
         for i in rep.indices:

@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .fock import FockContext, FockVector, aprime_mono, inner_closed
-from .groups import GroupData
+from .groups import GroupData, natural_multiplicity
 from .report import CheckReport, first_mismatch
 from .repring import CxClassFunction, WeightXi
 from .scalar import Laurent
@@ -180,18 +180,9 @@ Combo = list[tuple[int, int, int]]  # (coefficient, character index, q-twist k)
 
 
 def natural_combo(g: GroupData) -> Combo:
-    """Decomposition of pi into irreducible characters via the standard form."""
-    from .scalar import CYC_ZERO, Cyclo
-
-    out = []
-    for i in range(g.n_classes):
-        acc = CYC_ZERO
-        for c in range(g.n_classes):
-            acc = acc + Cyclo.rational(Fraction(1, g.zeta(c))) * g.natural_char[c] * g.char_table[i][g.inv(c)]
-        m = acc.as_rational()
-        if m:
-            out.append((int(m), i, 0))
-    return out
+    """Decomposition of pi into irreducible characters (<pi, gamma_i> is gamma_i's multiplicity in pi * gamma_0)."""
+    multiplicities = (natural_multiplicity(g, 0, i) for i in range(g.n_classes))
+    return [(m, i, 0) for i, m in enumerate(multiplicities) if m]
 
 
 def combo_class_function(g: GroupData, combo: Combo) -> CxClassFunction:

@@ -233,8 +233,7 @@ def test_criterion_10_toroidal():
         for variant in ("toroidal_plus", "toroidal_minus"):
             # serre runs the N = 3 symmetrisation for cyclic(2) at the reduced
             # window the module documents; all other checks at |mode| <= 2
-            cfg = SuiteConfig(spec, variant=variant, k=-1, max_degree=2, max_mode=2,
-                              max_states=12, serre_window=1)
+            cfg = SuiteConfig(spec, variant=variant, k=-1, max_degree=2, max_mode=2, max_states=12)
             reports = run_suite(g, cfg)
             for r in reports:
                 ok &= r.passed
@@ -250,7 +249,7 @@ def test_criterion_10_toroidal():
 def test_criterion_11_affine():
     ok = True
     for spec, g in (("cyclic:3", cyclic(3)), ("bd:2", binary_dihedral(2))):
-        cfg = SuiteConfig(spec, variant="affine", k=-1, max_degree=2, max_mode=2, max_states=10, serre_window=1)
+        cfg = SuiteConfig(spec, variant="affine", k=-1, max_degree=2, max_mode=2, max_states=10)
         reports = run_suite(g, cfg)
         ok &= all(r.passed for r in reports)
     report(11, ok, "affine suite on the node-0-free subspace")
@@ -262,11 +261,9 @@ def test_criterion_11_affine():
 def test_criterion_12_typeA_quotient():
     ok = True
     for p in (1, -1):
-        cfg = SuiteConfig("cyclic:3", variant="typeA_qp", k=-1, p_exp=p,
-                          max_degree=2, max_mode=2, max_states=10, serre_window=1)
+        cfg = SuiteConfig("cyclic:3", variant="typeA_qp", k=-1, p_exp=p, max_degree=2, max_mode=2, max_states=10)
         ok &= all(r.passed for r in run_suite(cyclic(3), cfg))
-    cfg = SuiteConfig("cyclic:3", variant="typeA_qp", k=-1, p_exp=2,
-                      max_degree=2, max_mode=2, max_states=10, serre_window=1)
+    cfg = SuiteConfig("cyclic:3", variant="typeA_qp", k=-1, p_exp=2, max_degree=2, max_mode=2, max_states=10)
     ok &= all(r.passed for r in run_suite(cyclic(3), cfg))
     report(12, ok, "p = q^{+-1} on the radical quotient; p = q^2 on the full space")
 

@@ -47,10 +47,10 @@ def test_bad_config_exit2(capsys):
 
 
 @pytest.mark.parametrize("argv,precondition", [
-    (["ope", "--group", "cyclic:2", "--window", "-1"], "--window must be >= 0"),
+    (["ope", "--group", "cyclic:2", "--max-mode", "-1"], "--max-mode must be >= 0"),
     (["isometry", "--group", "cyclic:2", "--n", "-1"], "--n must be >= 0"),
     (["heisenberg", "--group", "cyclic:2", "--max-mode", "-1"], "--max-mode must be >= 0"),
-    (["ope", "--group", "cyclic:2", "--max-degree", "-1"], "--max-degree must be >= 0"),
+    (["toroidal", "--group", "cyclic:2", "--max-degree", "-1"], "--max-degree must be >= 0"),
     (["ope", "--group", "cyclic:2", "--series-order", "-1"], "--series-order must be >= 0"),
     (["positivity", "--group", "cyclic:2", "--t", "nan"], "finite t > 0"),
     (["positivity", "--group", "cyclic:2", "--t", "inf"], "finite t > 0"),
@@ -107,6 +107,47 @@ def test_parser_has_all_subcommands():
     subactions = next(a for a in ap._actions if isinstance(a, type(ap._actions[-1]))).choices
     for name in ("chartable", "cartan", "mckay", "positivity", "heisenberg", "isometry", "ope", "toroidal", "affine", "all"):
         assert name in subactions
+
+
+WEIGHT = ("--xi", "--p-exp")
+
+
+@pytest.mark.parametrize("command,options", [
+    ("chartable", ()),
+    ("cartan", WEIGHT),
+    ("mckay", WEIGHT),
+    ("positivity", (*WEIGHT, "--t")),
+    ("heisenberg", (*WEIGHT, "--max-degree", "--max-mode")),
+    ("isometry", (*WEIGHT, "--n", "--k-twist", "--l-twist")),
+    ("ope", (*WEIGHT, "--k", "--max-mode", "--series-order")),
+    ("toroidal", (*WEIGHT, "--k", "--max-degree", "--max-mode", "--variant")),
+    ("affine", (*WEIGHT, "--k", "--max-degree", "--max-mode")),
+    ("all", (*WEIGHT, "--k", "--max-degree", "--max-mode", "--series-order")),
+])
+def test_each_subcommand_accepts_exactly_the_options_it_reads(command, options):
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, type(ap._actions[-1]))).choices[command]
+    flags = {f for a in sub._actions for f in a.option_strings} - {"-h", "--help"}
+    assert flags == {"--group", "--format", *options}
+
+
+@pytest.mark.parametrize("argv", [
+    ["chartable", "--xi", "second"],
+    ["cartan", "--max-mode", "1"],
+    ["ope", "--max-degree", "1"],
+    ["toroidal", "--series-order", "4"],
+    ["isometry", "--k", "1"],
+])
+def test_option_a_command_does_not_read_exits2(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2 and capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("spec,form", [("cyclic:x", "cyclic:N"), ("bd:", "bd:N"), ("cyclic:3:4", "cyclic:N")])
+def test_malformed_group_spec_names_the_form_exit2(spec, form, capsys):
+    code, out, err = run(["mckay", "--group", spec], capsys)
+    assert code == 2 and f"expected {form} with an integer N" in err and out == ""
 
 
 def check_function_names(module):
@@ -174,8 +215,8 @@ def test_python_dash_m_qvertex_runs_the_cli(capsys):
 
 
 def test_ope_window_runs_as_given(capsys):
-    # --window 3 is the (2*3+1)^2 mode pairs on both states, not a capped window 2
-    code, out, _ = run(["ope", "--group", "cyclic:2", "--window", "3", "--format", "json"], capsys)
+    # --max-mode 3 is the (2*3+1)^2 mode pairs on both states, not a capped window 2
+    code, out, _ = run(["ope", "--group", "cyclic:2", "--max-mode", "3", "--format", "json"], capsys)
     assert code == 0
     ypyp = [c for c in json.loads(out)["checks"] if c["id"] == "ope:YpYp"]
     assert len(ypyp) == 2 and all(c["cases"] == 98 and c["pass"] for c in ypyp)

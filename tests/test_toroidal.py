@@ -18,7 +18,7 @@ from qvertex.fock import ExtState
 from qvertex.scalar import Cyclo, Laurent, qint
 from qvertex.vertex import fj_x
 
-SMALL = dict(max_degree=1, max_mode=1, max_states=5, serre_window=1)
+SMALL = dict(max_degree=1, max_mode=1, max_states=5)
 
 
 def small_cfg(spec, **kw):
