@@ -1,7 +1,8 @@
 """Command-line front end: every verification suite and data product.
 
 Each subcommand accepts only the options it reads (the table `COMMANDS`);
-any other option is a usage error (exit 2).
+any other option is a usage error (exit 2), and so is a --p-exp that the
+weight rule (`SuiteConfig.reads_p_exp`) leaves unread.
 
 Exit codes: 0 all executed checks pass, 1 at least one check failed,
 2 configuration error (the message names the violated precondition).
@@ -174,7 +175,7 @@ def suite_config(cfg: Config, variant: str) -> SuiteConfig:
         xi=cfg.xi,
         variant=variant,
         k=cfg.k,
-        p_exp=cfg.p_exp if variant == "typeA_qp" or cfg.xi == "second" else None,
+        p_exp=cfg.p_exp if SuiteConfig.reads_p_exp(variant, cfg.xi) else None,
         max_degree=cfg.max_degree,
         max_mode=cfg.max_mode,
         max_states=8,
@@ -274,8 +275,11 @@ def cmd_cartan(cfg: Config, g: GroupData) -> int:
     return 0
 
 
+TOROIDAL_VARIANTS = {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "typeA_qp"}
+
+
 def cmd_toroidal(cfg: Config, g: GroupData) -> int:
-    scfg = suite_config(cfg, {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "typeA_qp"}[cfg.variant])
+    scfg = suite_config(cfg, TOROIDAL_VARIANTS[cfg.variant])
     reports = run_suite(g, scfg)
     if cfg.fmt == "json":
         require_cases(reports)
@@ -342,13 +346,25 @@ def validate_numbers(cfg: Config) -> None:
         raise ConfigError(f"precondition violated: positivity probe requires a finite t > 0, got {cfg.t}")
 
 
+def require_p_exp_read(command: str, cfg: Config) -> None:
+    """An explicit --p-exp must reach a check: `all` always reads it, any
+    other subcommand only where the weight rule (SuiteConfig.reads_p_exp) does."""
+    if command == "all":
+        return
+    variant = {"toroidal": TOROIDAL_VARIANTS[cfg.variant], "affine": "affine"}.get(command)
+    if not SuiteConfig.reads_p_exp(variant, cfg.xi):
+        raise ConfigError("precondition violated: --p-exp is read only with --xi second, by toroidal --variant qp and by all")
+
+
 def main(argv=None) -> int:
     kwargs = vars(build_parser().parse_args(argv))
-    run = COMMANDS[kwargs.pop("command")][0]
+    command = kwargs.pop("command")
     cfg = Config(**kwargs)
     try:
         validate_numbers(cfg)
-        return run(cfg, build_group(cfg.group))
+        if "p_exp" in kwargs:
+            require_p_exp_read(command, cfg)
+        return COMMANDS[command][0](cfg, build_group(cfg.group))
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2

@@ -28,7 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
 from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_deg
@@ -67,6 +67,12 @@ class SuiteConfig:
             "serre_window": SERRE_WINDOW,
         }
 
+    @staticmethod
+    def reads_p_exp(variant: str | None, xi: str) -> bool:
+        """The weight rule: p = q^{p_exp} is read by the second weight and by
+        the typeA_qp variant, and by nothing else (variant None: no suite)."""
+        return variant == "typeA_qp" or xi == "second"
+
 
 class RepMap:
     """Realisation of the generators on (a sub/quotient space of) the Fock space.
@@ -76,6 +82,10 @@ class RepMap:
     term (a column) once per RepMap, so one relation suite builds each column
     of a generator once.  Columns are keyed by the generator's data (for x the
     operator's data, not (i, s)), and their keys and coefficients are interned.
+    The column map is the only cache that lives for a suite run: a relation
+    check keeps the images of whole states it rereads (x_j^s(n) v_t, ...) in
+    tables of its own, keyed by (index, sign, mode, state index), which die
+    with the check or with the block of it that rereads them.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -86,7 +96,7 @@ class RepMap:
             raise ValueError("level-one vertex representations exist for k = +-1 only")
         if cfg.variant == "typeA_qp" and cfg.p_exp is None:
             raise ValueError("typeA_qp requires p_exp")
-        if cfg.variant == "typeA_qp" or cfg.xi == "second":
+        if cfg.reads_p_exp(cfg.variant, cfg.xi):
             # the second weight is the two-parameter one: p-mode at p = q^{p_exp}
             xi: WeightXi = second_xi(group, 1 if cfg.p_exp is None else cfg.p_exp)
         else:
@@ -207,50 +217,80 @@ def sign_pow(sign: int, n: int) -> int:
 # relation checks
 
 
+class _Images(dict):
+    """A check-local table of generator images: a missing key is built once, by build(*key)."""
+
+    def __init__(self, build):
+        super().__init__()
+        self.build = build
+
+    def __missing__(self, key):
+        img = self[key] = self.build(*key)
+        return img
+
+
+def _x_images(rep: RepMap, states: list[ExtState]) -> _Images:
+    """x_j^s(n) v_t, keyed (j, s, n, t)."""
+    return _Images(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))
+
+
+def _a_images(rep: RepMap, states: list[ExtState]) -> _Images:
+    """a_i(m) v_t, keyed (i, m, t)."""
+    return _Images(lambda i, m, t: rep.a_mode(i, m, states[t]))
+
+
 def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
-    """[a_i(m), a_j(n)] = delta_{m,-n} ([m] A_ij^{q^m} [m] / m) at c = 1."""
+    """[a_i(m), a_j(n)] = delta_{m,-n} ([m] A_ij^{q^m} [m] / m) at c = 1.
+
+    Each a_i(m) a_j(n) v_t is built once per check, for the case (i, j, m, n)
+    and its mirror (j, i, n, m), on a_j(n) v_t, also built once.
+    """
     cfg = rep.cfg
+    modes = [m for m in range(-cfg.max_mode, cfg.max_mode + 1) if m]
+    a1 = _a_images(rep, states)
+    a2 = _Images(lambda i, m, j, n, t: rep.a_mode(i, m, a1[j, n, t]))  # a_i(m) a_j(n) v_t
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
-                for m in range(-cfg.max_mode, cfg.max_mode + 1):
-                    for n in range(-cfg.max_mode, cfg.max_mode + 1):
-                        if m == 0 or n == 0:
-                            continue
+                for m in modes:
+                    coeff = (qint(abs(m)) ** 2).scale(Fraction(1, m)) * rep.fock.pair_pow(i, j, m)
+                    for n in modes:
                         for t, v in enumerate(states):
-                            lhs = rep.a_mode(i, m, rep.a_mode(j, n, v)) - rep.a_mode(j, n, rep.a_mode(i, m, v))
-                            if m == -n:
-                                coeff = (qint(abs(m)) ** 2).scale(Fraction(1, m)) * rep.fock.pair_pow(i, j, m)
-                                rhs = v.scale(coeff)
-                            else:
-                                rhs = ExtState(v.basis)
+                            lhs = a2[i, m, j, n, t] - a2[j, n, i, m, t]
+                            rhs = v.scale(coeff) if m == -n else ExtState(v.basis)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.heisenberg", rep.params, pairs())
 
 
 def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
-    """[a_i(m), x_j^s(n)] = s ([m]/m) A_ij^{q^m} q^{s k |m|/2} x_j^s(m+n)."""
+    """[a_i(m), x_j^s(n)] = s ([m]/m) A_ij^{q^m} q^{s k |m|/2} x_j^s(m+n).
+
+    x_j^s(n) v_t and a_i(m) v_t are built once per check; the products of
+    two generators are all distinct and are built per case.
+    """
     cfg = rep.cfg
+    modes = range(-cfg.max_mode, cfg.max_mode + 1)
+    x1 = _x_images(rep, states)
+    a1 = _a_images(rep, states)
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
-                    for m in range(-cfg.max_mode, cfg.max_mode + 1):
+                    for m in modes:
                         if m == 0:
                             continue
-                        for n in range(-cfg.max_mode, cfg.max_mode + 1):
-                            for t, v in enumerate(states):
-                                xnv = rep.x_mode(j, s, n, v)
-                                lhs = rep.a_mode(i, m, xnv) - rep.x_mode(j, s, n, rep.a_mode(i, m, v))
-                                coeff = (
-                                    qint(m).scale(Fraction(s, m))
-                                    * rep.fock.pair_pow(i, j, m)
-                                    * Laurent.v_pow(s * rep.k_eff * abs(m))
-                                )
-                                rhs = rep.x_mode(j, s, m + n, v).scale(coeff)
+                        coeff = (
+                            qint(m).scale(Fraction(s, m))
+                            * rep.fock.pair_pow(i, j, m)
+                            * Laurent.v_pow(s * rep.k_eff * abs(m))
+                        )
+                        for n in modes:
+                            for t in range(len(states)):
+                                lhs = rep.a_mode(i, m, x1[j, s, n, t]) - rep.x_mode(j, s, n, a1[i, m, t])
+                                rhs = x1[j, s, m + n, t].scale(coeff)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.a_x", rep.params, pairs())
@@ -283,22 +323,32 @@ def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
 
 
 def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
+    """P_L(z, w) x_i^s(z) x_j^s(w) = x_j^s(w) x_i^s(z) P_R(z, w), mode by mode.
+
+    x_j^s(n) v_t is built once per check; x_i^s(a) x_j^s(b) v_t and
+    x_j^s(b) x_i^s(a) v_t once per (i, j, s), whose cases read each several
+    times, and dropped with that block.
+    """
     cfg = rep.cfg
+    modes = range(-cfg.max_mode, cfg.max_mode + 1)
+    x1 = _x_images(rep, states)
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
                     PL, PR = _xx_multipliers(rep, i, j, s)
-                    for m in range(-cfg.max_mode, cfg.max_mode + 1):
-                        for n in range(-cfg.max_mode, cfg.max_mode + 1):
+                    ij = _Images(lambda a, b, t: rep.x_mode(i, s, a, x1[j, s, b, t]))  # x_i(a) x_j(b) v_t
+                    ji = ij if i == j else _Images(lambda b, a, t: rep.x_mode(j, s, b, x1[i, s, a, t]))
+                    for m in modes:
+                        for n in modes:
                             for t, v in enumerate(states):
                                 lhs = ExtState(v.basis)
                                 for (u, w), c in PL.items():
-                                    lhs = lhs + rep.x_mode(i, s, m + u, rep.x_mode(j, s, n + w, v)).scale(c)
+                                    lhs = lhs + ij[m + u, n + w, t].scale(c)
                                 rhs = ExtState(v.basis)
                                 for (u, w), c in PR.items():
-                                    rhs = rhs + rep.x_mode(j, s, n + w, rep.x_mode(i, s, m + u, v)).scale(c)
+                                    rhs = rhs + ji[n + w, m + u, t].scale(c)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xx", rep.params, pairs())
@@ -310,38 +360,43 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
     o = -k; the Psi-modes are the normal-ordered residues at the delta supports
     z = q^{-k} w and z = q^{k} w (cross-validated on vacuum and one-particle
     states, as the two delta-terms only make sense through this extraction).
+    x_i^{+-}(m) v_t is built once per check; each product of two is read once.
     """
     cfg = rep.cfg
+    modes = range(-cfg.max_mode, cfg.max_mode + 1)
     o = -rep.k_eff
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
+    x1 = _x_images(rep, states)
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
-                for m in range(-cfg.max_mode, cfg.max_mode + 1):
-                    for n in range(-cfg.max_mode, cfg.max_mode + 1):
+                for m in modes:
+                    c_plus = Laurent.q_pow(o * m).scale(o)
+                    c_minus = Laurent.q_pow(-o * m).scale(o)
+                    for n in modes:
                         for t, v in enumerate(states):
-                            lhs = rep.x_mode(i, 1, m, rep.x_mode(j, -1, n, v)) - rep.x_mode(
-                                j, -1, n, rep.x_mode(i, 1, m, v)
-                            )
+                            lhs = rep.x_mode(i, 1, m, x1[j, -1, n, t]) - rep.x_mode(j, -1, n, x1[i, 1, m, t])
                             lhs = lhs.scale(qdiff)
                             rhs = ExtState(v.basis)
                             if i == j:
                                 if m + n >= 0:
-                                    rhs = rhs + rep.psi_mode(i, 1, o, m + n, v).scale(
-                                        Laurent.q_pow(o * m).scale(o)
-                                    )
+                                    rhs = rhs + rep.psi_mode(i, 1, o, m + n, v).scale(c_plus)
                                 if m + n <= 0:
-                                    rhs = rhs - rep.psi_mode(i, -1, -o, -(m + n), v).scale(
-                                        Laurent.q_pow(-o * m).scale(o)
-                                    )
+                                    rhs = rhs - rep.psi_mode(i, -1, -o, -(m + n), v).scale(c_minus)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xpxm", rep.params, pairs())
 
 
 def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
-    """Sym over z_1..z_N of sum_s (-1)^s [N;s] x_i...x_j...x_i annihilates everything."""
+    """Sym over z_1..z_N of sum_s (-1)^s [N;s] x_i...x_j...x_i annihilates everything.
+
+    A chain is a word of N + 1 letters x_idx^+(mode), applied to v_t from
+    the right.  Its right-hand suffixes of up to N letters are shared by many
+    chains: each is built once per (i, j), on its own suffix.  A whole chain
+    belongs to one case only, so it is added to that case's sum and dropped.
+    """
     W = SERRE_WINDOW
 
     def pairs():
@@ -351,24 +406,34 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                 if i == j or g_ij >= 0:
                     continue
                 N = 1 - g_ij
-                binoms = [qbinom(N, s) for s in range(N + 1)]
-                mode_lists = sorted(
-                    {tuple(sorted(ms)) for ms in _tuples(range(-W, W + 1), N)}
-                )
-                for modes in mode_lists:
+                signed = [qbinom(N, s).scale(-1 if s % 2 else 1) for s in range(N + 1)]
+                suffixes = {}  # (t, first N or fewer letters of a chain, in the order applied) -> image of v_t
+                for modes in combinations_with_replacement(range(-W, W + 1), N):
+                    perms = sorted(set(permutations(modes)))
                     for n in range(-W, W + 1):
+                        chains = [
+                            (
+                                tuple((i, mm) for mm in reversed(perm[s_pos:]))
+                                + ((j, n),)
+                                + tuple((i, mm) for mm in reversed(perm[:s_pos])),
+                                signed[s_pos],
+                            )
+                            for perm in perms
+                            for s_pos in range(N + 1)
+                        ]
                         for t, v in enumerate(states):
                             acc = ExtState(v.basis)
-                            for perm in sorted(set(permutations(modes))):
-                                for s_pos in range(N + 1):
-                                    term = v
-                                    for mm in reversed(perm[s_pos:]):
-                                        term = rep.x_mode(i, 1, mm, term)
-                                    term = rep.x_mode(j, 1, n, term)
-                                    for mm in reversed(perm[:s_pos]):
-                                        term = rep.x_mode(i, 1, mm, term)
-                                    sgn = -1 if s_pos % 2 else 1
-                                    acc = acc + term.scale(binoms[s_pos].scale(sgn))
+                            for letters, c in chains:
+                                img = v
+                                for depth in range(1, N + 1):
+                                    key = (t, letters[:depth])
+                                    nxt = suffixes.get(key)
+                                    if nxt is None:
+                                        idx, mm = letters[depth - 1]
+                                        nxt = suffixes[key] = rep.x_mode(idx, 1, mm, img)
+                                    img = nxt
+                                idx, mm = letters[N]
+                                acc = acc + rep.x_mode(idx, 1, mm, img).scale(c)
                             yield (
                                 f"(i={i},j={j},modes={modes},n={n},state={t})",
                                 ExtState(v.basis),
@@ -376,15 +441,6 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                             )
 
     return first_mismatch("toroidal.serre", rep.params, pairs())
-
-
-def _tuples(rng, n):
-    if n == 0:
-        yield ()
-        return
-    for head in rng:
-        for rest in _tuples(rng, n - 1):
-            yield (head,) + rest
 
 
 def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:

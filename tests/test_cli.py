@@ -144,6 +144,33 @@ def test_option_a_command_does_not_read_exits2(argv, capsys):
     assert e.value.code == 2 and capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["cartan"],
+    ["mckay"],
+    ["positivity"],
+    ["heisenberg"],
+    ["isometry"],
+    ["ope"],
+    ["affine"],
+    ["toroidal", "--variant", "plus"],
+    ["toroidal", "--variant", "minus"],
+    ["toroidal", "--variant", "minus", "--xi", "first"],
+])
+def test_p_exp_no_check_reads_exits2(argv, capsys):
+    # p = q^{p_exp} belongs to the second weight and the qp variant only
+    code, out, err = run([*argv, "--group", "cyclic:2", "--p-exp", "7", "--format", "json"], capsys)
+    assert code == 2 and "--p-exp is read only with --xi second" in err and out == ""
+
+
+def test_p_exp_is_read_by_the_second_weight_the_qp_variant_and_all(capsys):
+    code, out, _ = run(["toroidal", "--group", "cyclic:3", "--variant", "qp", "--p-exp", "2",
+                        "--max-degree", "1", "--max-mode", "1", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["config"]["p_exp"] == 2
+    code, out, _ = run(["cartan", "--group", "cyclic:3", "--xi", "second", "--p-exp", "2", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["xi"] == "second"
+    cli.require_p_exp_read("all", cli.Config(p_exp=2))  # qp_degeneracy and the typeA_qp suite read it
+
+
 @pytest.mark.parametrize("spec,form", [("cyclic:x", "cyclic:N"), ("bd:", "bd:N"), ("cyclic:3:4", "cyclic:N")])
 def test_malformed_group_spec_names_the_form_exit2(spec, form, capsys):
     code, out, err = run(["mckay", "--group", spec], capsys)

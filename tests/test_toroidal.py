@@ -1,5 +1,6 @@
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -272,6 +273,7 @@ SEEDED = [
     (toroidal.check_heisenberg_rel, {}, scale_a1_by_q, "(i=0,j=0,m=-1,n=1,state=0)", 6),
     (toroidal.check_a_x, {}, scale_a1_by_q, "(i=0,j=0,s=1,m=1,n=-1,state=1)", 17),
     (toroidal.check_xx, {}, mirror_x_op, "(i=0,j=0,s=1,m=-1,n=-1,state=1)", 2),
+    (toroidal.check_xpxm, {}, mirror_x_op, "(i=0,j=0,m=-1,n=-1,state=0)", 1),
     (toroidal.check_serre, {}, classical_binomials, "(i=0,j=1,modes=(-1, -1),n=-1,state=0)", 1),
     (toroidal.check_psi_structure, {}, sign_pow_one, "order1 (i=0,ms=-1,state=0)", 12),
     (toroidal.check_highest_weight, {}, a_of_minus_m, "a_0(1)|0>", 1),
@@ -292,3 +294,40 @@ def test_each_check_fails_on_a_seeded_defect(check, kw, seed, where, n_cases, mo
     assert not bad.passed
     assert bad.fail_detail["where"] == where
     assert bad.n_cases == n_cases
+
+
+# -- each relation check builds each generator image once, in tables of its own
+
+# (x_mode calls, a_mode calls) of each check on small_cfg("cyclic:3"), the checks
+# run in suite order on one RepMap.  xpxm's a_mode calls are psi_mode building
+# its columns.  The Serre count also guards its suffix table's keys: a table
+# that served one state's chains for every state would still see zero sums.
+IMAGE_CALLS = {
+    "check_heisenberg_rel": (0, 210),
+    "check_a_x": (690, 570),
+    "check_xx": (2220, 0),
+    "check_xpxm": (900, 120),
+    "check_serre": (3420, 0),
+}
+
+
+def test_relation_checks_build_each_image_once():
+    rep = RepMap(cyclic(3), small_cfg("cyclic:3"))
+    states = rep.test_states()
+    calls = Counter()
+    x_mode, a_mode = rep.x_mode, rep.a_mode
+
+    def counted(name, mode):
+        def call(*args):
+            calls[name] += 1
+            return mode(*args)
+
+        return call
+
+    rep.x_mode, rep.a_mode = counted("x", x_mode), counted("a", a_mode)
+    got = {}
+    for name in IMAGE_CALLS:
+        calls.clear()
+        assert getattr(toroidal, name)(rep, states).passed
+        got[name] = (calls["x"], calls["a"])
+    assert got == IMAGE_CALLS
