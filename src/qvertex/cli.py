@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -364,7 +365,14 @@ def main(argv=None) -> int:
         validate_numbers(cfg)
         if "p_exp" in kwargs:
             require_p_exp_read(command, cfg)
-        return COMMANDS[command][0](cfg, build_group(cfg.group))
+        code = COMMANDS[command][0](cfg, build_group(cfg.group))
+        sys.stdout.flush()  # a reader that left early fails the write here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader closed the pipe (`| head`); send what is left, and the
+        # flush at exit, to devnull instead of printing a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2

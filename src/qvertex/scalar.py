@@ -14,13 +14,19 @@ Representation.  A Cyclo is canonical: reduced modulo Phi_N, and normalised to
 conductor N = 1 whenever its value is rational.  A rational value is stored as
 a Python ``int`` when it is integral and as a ``Fraction`` otherwise, so
 ``as_rational()`` returns ``int | Fraction`` (the two compare and hash equal).
-A Laurent takes one of two canonical forms, decided by its value alone.  When
-every coefficient is rational (zero included) it holds integer numerators over
-one shared denominator d > 0, reduced so that gcd(d, *numerators) == 1; sums
-and products run on plain ints and normalise once per result, with no Fraction
-per coefficient.  Otherwise it maps exponents to nonzero Cyclo coefficients.
-A result of cyclotomic operands whose irrational parts cancel returns to the
-rational form.  ``Laurent.t`` reads either form as {exponent: Cyclo}.
+Cyclo is the type of character values and of the coefficients Laurent's
+read-only views return; no Laurent holds one.
+
+A Laurent is one integer form, after FLINT's fmpq_poly and Antic's nf_elem:
+one conductor N, one denominator d > 0 and, per exponent, the phi(N) integer
+power-basis coordinates of the coefficient mod Phi_N, reduced so that
+gcd(d, every coordinate) == 1.  The rational case N = 1 keeps one int
+numerator per exponent.  Sums align denominators once; products convolve the
+integer tuples and reduce with the rows of x^k mod Phi_N; a rational operand
+scales the other's tuples by its numerators; operands at different conductors
+lift to the lcm.  Each result is normalised once, with no Cyclo or Fraction
+per coefficient, and returns to the rational case when no irrational
+coordinate is left.
 
 All values are immutable after construction.
 """
@@ -30,6 +36,7 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 
 # --------------------------------------------------------------------------
@@ -119,6 +126,23 @@ def _reduce_mod_phi(n: int, coeffs) -> tuple:
     return tuple(out)
 
 
+def _lift(n: int, m: int, c: tuple) -> tuple:
+    """Coordinates at conductor m of the value with coordinates c at conductor n (n | m)."""
+    step = m // n
+    out = [0] * (step * (len(c) - 1) + 1)
+    for i, x in enumerate(c):
+        out[step * i] = x
+    return _reduce_mod_phi(m, out)
+
+
+def _root_power(n: int, c: tuple, s: int) -> tuple:
+    """Coordinates of the image under the field map zeta_n -> zeta_n^s (s coprime to n)."""
+    out = [0] * n
+    for i, x in enumerate(c):
+        out[s * i % n] = x
+    return _reduce_mod_phi(n, out)
+
+
 class Cyclo:
     """Element of Q[x]/Phi_N represented on the power basis 1, z, ..., z^{phi(N)-1}.
 
@@ -178,12 +202,7 @@ class Cyclo:
             return self.c
         if m % self.N:
             raise ValueError("conductor must be a multiple")
-        step = m // self.N
-        out = [0] * (max(step * (len(self.c) - 1), 0) + 1)
-        for i, x in enumerate(self.c):
-            if x:
-                out[step * i] += x
-        return _reduce_mod_phi(m, out)
+        return _lift(self.N, m, self.c)
 
     def _match(self, other: "Cyclo") -> tuple[int, tuple, tuple]:
         if self.N == other.N:
@@ -277,11 +296,7 @@ class Cyclo:
         """Apply the field map zeta_N -> zeta_N^s (s coprime to N)."""
         if self.N == 1:
             return self
-        out = [0] * (((self.N - 1) * (len(self.c) - 1)) + 1)
-        for i, x in enumerate(self.c):
-            if x:
-                out[(s * i) % self.N] += x
-        return Cyclo(self.N, out)
+        return Cyclo(self.N, _root_power(self.N, self.c, s), _reduced=True)
 
     def conj(self) -> "Cyclo":
         """zeta_N -> zeta_N^{-1} (complex conjugation)."""
@@ -400,23 +415,33 @@ class Laurent:
     """Finitely supported map v-exponent -> Q(zeta_N); v^2 = q.
 
     Integer q-powers sit at even v-exponents; the q^{1/2}-shifts of vertex
-    operator calculus occupy the odd ones.  The value picks one of two
-    canonical forms:
+    operator calculus occupy the odd ones.  Every coefficient is held as
+    integers over one denominator shared by the whole value, and the value
+    picks one of two canonical forms:
 
       * rational (``_d > 0``): ``_t`` maps exponents to nonzero int numerators
         over the one denominator ``_d``, with gcd(_d, *numerators) == 1;
-      * cyclotomic (``_d == 0``): ``_t`` maps exponents to nonzero Cyclo
-        coefficients, at least one of them irrational.
+      * cyclotomic (``_d == 0``): ``_nd`` is (N, d) and ``_t`` maps exponents
+        to nonzero tuples of phi(N) int power-basis coordinates mod Phi_N over
+        the one denominator d > 0, with gcd(d, every coordinate) == 1 and some
+        coordinate past the first nonzero (at least one irrational coefficient).
 
-    ``t`` is the read-only view {exponent: Cyclo} in either form.
+    Operands at different conductors lift to the lcm; a result with no
+    irrational coordinate left returns to the rational form.  ``t`` and
+    ``coeff`` read either form as Cyclo values, each irrational one at its
+    minimal conductor.
     """
 
-    __slots__ = ("_t", "_d")
+    __slots__ = ("_t", "_d", "_nd")
 
     def __init__(self, terms: dict[int, Cyclo] | None = None):
-        f = _from_cyclos({} if terms is None else {e: c for e, c in terms.items() if not c.is_zero})
+        f = L_ZERO
+        for e, c in (terms or {}).items():
+            f = f + Laurent.v_pow(e, c)
         _set_t(self, f._t)
         _set_d(self, f._d)
+        if not f._d:
+            _set_nd(self, f._nd)
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Laurent is immutable")
@@ -441,7 +466,9 @@ class Laurent:
         if type(coeff) is not int and not isinstance(coeff, Fraction):
             c = _as_cyclo(coeff)
             if c.N != 1:
-                return _laurent({e: c}, 0)
+                d = lcm(*(x.denominator for x in c.c if type(x) is not int))
+                # d is the lcm of reduced denominators, so no prime divides d and every coordinate
+                return _cyclotomic({e: tuple(int(x * d) for x in c.c)}, c.N, d)
             coeff = c.c[0]
         if type(coeff) is int:
             return _laurent({e: coeff} if coeff else {}, 1)
@@ -457,9 +484,10 @@ class Laurent:
     def t(self) -> dict[int, Cyclo]:
         """The coefficients as {v-exponent: Cyclo}; read-only."""
         d = self._d
-        if not d:
-            return self._t
-        return {e: _rat(_ratval(n, d)) for e, n in self._t.items()}
+        if d:
+            return {e: _rat(_ratval(n, d)) for e, n in self._t.items()}
+        n, d = self._nd
+        return {e: _cyclo_value(n, d, c) for e, c in self._t.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -472,7 +500,10 @@ class Laurent:
         c = self._t.get(e)
         if c is None:
             return CYC_ZERO
-        return _rat(_ratval(c, self._d)) if self._d else c
+        if self._d:
+            return _rat(_ratval(c, self._d))
+        n, d = self._nd
+        return _cyclo_value(n, d, c)
 
     # -- arithmetic
 
@@ -485,10 +516,8 @@ class Laurent:
         if not tb:
             return self
         da, db = self._d, other._d
-        if not da:
-            return _add_cyclo(ta, tb) if not db else _add_rational(ta, tb, db)
-        if not db:
-            return _add_rational(tb, ta, da)
+        if not (da and db):
+            return _add_coords(self, other)
         if da == db:
             out = dict(ta)
             fb = 1
@@ -512,7 +541,7 @@ class Laurent:
     def __neg__(self) -> "Laurent":
         if self._d:
             return _laurent({e: -n for e, n in self._t.items()}, self._d)
-        return _laurent({e: -c for e, c in self._t.items()}, 0)
+        return _cyclotomic({e: tuple(-x for x in c) for e, c in self._t.items()}, *self._nd)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
         return self + (-other)
@@ -538,20 +567,7 @@ class Laurent:
                     out[e] = get(e, 0) + x1 * x2
             # products are never zero (Q(zeta_N)[v^+-1] is a domain); only sums cancel
             return _normal({e: n for e, n in out.items() if n}, da * db)
-        if da:
-            return _mul_by_rational(tb, ta, da)
-        if db:
-            return _mul_by_rational(ta, tb, db)
-        if len(tb) == 1:
-            ((e0, c0),) = tb.items()
-            return _from_cyclos({e + e0: c * c0 for e, c in ta.items()})
-        out = {}
-        for e1, c1 in ta.items():
-            for e2, c2 in tb.items():
-                e = e1 + e2
-                s = out.get(e)
-                out[e] = c1 * c2 if s is None else s + c1 * c2
-        return _from_cyclos({e: c for e, c in out.items() if not c.is_zero})
+        return _mul_coords(self, other)
 
     def __rmul__(self, other):
         return self.scale(other)
@@ -560,18 +576,13 @@ class Laurent:
         t, d = self._t, self._d
         if type(x) is not int and not isinstance(x, Fraction):
             c = _as_cyclo(x)
-            if c.N == 1:
-                x = c.c[0]
-            elif not t:
-                return L_ZERO
-            elif d:
-                return _mul_by_rational({0: c}, t, d)
-            else:
-                return _from_cyclos({e: y * c for e, y in t.items()})
+            if c.N != 1:
+                return self * Laurent.v_pow(0, c)
+            x = c.c[0]
         if not x or not t:
             return L_ZERO
         if not d:
-            return _laurent(_scale_cyclos(t, 0, x), 0)
+            return _mul_coords(self, Laurent.v_pow(0, x))
         if type(x) is int:
             return _mul_rational_monomial(t, d, 0, x, 1)
         return _mul_rational_monomial(t, d, 0, x.numerator, x.denominator)
@@ -592,11 +603,13 @@ class Laurent:
         """v -> v^-1 together with cyclotomic conjugation of coefficients."""
         if self._d:
             return self.bar_q()
-        return _laurent({-e: c.conj() for e, c in self._t.items()}, 0)
+        n, d = self._nd
+        # zeta_N -> zeta_N^-1 is a ring automorphism of Z[zeta_N]: the content, hence d, is unchanged
+        return _cyclotomic({-e: _root_power(n, c, -1) for e, c in self._t.items()}, n, d)
 
     def bar_q(self) -> "Laurent":
         """v -> v^-1 only; coefficients untouched (the antipode on values)."""
-        return _laurent({-e: c for e, c in self._t.items()}, self._d)
+        return self._with_terms({-e: c for e, c in self._t.items()})
 
     def subs_pow(self, m: int) -> "Laurent":
         """q -> q^m, i.e. scale every v-exponent by m (m != 0)."""
@@ -604,7 +617,11 @@ class Laurent:
             raise ValueError("q -> q^0 collapses the ring")
         if m == 1:
             return self
-        return _laurent({e * m: c for e, c in self._t.items()}, self._d)
+        return self._with_terms({e * m: c for e, c in self._t.items()})
+
+    def _with_terms(self, terms: dict) -> "Laurent":
+        """The same form and denominator (and conductor) with the coefficients moved to new exponents."""
+        return _laurent(terms, self._d) if self._d else _cyclotomic(terms, *self._nd)
 
     def exact_div(self, den: "Laurent") -> "Laurent":
         """Exact quotient self/den; raises if the division leaves a remainder."""
@@ -616,7 +633,7 @@ class Laurent:
         dmin, dmax = min(dt), max(dt)
         emin = min(self._t) - dmin  # lowest possible quotient exponent
         lead_inv = dt[dmax].inverse()
-        rem = self.t.copy()
+        rem = self.t
         out: dict[int, Cyclo] = {}
         while rem:
             e = max(rem) - dmax
@@ -647,13 +664,18 @@ class Laurent:
             other = Laurent.of(other)
         if not isinstance(other, Laurent):
             return NotImplemented
-        return self._d == other._d and self._t == other._t
+        if self._d or other._d:
+            return self._d == other._d and self._t == other._t
+        (na, da), (nb, db) = self._nd, other._nd
+        # the content of a value does not depend on its conductor, so equal values share d
+        m = lcm(na, nb)
+        return da == db and _lift_terms(na, m, self._t) == _lift_terms(nb, m, other._t)
 
     def __hash__(self):
         t, d = self._t, self._d
         if d == 1 and (not t or len(t) == 1 and 0 in t):
             return hash(t.get(0, 0))  # == accepts an int, so an integral constant hashes as that int
-        # a Cyclo hash costs a trace per coefficient, so only the support is hashed there
+        # coordinates depend on the conductor, so only the support is hashed in the cyclotomic form
         return hash((d, frozenset(t.items()) if d else frozenset(t)))
 
     def __repr__(self):
@@ -669,13 +691,23 @@ class Laurent:
 
 _set_t = Laurent._t.__set__
 _set_d = Laurent._d.__set__
+_set_nd = Laurent._nd.__set__
 
 
 def _laurent(terms: dict, d: int) -> Laurent:
-    """Laurent from fields already in canonical form (d == 0: cyclotomic)."""
+    """Rational Laurent from fields already in canonical form."""
     out = _new(Laurent)
     _set_t(out, terms)
     _set_d(out, d)
+    return out
+
+
+def _cyclotomic(terms: dict, n: int, d: int) -> Laurent:
+    """Cyclotomic Laurent from coordinate tuples at conductor n over d, already in canonical form."""
+    out = _new(Laurent)
+    _set_t(out, terms)
+    _set_d(out, 0)
+    _set_nd(out, (n, d))
     return out
 
 
@@ -693,36 +725,6 @@ def _normal(nums: dict, d: int) -> Laurent:
         d //= g
         nums = {e: n // g for e, n in nums.items()}
     return _laurent(nums, d)
-
-
-def _from_cyclos(terms: dict) -> Laurent:
-    """Canonical Laurent from nonzero Cyclo coefficients."""
-    for c in terms.values():
-        if c.N != 1:
-            return _laurent(terms, 0)
-    d = 1
-    for c in terms.values():
-        x = c.c[0]
-        if type(x) is not int:
-            d = lcm(d, x.denominator)
-    # d is the lcm of reduced denominators, so no prime divides d and every numerator
-    nums = {}
-    for e, c in terms.items():
-        x = c.c[0]
-        nums[e] = x * d if type(x) is int else x.numerator * (d // x.denominator)
-    return _laurent(nums, d)
-
-
-def _cyclo_times(c: Cyclo, x) -> Cyclo:
-    """Irrational c times a nonzero int or Fraction x."""
-    return _cyclo(c.N, tuple(x * y if y else 0 for y in c.c))
-
-
-def _scale_cyclos(terms: dict, e0: int, x) -> dict:
-    """{e + e0: c * x} for Cyclo coefficients and a nonzero int or Fraction x."""
-    if x == 1:
-        return {e + e0: c for e, c in terms.items()} if e0 else terms
-    return {e + e0: _rat(c.c[0] * x) if c.N == 1 else _cyclo_times(c, x) for e, c in terms.items()}
 
 
 def _mul_rational_monomial(t: dict, d: int, e0: int, p: int, q: int) -> Laurent:
@@ -744,51 +746,155 @@ def _mul_rational_monomial(t: dict, d: int, e0: int, p: int, q: int) -> Laurent:
     return _laurent({e + e0: n * p for e, n in t.items()}, d * q)
 
 
-def _mul_by_rational(tc: dict, t: dict, d: int) -> Laurent:
-    """Cyclotomic coefficients tc times the rational form t/d; the product stays cyclotomic."""
-    if len(t) == 1:
-        ((e0, n),) = t.items()
-        return _laurent(_scale_cyclos(tc, e0, _ratval(n, d)), 0)
-    out: dict = {}
-    for e0, n in t.items():
-        for e, p in _scale_cyclos(tc, e0, _ratval(n, d)).items():
-            s = out.get(e)
-            out[e] = p if s is None else s + p
-    return _laurent({e: c for e, c in out.items() if not c.is_zero}, 0)
+# -- the coordinate kernel: every sum or product with a cyclotomic operand
 
 
-def _add_rational(tc: dict, t: dict, d: int) -> Laurent:
-    """Cyclotomic coefficients tc plus the rational form t/d; the sum stays cyclotomic."""
-    out = dict(tc)
-    for e, n in t.items():
-        x = _ratval(n, d)
-        s = out.get(e)
-        if s is None:
-            out[e] = _rat(x)
-        elif s.N != 1:
-            c = s.c
-            out[e] = _cyclo(s.N, (c[0] + x,) + c[1:])
-        elif s.c[0] + x:
-            out[e] = _rat(s.c[0] + x)
-        else:  # the rational coefficients cancel
-            del out[e]
-    return _laurent(out, 0)
+def _field(f: Laurent) -> tuple[int, int]:
+    """(conductor, denominator) of either form; the rational form is conductor 1."""
+    return (1, f._d) if f._d else f._nd
 
 
-def _add_cyclo(ta: dict, tb: dict) -> Laurent:
-    """Sum of two cyclotomic forms; irrational parts may cancel to a rational value."""
-    out = dict(ta)
+def _terms_at(f: Laurent, m: int) -> dict:
+    """f's coefficients as coordinate tuples at conductor m, a multiple of f's conductor."""
+    if f._d:
+        pad = (0,) * (_euler_phi(m) - 1)
+        return {e: (k,) + pad for e, k in f._t.items()}
+    return _lift_terms(f._nd[0], m, f._t)
+
+
+def _lift_terms(n: int, m: int, t: dict) -> dict:
+    return t if n == m else {e: _lift(n, m, c) for e, c in t.items()}
+
+
+def _settle(terms: dict, n: int, d: int) -> Laurent:
+    """Canonical Laurent from nonzero coordinate tuples at conductor n over d > 0."""
+    for c in terms.values():
+        if any(c[1:]):
+            break
+    else:  # no irrational coordinate left
+        return _normal({e: c[0] for e, c in terms.items()}, d)
+    if d != 1:
+        g = d
+        for c in terms.values():
+            g = gcd(g, *c)
+            if g == 1:
+                break
+        else:
+            d //= g
+            terms = {e: tuple([x // g for x in c]) for e, c in terms.items()}
+    return _cyclotomic(terms, n, d)
+
+
+def _scale_coords(t: dict, n: int, d: int, rt: dict, rd: int) -> Laurent:
+    """Coordinates t at conductor n over d times the rational form rt over rd."""
+    if len(rt) == 1:
+        ((e0, k),) = rt.items()
+        return _settle({e + e0: tuple([k * x for x in c]) for e, c in t.items()}, n, d * rd)
+    acc: dict[int, list[int]] = {}
+    for e0, k in rt.items():
+        for e, c in t.items():
+            p = acc.get(e + e0)
+            if p is None:
+                acc[e + e0] = [k * x for x in c]
+            else:
+                for j, x in enumerate(c):
+                    p[j] += k * x
+    return _settle({e: tuple(p) for e, p in acc.items() if any(p)}, n, d * rd)
+
+
+def _mul_coords(a: Laurent, b: Laurent) -> Laurent:
+    """a * b with a cyclotomic operand.
+
+    A rational operand scales the other's coordinates by its numerators.  Two
+    cyclotomic operands lift to the lcm conductor m, convolve their tuples per
+    exponent and reduce each sum once with the rows of x^k mod Phi_m.
+    """
+    if a._d or b._d:
+        r, f = (a, b) if a._d else (b, a)
+        return _scale_coords(f._t, *f._nd, r._t, r._d)
+    (na, da), (nb, db) = a._nd, b._nd
+    ta, tb, m = a._t, b._t, na
+    if na != nb:
+        m = lcm(na, nb)
+        ta, tb = _lift_terms(na, m, ta), _lift_terms(nb, m, tb)
+    rows = _reduction_rows(m)
+    deg = len(rows[0])
+    acc: dict[int, list[int]] = {}
+    for e1, x in ta.items():
+        for e2, y in tb.items():
+            p = acc.get(e1 + e2)
+            if p is None:
+                p = acc[e1 + e2] = [0] * (2 * deg - 1)
+            for i, u in enumerate(x):
+                if u:
+                    for j, w in enumerate(y, i):
+                        p[j] += u * w
+    out = {}
+    for e, p in acc.items():
+        for k in range(deg, 2 * deg - 1):
+            u = p[k]
+            if u:
+                for j, w in enumerate(rows[k - deg]):
+                    p[j] += u * w
+        c = tuple(p[:deg])
+        if any(c):
+            out[e] = c
+    return _settle(out, m, da * db)
+
+
+def _add_coords(a: Laurent, b: Laurent) -> Laurent:
+    """a + b with a cyclotomic operand: lift to the lcm conductor, align denominators once."""
+    (na, da), (nb, db) = _field(a), _field(b)
+    m = lcm(na, nb)
+    ta, tb = _terms_at(a, m), _terms_at(b, m)
+    g = gcd(da, db)
+    fa, fb = db // g, da // g
+    out = {e: tuple([x * fa for x in c]) for e, c in ta.items()} if fa != 1 else dict(ta)
     for e, c in tb.items():
         s = out.get(e)
         if s is None:
-            out[e] = c
-            continue
-        s = s + c
-        if s.is_zero:
-            del out[e]
+            out[e] = tuple([x * fb for x in c]) if fb != 1 else c
         else:
-            out[e] = s
-    return _from_cyclos(out)
+            s = tuple(map(add, s, c)) if fb == 1 else tuple([x + y * fb for x, y in zip(s, c)])
+            if any(s):
+                out[e] = s
+            else:
+                del out[e]
+    return _settle(out, m, da * fa)
+
+
+def _cyclo_value(n: int, d: int, c: tuple) -> Cyclo:
+    """The Cyclo of coordinates c at conductor n over d, at its minimal conductor."""
+    if not any(c[1:]):
+        return _rat(_ratval(c[0], d))
+    for m in range(3, n):
+        # Q(zeta_m) = Q(zeta_{m/2}) for m = 2 mod 4, already tried
+        if n % m == 0 and m % 4 != 2:
+            a = _descend(n, m, c)
+            if a is not None:
+                return _cyclo(m, tuple(_integral(x / d) for x in a))
+    return _cyclo(n, tuple(_ratval(x, d) for x in c))
+
+
+def _descend(n: int, m: int, c: tuple) -> tuple | None:
+    """Coordinates at conductor m (m | n) of the value with coordinates c at n, or None outside Q(zeta_m).
+
+    Solves sum_j a_j lift(zeta_m^j) = c by elimination; the lift is injective.
+    """
+    k = _euler_phi(m)
+    rows = [[Fraction(x) for x in _lift(m, n, (0,) * j + (1,))] for j in range(k)]
+    eqs = [[row[p] for row in rows] + [Fraction(c[p])] for p in range(len(c))]
+    for j in range(k):
+        piv = next(i for i in range(j, len(eqs)) if eqs[i][j])
+        eqs[j], eqs[piv] = eqs[piv], eqs[j]
+        top = [x / eqs[j][j] for x in eqs[j]]
+        eqs[j] = top
+        for i, eq in enumerate(eqs):
+            if i != j and eq[j]:
+                eqs[i] = [x - eq[j] * y for x, y in zip(eq, top)]
+    if any(eq[k] for eq in eqs[k:]):
+        return None
+    return tuple(eqs[j][k] for j in range(k))
 
 
 def laurent_str(f: Laurent) -> str:
@@ -850,10 +956,8 @@ def eval_at_one(f: Laurent) -> Cyclo:
     """Exact specialisation v = 1 (hence q = 1)."""
     if f._d:
         return _rat(_ratval(sum(f._t.values()), f._d))
-    out = CYC_ZERO
-    for c in f._t.values():
-        out = out + c
-    return out
+    n, d = f._nd
+    return _cyclo_value(n, d, tuple(map(sum, zip(*f._t.values()))))
 
 
 # --------------------------------------------------------------------------

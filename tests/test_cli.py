@@ -241,6 +241,25 @@ def test_python_dash_m_qvertex_runs_the_cli(capsys):
     assert proc.stdout == out
 
 
+@pytest.mark.parametrize("argv", [
+    ["isometry", "--group", "bd:3", "--n", "2", "--format", "json"],
+    ["chartable", "--group", "bt", "--format", "json"],
+])
+def test_a_reader_closing_the_pipe_early_gets_no_traceback(argv):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "qvertex", *argv], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the first write, so every write meets a closed pipe
+    try:
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=300) == 1
+    finally:
+        proc.stderr.close()
+        proc.kill()
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
+
+
 def test_ope_window_runs_as_given(capsys):
     # --max-mode 3 is the (2*3+1)^2 mode pairs on both states, not a capped window 2
     code, out, _ = run(["ope", "--group", "cyclic:2", "--max-mode", "3", "--format", "json"], capsys)
@@ -262,6 +281,10 @@ def test_toroidal_bounds_run_as_given(capsys):
      "9ede7a827a20f9d16c6974c2716b13bcdfe62cd81702771194d208d74021a4cc"),
     (["cartan", "--group", "bt"], "4dbc7e9ca592478b45635105206c54ce4530092e2aba1dbda5bed2d5035eba0b"),
     (["isometry", "--group", "bt", "--n", "2"], "a0ac0c6bc8a2512cd766abd60794bcef2fb1ed98942131227a427f147c298364"),
+    # bd:3 mixes rational and conductor-4 scalars (its zeta_6^k + zeta_6^-k are rational);
+    # bd:5 mixes conductor-4 and conductor-10 values, which meet at conductor 20
+    (["isometry", "--group", "bd:3", "--n", "2"], "a772e3cdda6e05bffbb4f27c8e69526df396c8485e90f63d98aa5f457770e81b"),
+    (["isometry", "--group", "bd:5", "--n", "2"], "7920e510884b5a8080c959eae9bebde8028f66e01c5b5fa31b3648df412eadfe"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

@@ -16,6 +16,7 @@ from qvertex.scalar import (
     qint,
     series_exp,
 )
+from qvertex.scalar import _euler_phi
 
 
 def L(d):
@@ -393,6 +394,24 @@ def test_cyclo_hash_ignores_conductor():
     assert hash(w + Cyclo.rational(Fraction(3, 2)) - w) == hash(Fraction(3, 2))
 
 
+def test_laurent_equality_and_hash_across_conductors():
+    a, b = Laurent.v_pow(1, Cyclo.root(3)), Laurent.v_pow(1, Cyclo.root(12, 4))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a.coeff(1).N == b.coeff(1).N == 3  # the views read each value at its minimal conductor
+    assert Laurent.v_pow(0, Cyclo.root(4)) == Laurent.v_pow(0, Cyclo.root(12, 3))
+    assert Laurent.v_pow(0, Cyclo.root(4)) != Laurent.v_pow(0, Cyclo.root(12, 9))
+    # zeta_4 + zeta_6 lifts both to conductor 12
+    i4, z6 = Cyclo.root(4), Cyclo.root(6)
+    s = Laurent.v_pow(2, i4) + Laurent.v_pow(2, z6) + Laurent.v_pow(0, Fraction(1, 2))
+    t = Laurent({2: Cyclo.root(12, 3) + Cyclo.root(12, 2), 0: Cyclo.rational(Fraction(1, 2))})
+    assert s == t and hash(s) == hash(t)
+    assert len({s, t}) == 1
+    assert s.coeff(2).N == 12 and s.coeff(0) == Fraction(1, 2)
+    # lifting i4 to conductor 12 leaves a value that still reads back at conductor 4
+    assert (s - Laurent.v_pow(2, z6)).coeff(2).to_obj() == [4, [[1, "1"]]]
+
+
 def test_laurent_int_equality_agrees_with_hash():
     for n in (0, 3, -7):
         assert Laurent.of(n) == n and hash(Laurent.of(n)) == hash(n)
@@ -437,15 +456,21 @@ def render(terms):
 
 
 def assert_form(f):
-    """The value decides the form: rational numerators over one reduced denominator, or Cyclos."""
+    """The value decides the form: rational numerators over one reduced denominator, or
+    int coordinate tuples at one conductor over one reduced denominator."""
     rational = all(c.is_rational for c in f.t.values())
     assert (f._d > 0) == rational, (f._d, f.t)
     if rational:
         assert all(type(n) is int and n != 0 for n in f._t.values()), f._t
         assert gcd(f._d, *f._t.values()) == 1, (f._d, f._t)
     else:
-        assert f._d == 0
-        assert all(type(c) is Cyclo and not c.is_zero for c in f._t.values()), f._t
+        n, d = f._nd
+        assert f._d == 0 and d > 0
+        for c in f._t.values():
+            assert type(c) is tuple and len(c) == _euler_phi(n) and any(c), (n, f._t)
+            assert all(type(x) is int for x in c), f._t
+        assert any(any(c[1:]) for c in f._t.values()), f._t
+        assert gcd(d, *(x for c in f._t.values() for x in c)) == 1, (d, f._t)
 
 
 wide_fracs = st.fractions(min_value=-6, max_value=6, max_denominator=12)

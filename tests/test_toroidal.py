@@ -296,6 +296,19 @@ def test_each_check_fails_on_a_seeded_defect(check, kw, seed, where, n_cases, mo
     assert bad.n_cases == n_cases
 
 
+def test_xpxm_sees_a_defect_in_a_positive_heisenberg_mode(monkeypatch):
+    # small_cfg's states are vacua, which every a_i(m > 0) annihilates, so a
+    # defect in a_i(1) inside psi_mode shows only on the default excited states
+    rep = RepMap(cyclic(3), SuiteConfig("cyclic:3"))
+    assert toroidal.check_xpxm(rep, rep.test_states()).passed
+    rep = RepMap(cyclic(3), SuiteConfig("cyclic:3"))
+    scale_a1_by_q(rep, monkeypatch)
+    bad = toroidal.check_xpxm(rep, rep.test_states())
+    assert not bad.passed
+    assert bad.fail_detail["where"] == "(i=0,j=0,m=-1,n=2,state=7)"
+    assert bad.n_cases == 98
+
+
 # -- each relation check builds each generator image once, in tables of its own
 
 # (x_mode calls, a_mode calls) of each check on small_cfg("cyclic:3"), the checks
