@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .scalar import CYC_ONE, CYC_ZERO, Cyclo
+from .scalar import CYC_ONE, CYC_ZERO, Cyclo, _lift
 
 
 @dataclass(frozen=True)
@@ -214,10 +214,20 @@ def validate_group(g: GroupData) -> list[str]:
     bad: list[str] = []
     n = g.n_classes
 
+    # shape and ranges first: the identities below index and divide by these
+    if not n:
+        return ["the group has no classes"]
     if len(g.char_table) != n:
         return [f"char_table has {len(g.char_table)} rows for {n} classes"]
     if any(len(row) != n for row in g.char_table):
         return ["char_table is not square"]
+    if len(g.natural_char) != n:
+        return [f"natural character has {len(g.natural_char)} values for {n} classes"]
+    for cd in g.classes:
+        if not 0 <= cd.inverse_class < n:
+            return [f"inverse class index {cd.inverse_class} of {cd.label} is outside 0..{n - 1}"]
+        if cd.centralizer_order < 1 or cd.element_order < 1:
+            return [f"centralizer and element orders of {cd.label} must be positive"]
 
     if sum(g.class_size(c) for c in range(n)) != g.order:
         bad.append("class sizes do not sum to |G| (class equation)")
@@ -363,7 +373,9 @@ def dump_group_file(g: GroupData, path: str) -> None:
         lines.append(f"class {cd.label} {cd.centralizer_order} {cd.inverse_class} {cd.element_order}")
 
     def render(v: Cyclo) -> str:
-        pairs = [(i, x) for i, x in enumerate(v._lift_coeffs(g.conductor)) if x]
+        if g.conductor % v.N:
+            raise ValueError(f"a value at conductor {v.N} does not live at the group's conductor {g.conductor}")
+        pairs = [(i, x) for i, x in enumerate(_lift(v.N, g.conductor, v.c)) if x]
         return ";".join(f"{i}:{x}" for i, x in pairs) if pairs else "0:0"
 
     for row in g.char_table:
@@ -407,12 +419,15 @@ def load_group_file(path: str) -> GroupData:
             elif key == "class":
                 label, cent, invc, eo = rest.split()
                 classes.append(ClassData(label, int(cent), int(invc), int(eo)))
-            elif key == "char":
-                cond = int(head["conductor"])
-                char_rows.append(tuple(parse_value(t, cond) for t in rest.split()))
-            elif key == "natural":
-                cond = int(head["conductor"])
-                natural = tuple(parse_value(t, cond) for t in rest.split())
+            elif key in ("char", "natural"):
+                cond = int(head.get("conductor", 0))
+                if cond < 1:
+                    raise ValueError(f"group file rejected: a {key} row needs a positive conductor header before it")
+                row = tuple(parse_value(t, cond) for t in rest.split())
+                if key == "char":
+                    char_rows.append(row)
+                else:
+                    natural = row
             else:
                 raise ValueError(f"unknown record {key!r} in {path}")
 
@@ -421,6 +436,8 @@ def load_group_file(path: str) -> GroupData:
         raise ValueError(f"group file missing header fields: {missing}")
     if natural is None:
         raise ValueError("group file missing natural character row")
+    if len(classes) != int(head["classes"]):
+        raise ValueError(f"group file rejected: header declares classes {head['classes']} but {len(classes)} class lines follow")
     g = GroupData(
         name=head["name"],
         order=int(head["order"]),

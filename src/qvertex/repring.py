@@ -73,10 +73,6 @@ def antipode(f: CxClassFunction) -> CxClassFunction:
     return CxClassFunction(g, tuple(f.values[g.inv(c)].bar_q() for c in range(g.n_classes)))
 
 
-def is_self_dual(f: CxClassFunction) -> bool:
-    return antipode(f).values == f.values
-
-
 def standard_form(f: CxClassFunction, g_: CxClassFunction) -> Laurent:
     g = f.group
     sg = antipode(g_)

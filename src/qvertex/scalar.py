@@ -4,18 +4,19 @@ Everything downstream computes with elements of (cyclotomic rationals)[v, v^-1]
 where v^2 = q.  Working in the half-power v keeps every exponent integral even
 when operators contribute q^{1/2}-shifts.  The kernel has three layers:
 
-  * Cyclo        -- an element of Q[x]/Phi_N(x), x mapped to a primitive N-th
-                    root of unity; rationals are the N = 1 case.
+  * Cyclo        -- an element of Q(zeta_N): the v^0 case of Laurent;
+                    rationals are the N = 1 case.
   * Laurent      -- finitely supported map (v-exponent -> element of Q(zeta_N)).
   * TruncSeries  -- dense truncated power series in one auxiliary variable
                     with Laurent coefficients.
 
-Representation.  A Cyclo is canonical: reduced modulo Phi_N, and normalised to
-conductor N = 1 whenever its value is rational.  A rational value is stored as
-a Python ``int`` when it is integral and as a ``Fraction`` otherwise, so
+Q(zeta_N) has one arithmetic, Laurent's coordinate kernel: a Cyclo wraps a
+constant Laurent, so it is canonical in the same way (reduced modulo Phi_N,
+conductor N = 1 whenever its value is rational).  Its coordinates read as a
+Python ``int`` when integral and as a ``Fraction`` otherwise, so
 ``as_rational()`` returns ``int | Fraction`` (the two compare and hash equal).
 Cyclo is the type of character values and of the coefficients Laurent's
-read-only views return; no Laurent holds one.
+read-only views return.
 
 A Laurent is one integer form, after FLINT's fmpq_poly and Antic's nf_elem:
 one conductor N, one denominator d > 0 and, per exponent, the phi(N) integer
@@ -144,23 +145,21 @@ def _root_power(n: int, c: tuple, s: int) -> tuple:
 
 
 class Cyclo:
-    """Element of Q[x]/Phi_N represented on the power basis 1, z, ..., z^{phi(N)-1}.
+    """An element of Q(zeta_N): a constant Laurent, the v^0 case of the coordinate kernel.
 
-    Purely rational values are normalised to conductor 1, integral ones stored
-    as int, so that plain int / Fraction arithmetic handles the common case.
+    ``f`` is zero or supported at v^0, and every operation runs in the kernel,
+    so a Cyclo follows its conductor rules: a rational value has N = 1, sums
+    and products go to the lcm, and a rational operand keeps the other's N.
+    ``N`` and ``c`` read the conductor and the coordinates on the power basis
+    1, z, ..., z^{phi(N)-1}, each an int when integral and a Fraction otherwise.
     """
 
-    __slots__ = ("N", "c")
+    __slots__ = ("f",)
 
-    def __init__(self, n: int, coeffs, _reduced: bool = False):
-        if not _reduced:
-            coeffs = _reduce_mod_phi(n, list(coeffs))
-        if n > 1 and not any(coeffs[1:]):
-            n = 1
-        if n == 1:
-            coeffs = (_integral(coeffs[0]),)
-        object.__setattr__(self, "N", n)
-        object.__setattr__(self, "c", tuple(coeffs))
+    def __init__(self, n: int, coeffs):
+        c = _reduce_mod_phi(n, list(coeffs))
+        d = lcm(*(x.denominator for x in c))
+        _set_f(self, _settle({0: tuple([int(x * d) for x in c])} if any(c) else {}, n, d))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("Cyclo is immutable")
@@ -171,7 +170,7 @@ class Cyclo:
     def rational(x) -> "Cyclo":
         if type(x) is not int and not isinstance(x, Fraction):
             x = Fraction(x)
-        return _rat(x)
+        return _wrap(Laurent.v_pow(0, x))
 
     @staticmethod
     def root(n: int, k: int = 1) -> "Cyclo":
@@ -184,159 +183,104 @@ class Cyclo:
     # -- structure
 
     @property
+    def N(self) -> int:
+        f = self.f
+        return 1 if f._d else f._nd[0]
+
+    @property
+    def c(self) -> tuple:
+        f = self.f
+        if f._d:
+            return (_ratval(f._t.get(0, 0), f._d),)
+        n, d = f._nd
+        return tuple(_ratval(x, d) for x in f._t[0])
+
+    @property
     def is_zero(self) -> bool:
-        return self.N == 1 and not self.c[0]  # zero is rational, hence conductor 1
+        return not self.f._t
 
     @property
     def is_rational(self) -> bool:
-        return self.N == 1
+        return self.f._d != 0
 
     def as_rational(self) -> int | Fraction:
-        if self.N != 1:
+        if not self.f._d:
             raise ValueError(f"not a rational value: {self}")
         return self.c[0]
-
-    def _lift_coeffs(self, m: int) -> tuple[Fraction, ...]:
-        """Raw coefficient vector of self at conductor m (self.N | m)."""
-        if m == self.N:
-            return self.c
-        if m % self.N:
-            raise ValueError("conductor must be a multiple")
-        return _lift(self.N, m, self.c)
-
-    def _match(self, other: "Cyclo") -> tuple[int, tuple, tuple]:
-        if self.N == other.N:
-            return self.N, self.c, other.c
-        m = self.N * other.N // gcd(self.N, other.N)
-        return m, self._lift_coeffs(m), other._lift_coeffs(m)
 
     # -- arithmetic
 
     def __add__(self, other):
-        if type(other) is not Cyclo:
-            other = _as_cyclo(other)
-        if self.N == 1 and other.N == 1:
-            return _rat(self.c[0] + other.c[0])
-        n, ca, cb = self._match(other)
-        return Cyclo(n, tuple(x + y for x, y in zip(ca, cb)), _reduced=True)
+        return _wrap(self.f + Laurent.of(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.N == 1:
-            return _rat(-self.c[0])
-        return _cyclo(self.N, tuple(-x for x in self.c))
+        return _wrap(-self.f)
 
     def __sub__(self, other):
-        return self + (-_as_cyclo(other))
+        return _wrap(self.f - Laurent.of(other))
 
     def __rsub__(self, other):
-        return _as_cyclo(other) + (-self)
+        return _wrap(Laurent.of(other) - self.f)
 
     def __mul__(self, other):
-        if type(other) is not Cyclo:
-            other = _as_cyclo(other)
-        if self.N == 1 and other.N == 1:
-            return _rat(self.c[0] * other.c[0])
-        if self.N == 1 or other.N == 1:
-            # a nonzero rational times an irrational value stays irrational
-            x, irr = (self.c[0], other) if self.N == 1 else (other.c[0], self)
-            return _cyclo(irr.N, tuple(x * y for y in irr.c)) if x else CYC_ZERO
-        n, ca, cb = self._match(other)
-        prod = [0] * (len(ca) + len(cb) - 1)
-        for i, x in enumerate(ca):
-            if x:
-                for j, y in enumerate(cb):
-                    if y:
-                        prod[i + j] += x * y
-        return Cyclo(n, _reduce_mod_phi(n, prod), _reduced=True)
+        return _wrap(self.f * Laurent.of(other))
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Cyclo":
+        """prod_{s != 1} sigma_s(x) / Norm(x), over s in (Z/N)^* with sigma_s: zeta_N -> zeta_N^s."""
         if self.is_zero:
             raise ZeroDivisionError("cyclotomic inverse of zero")
-        if self.N == 1:
-            return _rat(1 / Fraction(self.c[0]))
-        # extended Euclid on (self, Phi_N) over Q[x]
-        phi = _cyclotomic_poly(self.N)
-        r0, r1 = [Fraction(x) for x in phi], [Fraction(x) for x in self.c]
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        while len(r1) > 1 or r1[0]:
-            while len(r1) > 1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1 and r1[0]:
-                inv = 1 / r1[0]
-                return Cyclo(self.N, [x * inv for x in s1])
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for i in range(len(rem) - len(r1), -1, -1):
-                c = rem[i + len(r1) - 1] / r1[-1]
-                q[i] = c
-                if c:
-                    for j, d in enumerate(r1):
-                        rem[i + j] -= c * d
-            while len(rem) > 1 and not rem[-1]:
-                rem.pop()
-            # s_new = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        qs[i + j] += x * y
-            s_new = [Fraction(0)] * max(len(s0), len(qs))
-            for i, x in enumerate(s0):
-                s_new[i] += x
-            for i, x in enumerate(qs):
-                s_new[i] -= x
-            r0, r1, s0, s1 = r1, rem, s1, s_new
-        raise ZeroDivisionError("not invertible")  # pragma: no cover
+        n, p = self.N, L_ONE
+        for s in range(2, n):
+            if gcd(s, n) == 1:
+                p = p * self.subst_root_power(s).f
+        norm = self.f * p  # the product of every conjugate, a nonzero rational
+        return _wrap(p.scale(Fraction(norm._d, norm._t[0])))
 
     def subst_root_power(self, s: int) -> "Cyclo":
         """Apply the field map zeta_N -> zeta_N^s (s coprime to N)."""
-        if self.N == 1:
+        f = self.f
+        if f._d:
             return self
-        return Cyclo(self.N, _root_power(self.N, self.c, s), _reduced=True)
+        n, d = f._nd
+        # a field automorphism maps Z[zeta_N] onto itself: the content, hence d, is unchanged
+        return _wrap(_cyclotomic({0: _root_power(n, f._t[0], s)}, n, d))
 
     def conj(self) -> "Cyclo":
         """zeta_N -> zeta_N^{-1} (complex conjugation)."""
-        if self.N == 1:
-            return self
-        return self.subst_root_power(self.N - 1)
+        return self.subst_root_power(-1)
 
     def eval_complex(self) -> complex:
-        if self.N == 1:
-            return complex(self.c[0])
-        w = cmath.exp(2j * cmath.pi / self.N)
-        return sum(complex(x) * w**i for i, x in enumerate(self.c) if x)
+        n, c = self.N, self.c
+        if n == 1:
+            return complex(c[0])
+        w = cmath.exp(2j * cmath.pi / n)
+        return sum(complex(x) * w**i for i, x in enumerate(c) if x)
 
     # -- comparison / io
 
     def __eq__(self, other):
-        if type(other) is not Cyclo:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = _as_cyclo(other)
-        if self.N == other.N:
-            return self.c == other.c
-        n, ca, cb = self._match(other)
-        return ca == cb
+        if type(other) is Cyclo:
+            return self.f == other.f
+        if isinstance(other, (int, Fraction)):
+            return self.f == Laurent.of(other)
+        return NotImplemented
 
     def __hash__(self):
         # equal values may sit at different conductors; the normalised trace does not
         # depend on the conductor, and it is the value itself when that is rational
-        if self.N == 1:
-            return hash(self.c[0])
-        return hash(_normalised_trace(self.N, self.c))
+        n, c = self.N, self.c
+        return hash(c[0] if n == 1 else _normalised_trace(n, c))
 
     def __repr__(self):
-        if self.N == 1:
-            return str(self.c[0])
-        parts = []
-        for i, x in enumerate(self.c):
-            if x:
-                parts.append(f"{x}*z{self.N}^{i}" if i else str(x))
-        return " + ".join(parts) if parts else "0"
+        n, c = self.N, self.c
+        if n == 1:
+            return str(c[0])
+        parts = [f"{x}*z{n}^{i}" if i else str(x) for i, x in enumerate(c) if x]
+        return " + ".join(parts)
 
     def to_obj(self):
         return [self.N, [[i, str(x)] for i, x in enumerate(self.c) if x]]
@@ -344,7 +288,7 @@ class Cyclo:
     @staticmethod
     def from_obj(obj) -> "Cyclo":
         n, pairs = obj
-        coeffs = [Fraction(0)] * _euler_phi(n)
+        coeffs = [0] * _euler_phi(n)
         for i, x in pairs:
             coeffs[i] = Fraction(x)
         return Cyclo(n, coeffs)
@@ -365,46 +309,15 @@ def _normalised_trace(n: int, coeffs: tuple) -> Fraction:
     return acc
 
 
-def _as_cyclo(x) -> Cyclo:
-    if isinstance(x, Cyclo):
-        return x
-    if type(x) is int:
-        return _rat(x)
-    if isinstance(x, float):
-        raise TypeError("floats are not exact; use Fraction")
-    return Cyclo.rational(x)
-
-
-def _integral(x):
-    """x as an int when it is an integral Fraction, else unchanged."""
-    return x.numerator if isinstance(x, Fraction) and x.denominator == 1 else x
-
-
 _new = object.__new__
-_set_N = Cyclo.N.__set__
-_set_c = Cyclo.c.__set__
+_set_f = Cyclo.f.__set__
 
 
-def _cyclo(n: int, coeffs: tuple) -> Cyclo:
-    """Cyclo from a coefficient tuple already in canonical form at conductor n > 1."""
+def _wrap(f: Laurent) -> Cyclo:
+    """The Cyclo of a canonical Laurent that is zero or supported at v^0."""
     out = _new(Cyclo)
-    _set_N(out, n)
-    _set_c(out, coeffs)
+    _set_f(out, f)
     return out
-
-
-def _rat(x) -> Cyclo:
-    """Conductor-1 Cyclo from an int or Fraction; an integral value is kept as int."""
-    if type(x) is not int and x.denominator == 1:
-        x = x.numerator
-    out = _new(Cyclo)
-    _set_N(out, 1)
-    _set_c(out, (x,))
-    return out
-
-
-CYC_ZERO = Cyclo.rational(0)
-CYC_ONE = Cyclo.rational(1)
 
 
 # --------------------------------------------------------------------------
@@ -463,16 +376,16 @@ class Laurent:
 
     @staticmethod
     def v_pow(e: int, coeff=1) -> "Laurent":
-        if type(coeff) is not int and not isinstance(coeff, Fraction):
-            c = _as_cyclo(coeff)
-            if c.N != 1:
-                d = lcm(*(x.denominator for x in c.c if type(x) is not int))
-                # d is the lcm of reduced denominators, so no prime divides d and every coordinate
-                return _cyclotomic({e: tuple(int(x * d) for x in c.c)}, c.N, d)
-            coeff = c.c[0]
         if type(coeff) is int:
             return _laurent({e: coeff} if coeff else {}, 1)
-        return _laurent({e: coeff.numerator} if coeff else {}, coeff.denominator)
+        if isinstance(coeff, Fraction):
+            return _laurent({e: coeff.numerator} if coeff else {}, coeff.denominator)
+        if type(coeff) is Cyclo:
+            f = coeff.f
+            return f._with_terms({e: c for c in f._t.values()}) if e else f
+        if isinstance(coeff, float):
+            raise TypeError("floats are not exact; use Fraction")
+        return Laurent.v_pow(e, Fraction(coeff))
 
     @staticmethod
     def q_pow(k: int, coeff=1) -> "Laurent":
@@ -485,7 +398,7 @@ class Laurent:
         """The coefficients as {v-exponent: Cyclo}; read-only."""
         d = self._d
         if d:
-            return {e: _rat(_ratval(n, d)) for e, n in self._t.items()}
+            return {e: _wrap(_normal({0: k}, d)) for e, k in self._t.items()}
         n, d = self._nd
         return {e: _cyclo_value(n, d, c) for e, c in self._t.items()}
 
@@ -501,9 +414,8 @@ class Laurent:
         if c is None:
             return CYC_ZERO
         if self._d:
-            return _rat(_ratval(c, self._d))
-        n, d = self._nd
-        return _cyclo_value(n, d, c)
+            return _wrap(_normal({0: c}, self._d))
+        return _cyclo_value(*self._nd, c)
 
     # -- arithmetic
 
@@ -575,10 +487,7 @@ class Laurent:
     def scale(self, x) -> "Laurent":
         t, d = self._t, self._d
         if type(x) is not int and not isinstance(x, Fraction):
-            c = _as_cyclo(x)
-            if c.N != 1:
-                return self * Laurent.v_pow(0, c)
-            x = c.c[0]
+            return self * Laurent.of(x)
         if not x or not t:
             return L_ZERO
         if not d:
@@ -629,26 +538,19 @@ class Laurent:
             raise ZeroDivisionError
         if self.is_zero:
             return Laurent.zero()
-        dt = den.t
-        dmin, dmax = min(dt), max(dt)
-        emin = min(self._t) - dmin  # lowest possible quotient exponent
-        lead_inv = dt[dmax].inverse()
-        rem = self.t
-        out: dict[int, Cyclo] = {}
-        while rem:
-            e = max(rem) - dmax
-            if e < emin:
+        dmax = max(den._t)
+        emin = min(self._t) - min(den._t)  # lowest possible quotient exponent
+        lead_inv = den.coeff(dmax).inverse()
+        rem, out = self, L_ZERO
+        while rem._t:
+            top = max(rem._t)
+            if top - dmax < emin:
                 raise ArithmeticError("inexact Laurent division")
-            c = rem[max(rem)] * lead_inv
-            out[e] = out.get(e, CYC_ZERO) + c
-            for de, dc in dt.items():
-                k = e + de
-                s = rem.get(k, CYC_ZERO) - c * dc
-                if s.is_zero:
-                    rem.pop(k, None)
-                else:
-                    rem[k] = s
-        return Laurent(out)
+            term = Laurent.v_pow(top - dmax, rem.coeff(top) * lead_inv)
+            out, rem = out + term, rem - term * den
+            if top in rem._t:  # exact arithmetic cancels each leading term, so top falls every step
+                raise ArithmeticError(f"leading term at v^{top} did not cancel")
+        return out
 
     def eval_real(self, t: float) -> complex:
         """Substitute v = sqrt(t) (t > 0) and zeta_N = exp(2*pi*i/N)."""
@@ -864,22 +766,24 @@ def _add_coords(a: Laurent, b: Laurent) -> Laurent:
 
 
 def _cyclo_value(n: int, d: int, c: tuple) -> Cyclo:
-    """The Cyclo of coordinates c at conductor n over d, at its minimal conductor."""
-    if not any(c[1:]):
-        return _rat(_ratval(c[0], d))
-    for m in range(3, n):
-        # Q(zeta_m) = Q(zeta_{m/2}) for m = 2 mod 4, already tried
-        if n % m == 0 and m % 4 != 2:
-            a = _descend(n, m, c)
-            if a is not None:
-                return _cyclo(m, tuple(_integral(x / d) for x in a))
-    return _cyclo(n, tuple(_ratval(x, d) for x in c))
+    """The Cyclo of int coordinates c at conductor n over d, at its minimal conductor."""
+    if any(c[1:]):
+        for m in range(3, n):
+            # Q(zeta_m) = Q(zeta_{m/2}) for m = 2 mod 4, already tried
+            if n % m == 0 and m % 4 != 2:
+                a = _descend(n, m, c)
+                if a is not None:
+                    n, c = m, a
+                    break
+    # one coefficient's coordinates may share a factor with d: _settle divides it out
+    return _wrap(_settle({0: c} if any(c) else {}, n, d))
 
 
 def _descend(n: int, m: int, c: tuple) -> tuple | None:
     """Coordinates at conductor m (m | n) of the value with coordinates c at n, or None outside Q(zeta_m).
 
-    Solves sum_j a_j lift(zeta_m^j) = c by elimination; the lift is injective.
+    Solves sum_j a_j lift(zeta_m^j) = c by elimination; the lift is injective.  The
+    solution is an algebraic integer of Q(zeta_m), whose power-basis coordinates are ints.
     """
     k = _euler_phi(m)
     rows = [[Fraction(x) for x in _lift(m, n, (0,) * j + (1,))] for j in range(k)]
@@ -894,7 +798,7 @@ def _descend(n: int, m: int, c: tuple) -> tuple | None:
                 eqs[i] = [x - eq[j] * y for x, y in zip(eq, top)]
     if any(eq[k] for eq in eqs[k:]):
         return None
-    return tuple(eqs[j][k] for j in range(k))
+    return tuple(int(eqs[j][k]) for j in range(k))
 
 
 def laurent_str(f: Laurent) -> str:
@@ -924,6 +828,8 @@ L_ZERO = Laurent.zero()
 L_ONE = Laurent.one()
 L_Q = Laurent.q_pow(1)
 L_QINV = Laurent.q_pow(-1)
+CYC_ZERO = _wrap(L_ZERO)
+CYC_ONE = _wrap(L_ONE)
 
 
 def qint(n: int) -> Laurent:
@@ -955,7 +861,8 @@ def qbinom(a: int, m: int) -> Laurent:
 def eval_at_one(f: Laurent) -> Cyclo:
     """Exact specialisation v = 1 (hence q = 1)."""
     if f._d:
-        return _rat(_ratval(sum(f._t.values()), f._d))
+        s = sum(f._t.values())
+        return _wrap(_normal({0: s} if s else {}, f._d))
     n, d = f._nd
     return _cyclo_value(n, d, tuple(map(sum, zip(*f._t.values()))))
 

@@ -118,14 +118,6 @@ def eps_value(f: CxClassFunction, rho: PartitionFn) -> Laurent:
     return -acc if sign else acc
 
 
-def eta_char_value(g: GroupData, i: int, k: int, rho: PartitionFn) -> Laurent:
-    return eta_value(CxClassFunction.character(g, i, qtwist=k), rho)
-
-
-def eps_char_value(g: GroupData, i: int, k: int, rho: PartitionFn) -> Laurent:
-    return eps_value(CxClassFunction.character(g, i, qtwist=k), rho)
-
-
 # --------------------------------------------------------------------------
 # level-n class functions by type, the sigma basis, and ch
 

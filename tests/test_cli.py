@@ -84,6 +84,25 @@ def test_group_file_rejected_exit2(tmp_path, capsys):
     assert code == 2 and "orthogonality" in err
 
 
+@pytest.mark.parametrize("command,old,new,precondition", [
+    ("chartable", "conductor 3\n", "", "a char row needs a positive conductor header before it"),
+    ("chartable", "class c1 3 2 3", "class c1 3 7 3", "inverse class index 7 of c1 is outside 0..2"),
+    ("chartable", "natural 0:2 0:-1 0:-1", "natural 0:2 0:-1", "natural character has 2 values for 3 classes"),
+    ("chartable", "class c1 3 2 3", "class c1 0 2 3", "centralizer and element orders of c1 must be positive"),
+    ("all", "classes 3", "classes 5", "header declares classes 5 but 3 class lines follow"),
+], ids=["char-before-conductor", "inverse-index-out-of-range", "short-natural-row", "zero-centralizer", "class-count-mismatch"])
+def test_malformed_group_file_exits2(command, old, new, precondition, tmp_path, capsys):
+    from qvertex.groups import cyclic, dump_group_file
+
+    p = tmp_path / "g.grp"
+    dump_group_file(cyclic(3), str(p))
+    text = p.read_text()
+    assert old in text
+    p.write_text(text.replace(old, new) + ("" if new else old))  # a removed line moves to the end
+    code, out, err = run([command, "--group", f"file:{p}"], capsys)
+    assert code == 2 and precondition in err and out == ""
+
+
 def test_isometry_per_pair_output(capsys):
     code, out, _ = run(["isometry", "--group", "cyclic:2", "--n", "1", "--k-twist", "1", "--l-twist", "0"], capsys)
     assert code == 0

@@ -10,7 +10,6 @@ from qvertex.repring import (
     first_xi,
     general_xi,
     hermitian_like_check,
-    is_self_dual,
     mckay_eigencheck,
     positivity_probe,
     qcartan,
@@ -44,12 +43,14 @@ def test_antipode_is_involution():
 
 @pytest.mark.parametrize("g", [cyclic(2), cyclic(3), binary_dihedral(2), binary_tetrahedral()], ids=lambda g: g.name)
 def test_first_xi_self_dual(g):
-    assert is_self_dual(first_xi(g).f)
+    f = first_xi(g).f
+    assert antipode(f).values == f.values
 
 
 @pytest.mark.parametrize("k", [-2, -1, 0, 1, 3])
 def test_second_xi_self_dual(k):
-    assert is_self_dual(second_xi(cyclic(4), k).f)
+    f = second_xi(cyclic(4), k).f
+    assert antipode(f).values == f.values
 
 
 def test_standard_form_orthonormality():

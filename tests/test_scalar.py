@@ -1,5 +1,6 @@
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -255,13 +256,88 @@ def assert_canonical(f):
             assert len(c.c) > 1 and any(c.c[1:])
 
 
+# An exact oracle independent of the kernel: a value of Q(zeta_M) is a list of M
+# Fractions in Q[x]/(x^M - 1), read from a Cyclo's .N and .c only.  Sums add and
+# products convolve cyclically; both commute with the quotient map onto
+# Q[x]/Phi_M, which is applied (with Phi_M computed here) only to compare values.
+
+M = 12  # a multiple of every conductor the kernel tests draw or read back (1, 3, 4, 12)
+
+
+def ref(x, m=M):
+    """x (int, Fraction or Cyclo) in Q[x]/(x^m - 1); the conductor of x divides m."""
+    n, c = (x.N, x.c) if isinstance(x, Cyclo) else (1, (Fraction(x),))
+    assert m % n == 0, (m, n)
+    out = [Fraction(0)] * m
+    for i, y in enumerate(c):
+        out[i * (m // n)] += y
+    return out
+
+
+def ref_mul(a, b):
+    out = [Fraction(0)] * len(a)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[(i + j) % len(a)] += x * y
+    return out
+
+
+def ref_divmod(p, q):
+    """Quotient and remainder of p by a monic q, both coefficient lists from degree 0."""
+    p, k = list(p), len(q) - 1
+    quot = [Fraction(0)] * max(len(p) - k, 1)
+    for i in range(len(p) - 1 - k, -1, -1):
+        quot[i] = p[i + k]
+        for j, y in enumerate(q):
+            p[i + j] -= quot[i] * y
+    return quot, p[:k]
+
+
+@cache
+def ref_phi(m):
+    """Phi_m: x^m - 1 divided by Phi_d for every proper divisor d of m."""
+    p = [Fraction(-1)] + [Fraction(0)] * (m - 1) + [Fraction(1)]
+    for d in range(1, m):
+        if m % d == 0:
+            p = ref_divmod(p, ref_phi(d))[0]
+    return tuple(p)
+
+
+def ref_reduce(a):
+    """a modulo Phi_m: the coordinates of the value a stands for."""
+    return ref_divmod(a, ref_phi(len(a)))[1]
+
+
+def ref_terms(f):
+    return {e: ref(c) for e, c in f.t.items()}
+
+
+def ref_add(*terms):
+    """Merge {e: oracle value} maps, adding values at a shared exponent."""
+    out = {}
+    for t in terms:
+        for e, a in t.items():
+            out[e] = [x + y for x, y in zip(out[e], a)] if e in out else a
+    return out
+
+
+def ref_scale(t, x):
+    return {e: ref_mul(a, ref(x)) for e, a in t.items()}
+
+
 def convolve(a, b):
     """Reference product: the plain double loop over both supports."""
-    out = {}
-    for e1, c1 in a.t.items():
-        for e2, c2 in b.t.items():
-            out[e1 + e2] = out.get(e1 + e2, Cyclo.rational(0)) + c1 * c2
-    return Laurent(out)
+    return ref_add(*({e1 + e2: ref_mul(x, y)} for e1, x in ref_terms(a).items() for e2, y in ref_terms(b).items()))
+
+
+def from_ref(t):
+    return Laurent({e: Cyclo(M, ref_reduce(a)) for e, a in t.items()})
+
+
+def assert_matches(f, want):
+    """f has a nonzero coefficient exactly where the oracle's map does, and the same value there."""
+    got = {e: ref_reduce(a) for e, a in ref_terms(f).items()}
+    assert got == {e: r for e, a in want.items() if any(r := ref_reduce(a))}, (f, want)
 
 
 @settings(max_examples=80)
@@ -279,8 +355,8 @@ def test_mixed_coefficients_stay_canonical(a, b):
 def test_monomial_times_polynomial_matches_convolution(e, c, f):
     m = Laurent.v_pow(e, c)
     want = convolve(m, f)
-    assert m * f == want
-    assert f * m == want
+    assert_matches(m * f, want)
+    assert_matches(f * m, want)
     assert_canonical(m * f)
     assert_canonical(f * m)
 
@@ -288,7 +364,7 @@ def test_monomial_times_polynomial_matches_convolution(e, c, f):
 @settings(max_examples=60)
 @given(mixed_laurents(max_terms=5), mixed_laurents(max_terms=5))
 def test_general_product_matches_convolution(a, b):
-    assert a * b == convolve(a, b)
+    assert_matches(a * b, convolve(a, b))
 
 
 @settings(max_examples=60)
@@ -425,20 +501,6 @@ def test_laurent_int_equality_agrees_with_hash():
 # ---------------------------------------------------------------- kernel forms
 
 
-def add_terms(a, b):
-    """Reference sum: merge the {e: Cyclo} views, dropping cancelled exponents."""
-    out = dict(a.t)
-    for e, c in b.t.items():
-        out[e] = out.get(e, Cyclo.rational(0)) + c
-    return {e: c for e, c in out.items() if not c.is_zero}
-
-
-def scale_terms(f, x):
-    """Reference scale: every Cyclo coefficient times x."""
-    x = x if isinstance(x, Cyclo) else Cyclo.rational(x)
-    return {e: c * x for e, c in f.t.items() if not (c * x).is_zero}
-
-
 def render(terms):
     """Reference rendering of a {e: Cyclo} map, in q when every exponent is even."""
     if not terms:
@@ -500,33 +562,68 @@ scalars = st.one_of(
 def test_kernel_matches_cyclo_references(a, b, x):
     assert_form(a)
     assert_form(b)
+    ta, tb = ref_terms(a), ref_terms(b)
     cases = [
-        (a + b, add_terms(a, b)),
-        (a - b, add_terms(a, -b)),
-        (a * b, convolve(a, b).t),
-        (-a, {e: -c for e, c in a.t.items()}),
-        (a.scale(x), scale_terms(a, x)),
-        (a * x, scale_terms(a, x)),
-        (a.bar(), {-e: c.conj() for e, c in a.t.items()}),
-        (a.bar_q(), {-e: c for e, c in a.t.items()}),
-        (a.subs_pow(3), {3 * e: c for e, c in a.t.items()}),
-        (a.subs_pow(-2), {-2 * e: c for e, c in a.t.items()}),
+        (a + b, ref_add(ta, tb)),
+        (a - b, ref_add(ta, ref_scale(tb, -1))),
+        (a * b, convolve(a, b)),
+        (-a, ref_scale(ta, -1)),
+        (a.scale(x), ref_scale(ta, x)),
+        (a * x, ref_scale(ta, x)),
+        (a.bar(), {-e: [r[-i % M] for i in range(M)] for e, r in ta.items()}),
+        (a.bar_q(), {-e: r for e, r in ta.items()}),
+        (a.subs_pow(3), {3 * e: r for e, r in ta.items()}),
+        (a.subs_pow(-2), {-2 * e: r for e, r in ta.items()}),
     ]
     for got, want in cases:
-        assert got.t == want
-        assert got == Laurent(want)
+        assert_matches(got, want)
+        assert got == from_ref(want)
         assert_form(got)
-    sum_at_one = Cyclo.rational(0)
-    for c in a.t.values():
-        sum_at_one = sum_at_one + c
-    assert eval_at_one(a) == sum_at_one
+    assert_matches(Laurent.of(eval_at_one(a)), ref_add({0: ref(0)}, *({0: r} for r in ta.values())))
     assert Laurent.from_obj(a.to_obj()) == a
     assert a.to_obj() == [[e, a.t[e].to_obj()] for e in sorted(a.t)]
     assert laurent_str(a) == render(a.t)
     if not b.is_zero:
-        q = convolve(a, b).exact_div(b)
+        q = from_ref(convolve(a, b)).exact_div(b)
         assert q == a
         assert_form(q)
+
+
+conductors = st.sampled_from([1, 3, 4, 5, 6, 8, 12])
+
+
+@settings(max_examples=80)
+@given(conductors, st.lists(wide_fracs, max_size=13), conductors, st.lists(wide_fracs, max_size=13))
+def test_cyclo_matches_the_oracle(n, cx, m, cy):
+    """Construction, ring operations, conj and inverse at each conductor, and the conductors they keep."""
+    k = lcm(n, m)
+
+    def raw(n, c):  # sum_i c_i zeta_n^i, unreduced
+        out = [Fraction(0)] * k
+        for i, y in enumerate(c):
+            out[i * (k // n) % k] += y
+        return out
+
+    x, y = Cyclo(n, cx), Cyclo(m, cy)
+    rx, ry = raw(n, cx), raw(m, cy)
+    assert x.N in (1, n) and y.N in (1, m)
+    assert (x.N == 1) == (not any(ref_reduce(rx)[1:]))  # only a rational value has no coordinate past z^0
+    neg_y = ref_mul(ry, ref(-1, k))
+    cases = [
+        (x, rx),
+        (-y, neg_y),
+        (x + y, [a + b for a, b in zip(rx, ry)]),
+        (x - y, [a + b for a, b in zip(rx, neg_y)]),
+        (x * y, ref_mul(rx, ry)),
+        (x.conj(), [rx[-i % k] for i in range(k)]),
+    ]
+    for got, want in cases:
+        assert ref_reduce(ref(got, k)) == ref_reduce(want), (n, cx, m, cy, got)
+    assert (x + y).N in (1, lcm(x.N, y.N)) and (x * y).N in (1, lcm(x.N, y.N))
+    assert (x * 3).N == x.N and (x + Fraction(1, 2)).N == x.N
+    if not x.is_zero:
+        assert x.inverse().N in (1, x.N)
+        assert ref_reduce(ref_mul(ref(x.inverse(), k), rx)) == ref_reduce(ref(1, k))
 
 
 def test_irrational_product_lands_in_rational_form():

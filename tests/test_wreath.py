@@ -21,9 +21,8 @@ from qvertex.wreath import (
     ch,
     combo_class_function,
     enumerate_types,
-    eps_char_value,
     eps_fock,
-    eta_char_value,
+    eps_value,
     eta_fock,
     eta_value,
     eta_wreath,
@@ -156,7 +155,7 @@ def test_eta_value_single_two_cycle():
     for c in range(3):
         rho = tuple((2,) if cc == c else () for cc in range(3))
         for k in (0, 1, -2):
-            got = eta_char_value(g, 1, k, rho)
+            got = eta_value(CxClassFunction.character(g, 1, qtwist=k), rho)
             want = Laurent.q_pow(2 * k, g.char_table[1][c])
             assert got == want
 
@@ -164,25 +163,25 @@ def test_eta_value_single_two_cycle():
 def test_eta_value_trivial_char_is_one():
     g = cyclic(2)
     for rho in enumerate_types(g, 3):
-        assert eta_char_value(g, 0, 0, rho) == Laurent.one()
+        assert eta_value(CxClassFunction.character(g, 0, qtwist=0), rho) == Laurent.one()
 
 
 def test_eta_value_cyclic2_example():
     g = cyclic(2)
     rho = ((), (1, 1))
-    assert eta_char_value(g, 1, 1, rho) == Laurent.q_pow(2)
+    assert eta_value(CxClassFunction.character(g, 1, qtwist=1), rho) == Laurent.q_pow(2)
 
 
 def test_eps_equals_eta_on_all_ones():
     g = cyclic(2)
     rho = ((1, 1), (1,))
-    assert eps_char_value(g, 1, 1, rho) == eta_char_value(g, 1, 1, rho)
+    assert eps_value(CxClassFunction.character(g, 1, qtwist=1), rho) == eta_value(CxClassFunction.character(g, 1, qtwist=1), rho)
 
 
 def test_eps_single_two_cycle_sign():
     g = cyclic(3)
     rho = ((), (2,), ())
-    assert eps_char_value(g, 1, 0, rho) == -Laurent({0: g.char_table[1][1]})
+    assert eps_value(CxClassFunction.character(g, 1, qtwist=0), rho) == -Laurent({0: g.char_table[1][1]})
 
 
 def test_eps_overall_sign_rule():
@@ -191,7 +190,7 @@ def test_eps_overall_sign_rule():
         weight = sum(sum(lam) for lam in rho)
         length = sum(len(lam) for lam in rho)
         sign = (-1) ** (weight - length)
-        assert eps_char_value(g, 1, 0, rho) == eta_char_value(g, 1, 0, rho).scale(sign)
+        assert eps_value(CxClassFunction.character(g, 1, qtwist=0), rho) == eta_value(CxClassFunction.character(g, 1, qtwist=0), rho).scale(sign)
 
 
 def test_selfdual_weight_propagates():
