@@ -2,12 +2,19 @@
 
 Monomials are sorted tuples of (degree n, generator index) pairs: products of
 creation generators a_{-n}(gamma_i) (character basis, tag "chi") or a_{-n}(c)
-(class basis, tag "cls").  One sparse state class, FockVector, maps keys to
-nonzero Laurent coefficients; its keys are monomials, and in the subclass
+(class basis, tag "cls").  One sparse state class, FockVector, combines keys
+with Laurent coefficients; its keys are monomials, and in the subclass
 ExtState they are (monomial, lattice point) pairs, the lattice Z^{r+1} being
-spanned by the irreducible characters.  The terms dict never holds a zero:
-constructors are handed zero-free dicts (a product of nonzero Laurent scalars
-is nonzero) and add_term drops cancellations.
+spanned by the irreducible characters.
+
+A vector holds all its coefficients as one keyed value of the scalar kernel
+(scalar.py): a canonical Laurent whose exponents are (key, v-exponent) pairs,
+with int numerators over one denominator, or coordinate tuples at one
+conductor over it.  The Heisenberg action, the basis change and the vertex
+and toroidal layers gather their products in a KeyedSum, one int product and
+one exponent add per term pair, and normalise once.  No entry is zero, so a
+key is present exactly when its coefficient is nonzero; ``terms`` reads the
+coefficients as a {key: Laurent} view.
 
 Normalisations:
   * a_{-n}(gamma) acts by multiplication;
@@ -33,13 +40,13 @@ character monomials -- thus cancel as soon as their prefixes agree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 
 from .groups import GroupData
 from .repring import QCartanMatrix, WeightXi, qcartan
 from .report import CheckReport, first_mismatch
-from .scalar import L_ZERO, Laurent
+from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, keyed_parts, keyed_product
 
 Mono = tuple[tuple[int, int], ...]
 VACUUM: Mono = ()
@@ -60,59 +67,94 @@ def mono_str(m: Mono, basis: str) -> str:
     return "*".join(f"a[-{n}]({sym}{i})" for n, i in m)
 
 
-@dataclass
 class FockVector:
-    """Finite combination of keys with nonzero Laurent coefficients.
+    """Finite combination of keys with Laurent coefficients, held as one keyed value.
 
-    Invariant: ``terms`` holds no zero coefficient.  Arithmetic returns
+    ``f`` is one canonical Laurent whose exponents are (key, v-exponent)
+    pairs: int numerators over one denominator, or coordinate tuples at one
+    conductor over it (scalar.py).  A term times a scalar term is one int
+    product and one exponent add, gathered by a KeyedSum; sums, differences
+    and equality are Laurent's own.  ``terms`` is a read-only {key: Laurent}
+    view, and the constructor takes such a dict.  Arithmetic returns
     ``type(self)``, so the lattice-extended ExtState shares it unchanged.
     """
 
-    basis: str  # "chi" | "cls"
-    terms: dict[Mono, Laurent] = field(default_factory=dict)
+    __slots__ = ("basis", "f")
+    __hash__ = None
+
+    def __init__(self, basis: str, terms: dict | None = None):  # basis: "chi" | "cls"
+        acc = KeyedSum()
+        for key, c in (terms or {}).items():
+            acc.add(key, 0, L_ONE, 1, c)
+        self.basis = basis
+        self.f = acc.value()
+
+    @classmethod
+    def packed(cls, basis: str, f: Laurent):
+        """The vector whose coefficients are the keyed value f."""
+        out = object.__new__(cls)
+        out.basis = basis
+        out.f = f
+        return out
+
+    @classmethod
+    def unit(cls, basis: str, key):
+        """The basis vector of key (coefficient one)."""
+        return cls.packed(basis, L_ONE.with_entries({(key, 0): 1}))
 
     @staticmethod
     def vacuum(basis: str = "chi") -> "FockVector":
-        return FockVector(basis, {VACUUM: Laurent.one()})
+        return FockVector.unit(basis, VACUUM)
 
     @classmethod
     def zero(cls, basis: str = "chi"):
-        return cls(basis, {})
+        return cls.packed(basis, L_ZERO)
+
+    @classmethod
+    def lincomb(cls, basis: str, pairs):
+        """sum c v over (vector, Laurent c) pairs, normalised once."""
+        acc = KeyedSum()
+        for v, c in pairs:
+            acc.add_product(v.f, c)
+        return cls.packed(basis, acc.value())
+
+    @property
+    def terms(self):
+        return MappingProxyType(keyed_parts(self.f))
 
     def add_term(self, key, c: Laurent) -> None:
-        cur = self.terms.get(key)
-        s = c if cur is None else cur + c
-        if s.is_zero:
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
+        self.f = self.f + FockVector(self.basis, {key: c}).f
 
     def __add__(self, other):
         assert self.basis == other.basis
-        out = type(self)(self.basis, dict(self.terms))
-        for k, c in other.terms.items():
-            out.add_term(k, c)
-        return out
+        return self.packed(self.basis, self.f + other.f)
 
     def __sub__(self, other):
-        return self + other.scale(Laurent.of(-1))
+        assert self.basis == other.basis
+        return self.packed(self.basis, self.f - other.f)
 
-    def scale(self, f: Laurent):
-        if f.is_zero:
-            return self.zero(self.basis)
-        return type(self)(self.basis, {k: c * f for k, c in self.terms.items()})
+    def scale(self, c: Laurent):
+        return self.packed(self.basis, keyed_product(self.f, c))
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.f.is_zero
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.basis == other.basis and self.terms == other.terms
+        return type(other) is type(self) and self.basis == other.basis and self.f == other.f
 
     def __repr__(self):
-        if not self.terms:
+        if self.f.is_zero:
             return "0"
         return " + ".join(f"({c})*{mono_str(m, self.basis)}" for m, c in sorted(self.terms.items()))
+
+
+def by_key(v: FockVector) -> dict:
+    """v's entries grouped by basis key: {key: [(v-exponent, entry), ...]}."""
+    out: dict = {}
+    for (key, e), x in v.f.entries():
+        out.setdefault(key, []).append((e, x))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -154,38 +196,41 @@ class FockContext:
     def create(self, n: int, i: int, v: FockVector) -> FockVector:
         """a_{-n} of generator i (a character or a class, per v.basis): multiply it in."""
         assert n > 0
-        return FockVector(v.basis, {mono_mul(m, (n, i)): c for m, c in v.terms.items()})
+        f = v.f
+        # multiplying a factor in is injective on monomials: the entries move unchanged
+        return FockVector.packed(v.basis, f.with_entries({(mono_mul(m, (n, i)), e): x for (m, e), x in f.entries()}))
 
     def annihilate(self, n: int, i: int, v: FockVector) -> FockVector:
         """Apply a_n(gamma_i), n > 0: contraction with factor n per matched slot."""
         assert v.basis == "chi" and n > 0
-        out = FockVector.zero("chi")
-        for m, coeff in v.terms.items():
-            seen = set()
-            for t, (deg, j) in enumerate(m):
-                if deg != n or (deg, j) in seen:
+        acc = KeyedSum()
+        f = v.f
+        for (m, e), x in f.entries():
+            prev = None
+            for factor in m:  # sorted, so equal factors are adjacent
+                if factor[0] != n or factor == prev:
                     continue
-                seen.add((deg, j))
-                mult = m.count((deg, j))
+                prev = factor
                 reduced = list(m)
-                reduced.remove((deg, j))
-                out.add_term(tuple(reduced), coeff * self.pair_pow(i, j, n).scale(mult * n))
-        return out
+                reduced.remove(factor)
+                acc.add(tuple(reduced), e, f, x, self.pair_pow(i, factor[1], n), m.count(factor) * n)
+        return FockVector.packed("chi", acc.value())
 
     def annihilate_cls(self, n: int, c: int, v: FockVector) -> FockVector:
         """a_n(c): contraction value n zeta_c xi_{q^n}(c) against each a_{-n}(c^{-1})."""
         assert v.basis == "cls" and n > 0
         g = self.group
-        cinv = g.inv(c)
+        factor = (n, g.inv(c))
         val = self.xi_pow(c, n).scale(g.zeta(c) * n)
-        out = FockVector.zero("cls")
-        for m, coeff in v.terms.items():
-            mult = m.count((n, cinv))
+        acc = KeyedSum()
+        f = v.f
+        for (m, e), x in f.entries():
+            mult = m.count(factor)
             if mult:
                 reduced = list(m)
-                reduced.remove((n, cinv))
-                out.add_term(tuple(reduced), coeff * val.scale(mult))
-        return out
+                reduced.remove(factor)
+                acc.add(tuple(reduced), e, f, x, val, mult)
+        return FockVector.packed("cls", acc.value())
 
     def apply_mode(self, m: int, i: int, v: FockVector) -> FockVector:
         """a_m(gamma_i) with the sign convention m < 0 creation, m > 0 annihilation."""
@@ -208,20 +253,20 @@ class FockContext:
         """
         if v.basis == basis:
             return v
-        out = FockVector.zero(basis)
-        cur = {(VACUUM, m): c for m, c in v.terms.items()}
-        while cur:
-            nxt = FockVector.zero(basis)
-            for (done, rest), c in cur.items():
+        out = KeyedSum()
+        cur = v.f.with_entries({((VACUUM, m), e): x for (m, e), x in v.f.entries()})
+        while not cur.is_zero:
+            nxt = KeyedSum()
+            for ((done, rest), e), num in cur.entries():
                 if not rest:
-                    out.add_term(done, c)
+                    out.add(done, e, cur, num, L_ONE)
                     continue
                 (deg, x), tail = rest[0], rest[1:]
                 for y, w in enumerate(matrix[x]):
                     if not w.is_zero:
-                        nxt.add_term((mono_mul(done, (deg, y)), tail), c * w)
-            cur = nxt.terms
-        return out
+                        nxt.add((mono_mul(done, (deg, y)), tail), e, cur, num, w)
+            cur = nxt.value()
+        return FockVector.packed(basis, out.value())
 
     def to_chi(self, v: FockVector) -> FockVector:
         """a_{-n}(c) = sum_gamma gamma(c^{-1}) a_{-n}(gamma), expanded per factor."""
@@ -244,7 +289,7 @@ class FockContext:
             return out
         (n, i), rest = u[0], u[1:]
         acc = L_ZERO
-        contracted = self.annihilate(n, i, FockVector("chi", {v: Laurent.one()}))
+        contracted = self.annihilate(n, i, FockVector.unit("chi", v))
         for w, c in contracted.terms.items():
             acc = acc + c * self.form_mono(rest, w)
         self._form_cache[key] = acc
@@ -363,7 +408,7 @@ def monomial_states(g: GroupData, basis: str, max_degree: int, indices=None) -> 
         monos.extend(nxt)
         frontier = nxt
     monos = sorted(set(monos))
-    return [FockVector(basis, {m: Laurent.one()}) for m in monos]
+    return [FockVector.unit(basis, m) for m in monos]
 
 
 # --------------------------------------------------------------------------
@@ -418,11 +463,6 @@ class LatticeContext:
             b = tuple(x + 1 for x in b)
         return sign, b
 
-    def basis_shift(self, i: int) -> tuple[int, ...]:
-        e = [0] * self.rank
-        e[i] = 1
-        return self.reduce(tuple(e))
-
     def pairing(self, alpha: tuple[int, ...], beta: tuple[int, ...]) -> int:
         return sum(a * self.gram[i][j] * b for i, a in enumerate(alpha) if a for j, b in enumerate(beta) if b)
 
@@ -451,54 +491,26 @@ class ExtState(FockVector):
 
     @staticmethod
     def vacuum(rank: int, basis: str = "chi") -> "ExtState":
-        return ExtState(basis, {(VACUUM, (0,) * rank): Laurent.one()})
+        return ExtState.unit(basis, (VACUUM, (0,) * rank))
 
     @staticmethod
     def point(mono: Mono, beta: tuple[int, ...], basis: str = "chi", coeff: Laurent | None = None) -> "ExtState":
-        c = Laurent.one() if coeff is None else coeff
-        return ExtState(basis, {} if c.is_zero else {(mono, tuple(beta)): c})
+        return ExtState(basis, {(mono, tuple(beta)): L_ONE if coeff is None else coeff})
 
     def __repr__(self):
-        if not self.terms:
+        if self.f.is_zero:
             return "0"
         terms = sorted(self.terms.items())
         return " + ".join(f"({c})*{mono_str(m, self.basis)}*e{list(beta)}" for (m, beta), c in terms)
 
 
 def ext_apply_mode(ctx: FockContext, m: int, i: int, v: ExtState) -> ExtState:
-    """Heisenberg mode acting on the Fock factor only."""
-    out = ExtState(v.basis)
-    for (mono, beta), c in v.terms.items():
-        fv = ctx.apply_mode(m, i, FockVector(v.basis, {mono: c}))
-        for w, x in fv.terms.items():
-            out.add_term((w, beta), x)
-    return out
-
-
-def lattice_mul_e(lat: LatticeContext, shift: tuple[int, ...], v: ExtState) -> ExtState:
-    """The eps-twisted multiplication e^shift (quotient-aware)."""
-    out = ExtState(v.basis)
-    for (mono, beta), c in v.terms.items():
-        sign = lat.cocycle_sign(shift, beta)
-        rsign, newb = lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))
-        out.add_term((mono, newb), c if sign * rsign == 1 else -c)
-    return out
-
-
-def ext_form(ctx: FockContext, u: ExtState, v: ExtState) -> Laurent:
-    """<u1 (x) e^a, u2 (x) e^b> = delta_ab <u1, u2>."""
-    by_beta_u: dict[tuple[int, ...], FockVector] = {}
-    by_beta_v: dict[tuple[int, ...], FockVector] = {}
-    for (mono, beta), c in u.terms.items():
-        by_beta_u.setdefault(beta, FockVector(u.basis)).add_term(mono, c)
-    for (mono, beta), c in v.terms.items():
-        by_beta_v.setdefault(beta, FockVector(v.basis)).add_term(mono, c)
-    acc = L_ZERO
-    for beta, fu in by_beta_u.items():
-        fv = by_beta_v.get(beta)
-        if fv is not None:
-            acc = acc + ctx.form(fu, fv)
-    return acc
+    """Heisenberg mode acting on the Fock factor only, one lattice point at a time."""
+    out = L_ZERO
+    for beta, f in keyed_parts(v.f, lambda ke: (ke[0][1], (ke[0][0], ke[1]))).items():
+        w = ctx.apply_mode(m, i, FockVector.packed(v.basis, f)).f
+        out = out + w.with_entries({((mono, beta), e): x for (mono, e), x in w.entries()})
+    return ExtState.packed(v.basis, out)
 
 
 def cocycle_condition_check(lat: LatticeContext) -> CheckReport:

@@ -29,6 +29,11 @@ lift to the lcm.  Each result is normalised once, with no Cyclo or Fraction
 per coefficient, and returns to the rational case when no irrational
 coordinate is left.
 
+The same two forms hold the coefficients of a Fock vector, with the exponent
+replaced by a (basis key, v-exponent) pair: Laurent's sum, negation and
+equality never read an exponent, and KeyedSum accumulates products of
+vector terms and scalars into one such keyed value with one normalisation.
+
 All values are immutable after construction.
 """
 
@@ -382,7 +387,7 @@ class Laurent:
             return _laurent({e: coeff.numerator} if coeff else {}, coeff.denominator)
         if type(coeff) is Cyclo:
             f = coeff.f
-            return f._with_terms({e: c for c in f._t.values()}) if e else f
+            return f.with_entries({e: c for c in f._t.values()}) if e else f
         if isinstance(coeff, float):
             raise TypeError("floats are not exact; use Fraction")
         return Laurent.v_pow(e, Fraction(coeff))
@@ -408,6 +413,12 @@ class Laurent:
 
     def support(self) -> list[int]:
         return sorted(self._t)
+
+    def entries(self):
+        """The canonical form's (exponent, entry) pairs: int numerators over the one
+        denominator, or coordinate tuples at the conductor; KeyedSum reads an
+        entry together with the value it came from."""
+        return self._t.items()
 
     def coeff(self, e: int) -> Cyclo:
         c = self._t.get(e)
@@ -456,6 +467,8 @@ class Laurent:
         return _cyclotomic({e: tuple(-x for x in c) for e, c in self._t.items()}, *self._nd)
 
     def __sub__(self, other: "Laurent") -> "Laurent":
+        if type(other) is Laurent and not other._t:
+            return self
         return self + (-other)
 
     def __mul__(self, other):
@@ -518,7 +531,7 @@ class Laurent:
 
     def bar_q(self) -> "Laurent":
         """v -> v^-1 only; coefficients untouched (the antipode on values)."""
-        return self._with_terms({-e: c for e, c in self._t.items()})
+        return self.with_entries({-e: c for e, c in self._t.items()})
 
     def subs_pow(self, m: int) -> "Laurent":
         """q -> q^m, i.e. scale every v-exponent by m (m != 0)."""
@@ -526,10 +539,11 @@ class Laurent:
             raise ValueError("q -> q^0 collapses the ring")
         if m == 1:
             return self
-        return self._with_terms({e * m: c for e, c in self._t.items()})
+        return self.with_entries({e * m: c for e, c in self._t.items()})
 
-    def _with_terms(self, terms: dict) -> "Laurent":
-        """The same form and denominator (and conductor) with the coefficients moved to new exponents."""
+    def with_entries(self, terms: dict) -> "Laurent":
+        """The same form, denominator and conductor over the entries terms, each an entry
+        of this value moved to a new exponent (so the result is canonical as well)."""
         return _laurent(terms, self._d) if self._d else _cyclotomic(terms, *self._nd)
 
     def exact_div(self, den: "Laurent") -> "Laurent":
@@ -562,10 +576,11 @@ class Laurent:
     # -- comparison / io
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Laurent.of(other)
-        if not isinstance(other, Laurent):
-            return NotImplemented
+        if type(other) is not Laurent:
+            if isinstance(other, int):
+                other = Laurent.of(other)
+            elif not isinstance(other, Laurent):
+                return NotImplemented
         if self._d or other._d:
             return self._d == other._d and self._t == other._t
         (na, da), (nb, db) = self._nd, other._nd
@@ -656,12 +671,12 @@ def _field(f: Laurent) -> tuple[int, int]:
     return (1, f._d) if f._d else f._nd
 
 
-def _terms_at(f: Laurent, m: int) -> dict:
-    """f's coefficients as coordinate tuples at conductor m, a multiple of f's conductor."""
-    if f._d:
+def _terms_at(t: dict, n: int, m: int) -> dict:
+    """Entries t at conductor n (n == 1: int numerators) as coordinate tuples at m, a multiple of n."""
+    if n == 1:
         pad = (0,) * (_euler_phi(m) - 1)
-        return {e: (k,) + pad for e, k in f._t.items()}
-    return _lift_terms(f._nd[0], m, f._t)
+        return {e: (k,) + pad for e, k in t.items()}
+    return _lift_terms(n, m, t)
 
 
 def _lift_terms(n: int, m: int, t: dict) -> dict:
@@ -748,7 +763,7 @@ def _add_coords(a: Laurent, b: Laurent) -> Laurent:
     """a + b with a cyclotomic operand: lift to the lcm conductor, align denominators once."""
     (na, da), (nb, db) = _field(a), _field(b)
     m = lcm(na, nb)
-    ta, tb = _terms_at(a, m), _terms_at(b, m)
+    ta, tb = _terms_at(a._t, na, m), _terms_at(b._t, nb, m)
     g = gcd(da, db)
     fa, fb = db // g, da // g
     out = {e: tuple([x * fa for x in c]) for e, c in ta.items()} if fa != 1 else dict(ta)
@@ -799,6 +814,178 @@ def _descend(n: int, m: int, c: tuple) -> tuple | None:
     if any(eq[k] for eq in eqs[k:]):
         return None
     return tuple(int(eqs[j][k]) for j in range(k))
+
+
+# -- keyed values: the coefficients of a Fock vector
+
+
+def _entry(src: Laurent, e, x, k: int = 1) -> Laurent:
+    """The canonical Laurent k x v^e, for x a numerator (or coordinate tuple) of src."""
+    if src._d:
+        return _normal({e: x * k}, src._d)
+    return _settle({e: tuple([k * c for c in x]) if k != 1 else x}, *src._nd)
+
+
+class KeyedSum:
+    """A sum of products placed at (key, v-exponent) pairs, normalised once.
+
+    The running entries share one denominator ``d`` and one conductor ``n``,
+    the two forms of Laurent: int numerators while every product is rational
+    (n == 1), coordinate tuples at the lcm conductor once a cyclotomic one
+    arrives.  A product whose denominator does not divide d rescales the
+    entries once; an entry that cancels is dropped at once.  ``value()``
+    ends the sum: it is the canonical Laurent whose exponents are the
+    (key, e) pairs.  Laurent's sum, negation and equality never read an
+    exponent, so they serve such keyed values unchanged.
+    """
+
+    __slots__ = ("t", "n", "d")
+
+    def __init__(self):
+        self.t: dict = {}
+        self.n = 1
+        self.d = 1
+
+    def add(self, key, e0: int, src: Laurent, x, f: Laurent, k: int = 1) -> None:
+        """Add k (x v^e0) f at key, for x a numerator (or coordinate tuple) of src and an int k."""
+        q = src._d
+        if q:  # a rational entry scales f's own entries
+            p, m = f, x * k
+        else:
+            p = _entry(src, 0, x, k)
+            if f is not L_ONE:
+                p = p * f
+            q = m = 1
+        t = self.t
+        if p._d and self.n == 1:
+            q *= p._d
+            d = self.d
+            m *= d // q if not d % q else self._align(q)
+            for e, y in p._t.items():
+                key2 = (key, e0 + e)
+                s = t.get(key2, 0) + m * y
+                if s:
+                    t[key2] = s
+                else:
+                    del t[key2]
+            return
+        n, pd = _field(p)
+        c_n = lcm(self.n, n)
+        if c_n != self.n:
+            self.t = t = _terms_at(t, self.n, c_n)
+            self.n = c_n
+        m *= self._align(q * pd)
+        for e, c in _terms_at(p._t, n, c_n).items():
+            key2 = (key, e0 + e)
+            if m != 1:
+                c = tuple([m * y for y in c])
+            s = t.get(key2)
+            if s is None:
+                t[key2] = c
+            else:
+                s = tuple(map(add, s, c))
+                if any(s):
+                    t[key2] = s
+                else:
+                    del t[key2]
+
+    def add_all(self, p: Laurent, e0: int, src: Laurent, x) -> None:
+        """Add the keyed value p times x v^e0, for x a numerator (or coordinate tuple) of src."""
+        pd, sd = p._d, src._d
+        if pd and sd and self.n == 1:
+            q = pd * sd
+            d = self.d
+            m = x * (d // q if not d % q else self._align(q))
+            t = self.t
+            for (key, e), y in p._t.items():
+                key2 = (key, e + e0)
+                s = t.get(key2, 0) + m * y
+                if s:
+                    t[key2] = s
+                else:
+                    del t[key2]
+        else:
+            c = _entry(src, e0, x)
+            for (key, e), y in p._t.items():
+                self.add(key, e, p, y, c)
+
+    def add_product(self, p: Laurent, c: Laurent) -> None:
+        """Add the keyed value p times the Laurent c."""
+        for e, x in c._t.items():
+            self.add_all(p, e, c, x)
+
+    def _align(self, q: int) -> int:
+        """Make q divide the running denominator; return the factor d / q."""
+        d = self.d
+        if d % q:
+            m = q // gcd(d, q)
+            t = self.t
+            if self.n == 1:
+                for key in t:
+                    t[key] *= m
+            else:
+                for key, c in t.items():
+                    t[key] = tuple([x * m for x in c])
+            self.d = d = d * m
+        return d // q
+
+    def value(self) -> Laurent:
+        if self.n == 1:
+            return _normal(self.t, self.d)
+        return _settle(self.t, self.n, self.d)
+
+
+def keyed_times(p: Laurent, e0: int, src: Laurent, x) -> Laurent:
+    """The keyed value p times x v^e0, for x a numerator (or coordinate tuple) of src."""
+    pd, sd = p._d, src._d
+    if pd and sd:  # one pass, one gcd
+        if not p._t or x == 1 and sd == 1 and not e0:
+            return p
+        return _normal({(key, e + e0): y * x for (key, e), y in p._t.items()}, pd * sd)
+    acc = KeyedSum()
+    acc.add_all(p, e0, src, x)
+    return acc.value()
+
+
+def keyed_product(p: Laurent, c: Laurent) -> Laurent:
+    """The keyed value p times the Laurent c."""
+    pd, cd = p._d, c._d
+    tc = c._t
+    if not p._t:
+        return p
+    if pd and cd and len(tc) > 1:  # one pass, one gcd
+        out: dict = {}
+        get = out.get
+        for (key, e), y in p._t.items():
+            for e0, x in tc.items():
+                key2 = (key, e + e0)
+                s = get(key2, 0) + x * y
+                if s:
+                    out[key2] = s
+                else:
+                    del out[key2]
+        return _normal(out, pd * cd)
+    if len(tc) == 1:
+        ((e0, x),) = tc.items()
+        return keyed_times(p, e0, c, x)
+    acc = KeyedSum()
+    acc.add_product(p, c)
+    return acc.value()
+
+
+def keyed_parts(f: Laurent, split=None) -> dict:
+    """The keyed value f split into canonical parts: {part: Laurent}.
+
+    split maps an exponent (key, e) of f to (part, exponent within the part);
+    by default the parts are f's keys and each is a Laurent in v.
+    """
+    parts: dict = {}
+    for ke, x in f._t.items():
+        part, e = ke if split is None else split(ke)
+        parts.setdefault(part, {})[e] = x
+    if f._d:
+        return {part: _normal(t, f._d) for part, t in parts.items()}
+    return {part: _settle(t, *f._nd) for part, t in parts.items()}
 
 
 def laurent_str(f: Laurent) -> str:

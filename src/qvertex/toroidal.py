@@ -35,7 +35,7 @@ from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_d
 from .groups import GroupData
 from .report import CheckReport, first_mismatch
 from .repring import WeightXi, first_xi, second_xi
-from .scalar import L_ONE, Laurent, qbinom, qint
+from .scalar import L_ZERO, KeyedSum, Laurent, keyed_times, qbinom, qint
 from .vertex import VOp, VertexEngine, fj_x
 from .wreath import partitions
 
@@ -81,11 +81,14 @@ class RepMap:
     x_i^s(n) -- applies through `_apply`, which builds the image of each basis
     term (a column) once per RepMap, so one relation suite builds each column
     of a generator once.  Columns are keyed by the generator's data (for x the
-    operator's data, not (i, s)), and their keys and coefficients are interned.
-    The column map is the only cache that lives for a suite run: a relation
-    check keeps the images of whole states it rereads (x_j^s(n) v_t, ...) in
-    tables of its own, keyed by (index, sign, mode, state index), which die
-    with the check or with the block of it that rereads them.
+    operator's data, not (i, s)).  A column is the image's keyed value
+    (scalar.KeyedSum), with its (key, v-exponent) pairs interned across
+    columns, so applying a generator is one int product and one exponent add
+    per (input term, column term).  The column map is the only cache that
+    lives for a suite run.  A relation check keeps the images of whole states
+    it rereads (x_j^s(n) v_t, ...) in tables of its own, keyed by (index,
+    sign, mode, state index), which die with the check or with the block of
+    it that rereads them.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -109,8 +112,8 @@ class RepMap:
         self.affine = cfg.variant == "affine"
         self.indices = list(range(1, group.n_classes)) if self.affine else list(range(group.n_classes))
         self._x_ops = {(i, s): fj_x(i, s, self.k_eff) for i in range(group.n_classes) for s in (1, -1)}
-        # generator key + (basis,) -> {basis key: ((out key, coeff), ...)}
-        self._columns: dict[tuple, dict[tuple, tuple]] = {}
+        # generator key + (basis,) -> {basis key: keyed value of the image}, built on first read
+        self._columns: dict[tuple, _Images] = {}
         self._interned: dict = {}
 
     def _apply(self, gen: tuple, image, v: ExtState) -> ExtState:
@@ -119,17 +122,31 @@ class RepMap:
         image maps a single basis term (coefficient one) to its image; gen
         names the generator, so two generators never share a column.
         """
-        cols = self._columns.setdefault(gen + (v.basis,), {})
-        out = ExtState(v.basis)
-        for key, c in v.terms.items():
-            col = cols.get(key)
-            if col is None:
-                intern = self._interned.setdefault
-                img = image(ExtState(v.basis, {key: L_ONE}))
-                col = cols[key] = tuple((intern(k, k), intern(c2, c2)) for k, c2 in img.terms.items())
-            for k2, c2 in col:
-                out.add_term(k2, c * c2)
-        return out
+        f = v.f
+        entries = f.entries()
+        if not entries:
+            return ExtState.zero(v.basis)
+        cols = self._columns.get(gen + (v.basis,))
+        if cols is None:
+            cols = self._columns[gen + (v.basis,)] = _Images(lambda *key: self._column(image, v.basis, key))
+        if len(entries) == 1:
+            ((key, e), x), = entries
+            return ExtState.packed(v.basis, keyed_times(cols[key], e, f, x))
+        acc = KeyedSum()
+        for (key, e), x in entries:
+            acc.add_all(cols[key], e, f, x)
+        return ExtState.packed(v.basis, acc.value())
+
+    def _column(self, image, basis: str, key) -> Laurent:
+        f = image(ExtState.unit(basis, key)).f
+        if f.is_zero:
+            return L_ZERO
+        intern = self._interned.setdefault
+        t = {}
+        for (k, e), x in f.entries():
+            ke = (intern(k, k), e)
+            t[intern(ke, ke)] = x
+        return f.with_entries(t)
 
     # -- generators
 
@@ -146,8 +163,9 @@ class RepMap:
         """a_i(m) = ([m]/m) a_m(gamma_i)."""
         if m == 0:
             raise ValueError("a_i(0) is not a generator here")
-        scale = qint(abs(m)).scale(Fraction(1, abs(m)))
-        return self._apply(("a", i, m), lambda t: ext_apply_mode(self.fock, m, i, t).scale(scale), v)
+        return self._apply(
+            ("a", i, m), lambda t: ext_apply_mode(self.fock, m, i, t).scale(qint(abs(m)).scale(Fraction(1, abs(m)))), v
+        )
 
     def k_diag(self, i: int, v: ExtState, power: int = 1) -> ExtState:
         """k_i^power: q^{power <gamma_i, beta>_1} on the lattice point beta."""
@@ -171,7 +189,7 @@ class RepMap:
         def image(t: ExtState) -> ExtState:
             qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
             base = self.k_diag(i, t, power=coeff_sign)
-            out = ExtState(t.basis)
+            terms = []
             for lam in partitions(j):
                 term = base
                 coeff = Laurent.one()
@@ -179,8 +197,8 @@ class RepMap:
                     term = self.a_mode(i, mode_sign * part, term)
                     coeff = coeff * qdiff * Laurent.v_pow(self.k_eff * part)
                 denom = prod(factorial(c) for c in Counter(lam).values())
-                out = out + term.scale(coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom)))
-            return out
+                terms.append((term, coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom))))
+            return ExtState.lincomb(t.basis, terms)
 
         return self._apply(("psi", i, mode_sign, coeff_sign, j), image, v)
 
@@ -218,7 +236,7 @@ def sign_pow(sign: int, n: int) -> int:
 
 
 class _Images(dict):
-    """A check-local table of generator images: a missing key is built once, by build(*key)."""
+    """A table of generator images: a missing key is built once, by build(*key)."""
 
     def __init__(self, build):
         super().__init__()
@@ -237,6 +255,16 @@ def _x_images(rep: RepMap, states: list[ExtState]) -> _Images:
 def _a_images(rep: RepMap, states: list[ExtState]) -> _Images:
     """a_i(m) v_t, keyed (i, m, t)."""
     return _Images(lambda i, m, t: rep.a_mode(i, m, states[t]))
+
+
+NO_MODE = "the mode window holds no nonzero mode (max_mode 0)"
+
+
+def _say_why_empty(report: CheckReport, states: list[ExtState], reason: str) -> CheckReport:
+    """A check that ran no case says why: there is no test state, or the reason given."""
+    if not report.n_cases:
+        report.notes.append(f"no case: {'no test state' if not states else reason}")
+    return report
 
 
 def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
@@ -258,10 +286,10 @@ def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     for n in modes:
                         for t, v in enumerate(states):
                             lhs = a2[i, m, j, n, t] - a2[j, n, i, m, t]
-                            rhs = v.scale(coeff) if m == -n else ExtState(v.basis)
+                            rhs = v.scale(coeff) if m == -n else ExtState.zero(v.basis)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.heisenberg", rep.params, pairs())
+    return _say_why_empty(first_mismatch("toroidal.heisenberg", rep.params, pairs()), states, NO_MODE)
 
 
 def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
@@ -293,7 +321,7 @@ def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
                                 rhs = x1[j, s, m + n, t].scale(coeff)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
-    return first_mismatch("toroidal.a_x", rep.params, pairs())
+    return _say_why_empty(first_mismatch("toroidal.a_x", rep.params, pairs()), states, NO_MODE)
 
 
 def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
@@ -343,12 +371,8 @@ def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     for m in modes:
                         for n in modes:
                             for t, v in enumerate(states):
-                                lhs = ExtState(v.basis)
-                                for (u, w), c in PL.items():
-                                    lhs = lhs + ij[m + u, n + w, t].scale(c)
-                                rhs = ExtState(v.basis)
-                                for (u, w), c in PR.items():
-                                    rhs = rhs + ji[n + w, m + u, t].scale(c)
+                                lhs = ExtState.lincomb(v.basis, ((ij[m + u, n + w, t], c) for (u, w), c in PL.items()))
+                                rhs = ExtState.lincomb(v.basis, ((ji[n + w, m + u, t], c) for (u, w), c in PR.items()))
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xx", rep.params, pairs())
@@ -378,12 +402,13 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
                         for t, v in enumerate(states):
                             lhs = rep.x_mode(i, 1, m, x1[j, -1, n, t]) - rep.x_mode(j, -1, n, x1[i, 1, m, t])
                             lhs = lhs.scale(qdiff)
-                            rhs = ExtState(v.basis)
+                            terms = []
                             if i == j:
                                 if m + n >= 0:
-                                    rhs = rhs + rep.psi_mode(i, 1, o, m + n, v).scale(c_plus)
+                                    terms.append((rep.psi_mode(i, 1, o, m + n, v), c_plus))
                                 if m + n <= 0:
-                                    rhs = rhs - rep.psi_mode(i, -1, -o, -(m + n), v).scale(c_minus)
+                                    terms.append((rep.psi_mode(i, -1, -o, -(m + n), v), -c_minus))
+                            rhs = ExtState.lincomb(v.basis, terms)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xpxm", rep.params, pairs())
@@ -422,7 +447,7 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                             for s_pos in range(N + 1)
                         ]
                         for t, v in enumerate(states):
-                            acc = ExtState(v.basis)
+                            terms = []
                             for letters, c in chains:
                                 img = v
                                 for depth in range(1, N + 1):
@@ -433,14 +458,16 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                                         nxt = suffixes[key] = rep.x_mode(idx, 1, mm, img)
                                     img = nxt
                                 idx, mm = letters[N]
-                                acc = acc + rep.x_mode(idx, 1, mm, img).scale(c)
+                                terms.append((rep.x_mode(idx, 1, mm, img), c))
+                            acc = ExtState.lincomb(v.basis, terms)
                             yield (
                                 f"(i={i},j={j},modes={modes},n={n},state={t})",
-                                ExtState(v.basis),
+                                ExtState.zero(v.basis),
                                 acc,
                             )
 
-    return first_mismatch("toroidal.serre", rep.params, pairs())
+    no_pair = "no Serre pair, i != j in the index set with <gamma_i, gamma_j>_1 < 0"
+    return _say_why_empty(first_mismatch("toroidal.serre", rep.params, pairs()), states, no_pair)
 
 
 def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:
@@ -469,7 +496,7 @@ def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:
 def check_highest_weight(rep: RepMap) -> CheckReport:
     """a_i(n) and x_i^{+-}(n) annihilate 1 (x) e^0 for n >= (1 resp. 0); k_i fixes it."""
     vac = ExtState.vacuum(rep.group.n_classes)
-    zero = ExtState("chi")
+    zero = ExtState.zero("chi")
 
     def pairs():
         for i in rep.indices:
@@ -493,7 +520,7 @@ def check_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
 
     def degree(state: ExtState) -> set:
         degs = set()
-        for (mono, beta), _ in state.terms.items():
+        for mono, beta in state.terms:
             d2 = lat.degree2(beta)
             assert d2 % 2 == 0
             degs.add(mono_deg(mono) + d2 // 2)
@@ -508,7 +535,7 @@ def check_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
                         if len(dv) != 1:
                             continue
                         out = rep.x_mode(i, s, n, v)
-                        want = {next(iter(dv)) - n} if out.terms else set()
+                        want = set() if out.is_zero else {next(iter(dv)) - n}
                         yield (f"x (i={i},s={s},n={n},state={t})", want, degree(out))
 
     return first_mismatch("toroidal.grading", rep.params, pairs())
@@ -525,7 +552,7 @@ def check_d2_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     if len(m0s) != 1:
                         continue
                     out = rep.x_mode(i, s, -1, v)
-                    want = {next(iter(m0s)) + (s if i == 0 else 0)} if out.terms else set()
+                    want = set() if out.is_zero else {next(iter(m0s)) + (s if i == 0 else 0)}
                     yield (f"(i={i},s={s},state={t})", want, {b[0] for (_, b) in out.terms} or set())
 
     return first_mismatch("toroidal.d2_grading", rep.params, pairs())

@@ -45,13 +45,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fock import ExtState, FockContext, FockVector, LatticeContext, Mono, mono_deg
+from .fock import ExtState, FockContext, FockVector, LatticeContext, Mono, by_key, mono_deg
 from .report import CheckReport, first_mismatch
-from .scalar import L_ONE, L_ZERO, Laurent, TruncSeries, qbinom, qint, series_exp
+from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, TruncSeries, qbinom, qint, series_exp
 from .wreath import partitions, z_part
 
-# (annihilated monomial, shifted lattice point, z-order e) -> summed coefficient
-AnnTable = dict[tuple[Mono, tuple[int, ...], int], Laurent]
+# a keyed value (scalar.KeyedSum) over (annihilated monomial, shifted lattice point, z-order e) keys
+AnnTable = Laurent
 
 # --------------------------------------------------------------------------
 # the q-power function (1-z)^a_{q^2}
@@ -199,29 +199,18 @@ class VertexEngine:
         if out is not None:
             return out
         ctx = self.fock
-        states: dict[Mono, Laurent] = {mono: L_ONE}
+        states = FockVector.unit("chi", mono)
         maxdeg = mono_deg(mono)
         for n in range(1, maxdeg + 1):
             coeff_n = Laurent.v_pow(op.ann_v * n).scale(Fraction(-op.w_sign, n))
-            acc = dict(states)
-            layer = states
+            acc = layer = states
             k = 1
-            while layer:
-                nxt: dict[Mono, Laurent] = {}
-                for m, c in layer.items():
-                    hit = ctx.annihilate(n, op.i, FockVector("chi", {m: c}))
-                    for mm, cc in hit.terms.items():
-                        prev = nxt.get(mm)
-                        add = cc * coeff_n.scale(Fraction(1, k))
-                        nxt[mm] = add if prev is None else prev + add
-                nxt = {m: c for m, c in nxt.items() if not c.is_zero}
-                for m, c in nxt.items():
-                    prev = acc.get(m)
-                    acc[m] = c if prev is None else prev + c
-                layer = nxt
+            while not layer.is_zero:  # layer k: (coeff_n a_n(w))^k / k! applied to states
+                layer = ctx.annihilate(n, op.i, layer).scale(coeff_n.scale(Fraction(1, k)))
+                acc = acc + layer
                 k += 1
-            states = {m: c for m, c in acc.items() if not c.is_zero}
-        out = [(maxdeg - mono_deg(m), m, c) for m, c in states.items()]
+            states = acc
+        out = [(maxdeg - mono_deg(m), m, c) for m, c in states.terms.items()]
         self._ann_cache[key] = out
         return out
 
@@ -244,78 +233,45 @@ class VertexEngine:
     def annihilation_stage(self, op: VOp, state: ExtState, n_min: int) -> AnnTable:
         """The n-independent half of op(z) on the state, like terms summed.
 
-        Maps (m_ann, newb, e) to the summed coefficient of m_ann (x) e^newb
-        at z^{-e} after the annihilation exponential, the lattice shift with
-        its cocycle and reduction signs, and the zero mode; e = b - <w, beta>
+        A keyed value over (m_ann, newb, e) keys: the summed coefficient
+        of m_ann (x) e^newb at z^{-e} after the annihilation exponential, the
+        lattice shift with its cocycle and reduction signs, and the zero
+        mode; e = b - <w, beta>
         for an annihilation term of z-order b.  Terms that no mode n >= n_min
         reaches (e <= n_min) are skipped; groups that cancel are dropped.
         """
-        table: AnnTable = {}
+        acc = KeyedSum()
         shift = self.shift_vec(op.i, op.w_sign)
-        for (mono, beta), coeff in state.terms.items():
+        f = state.f
+        for (mono, beta), entries in by_key(state).items():
             s_pair = op.w_sign * self.lat.pairing_row(op.i, beta)
             sign = self.lat.cocycle_sign(shift, beta)
             rsign, newb = self.lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))
-            vfac = Laurent.v_pow(op.zqv * s_pair + self.p_factor_v(op.i, op.w_sign, beta))
-            base = coeff * vfac
-            if sign * rsign < 0:
-                base = -base
+            v0 = op.zqv * s_pair + self.p_factor_v(op.i, op.w_sign, beta)
             for b, m_ann, c_ann in self.ann_expand(op, mono):
                 e = b - s_pair
                 if e <= n_min:
                     continue
-                key = (m_ann, newb, e)
-                bc = base * c_ann
-                prev = table.get(key)
-                table[key] = bc if prev is None else prev + bc
-        return {key: c for key, c in table.items() if not c.is_zero}
+                for ev, x in entries:
+                    acc.add((m_ann, newb, e), ev + v0, f, x, c_ann, sign * rsign)
+        return acc.value()
 
     def creation_stage(self, op: VOp, n: int, table: AnnTable, basis: str) -> ExtState:
         """Coefficient of z^{-n-1}: each group times the creation exponential's z^{e-n-1} part."""
-        out = ExtState(basis)
-        for (m_ann, newb, e), c in table.items():
+        acc = KeyedSum()
+        for ((m_ann, newb, e), ev), x in table.entries():
             a = e - n - 1
             if a < 0:
                 continue
             for m_cre, c_cre in self.cre_terms(op, a):
-                out.add_term((tuple(sorted(m_ann + m_cre)), newb), c * c_cre)
-        return out
+                acc.add((tuple(sorted(m_ann + m_cre)), newb), ev, table, x, c_cre)
+        return ExtState.packed(basis, acc.value())
 
     def mode(self, op: VOp, n: int, state: ExtState) -> ExtState:
         """Coefficient of z^{-n-1} in op(z) applied to the state: the
         annihilation stage (n-independent, like terms summed; n only bounds
         the z-orders it keeps) followed by the creation stage for n."""
         return self.creation_stage(op, n, self.annihilation_stage(op, state, n), state.basis)
-
-    # -- half vertex operators
-
-    def half_vertex(self, kind: str, i: int, l_v: int, state: ExtState, budget: int) -> dict[int, ExtState]:
-        """z-power coefficients of H+/H-/E+/E- with twist q^{l_v/2} applied to state.
-
-        Creation halves return orders 0..budget; annihilation halves all orders
-        that survive (bounded by the state's Fock degree).
-
-        Sign bookkeeping: our creation exponential is exp(+sum (1/n) a_{-n}(w)...)
-        and the annihilation one exp(-sum (1/n) a_n(w)...), so H+ and E- use
-        w = +gamma_i while E+ and H- use w = -gamma_i.
-        """
-        sign = 1 if kind in ("H+", "E-") else -1
-        out: dict[int, ExtState] = {}
-        if kind in ("H+", "E+"):
-            op = VOp(i, sign, cre_v=-l_v, ann_v=0, zqv=0, label=kind)
-            for a in range(budget + 1):
-                acc = ExtState(state.basis)
-                for (mono, beta), coeff in state.terms.items():
-                    for m_cre, c_cre in self.cre_terms(op, a):
-                        acc.add_term((tuple(sorted(mono + m_cre)), beta), coeff * c_cre)
-                out[a] = acc
-        else:
-            op = VOp(i, sign, cre_v=0, ann_v=l_v, zqv=0, label=kind)
-            for (mono, beta), coeff in state.terms.items():
-                for b, m_ann, c_ann in self.ann_expand(op, mono):
-                    acc = out.setdefault(-b, ExtState(state.basis))
-                    acc.add_term((m_ann, beta), coeff * c_ann)
-        return {k: v for k, v in out.items() if not v.is_zero or k == 0}
 
 
 # --------------------------------------------------------------------------
@@ -394,49 +350,48 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple[int
 
     One walk over the state's terms, the annihilation pairs and the creation
     terms computes every requested coefficient once; a key missing from the
-    result has coefficient zero.  Each product of the walk is formed at the
-    loop level where its factors are fixed, so an output term costs one.
+    result has coefficient zero.  Each scalar product of the walk is formed at
+    the loop level where its factors are fixed; a state entry meets it as one
+    int product and one exponent add.
     """
     za_by_wb: dict[int, list[int]] = {}
     for za, wb in keys:
         za_by_wb.setdefault(wb, []).append(za)
     lat = eng.lat
-    out: dict[tuple[int, int], ExtState] = {}
+    sums: dict[tuple[int, int], KeyedSum] = {}
     shiftA = eng.shift_vec(opA.i, opA.w_sign)
     shiftB = eng.shift_vec(opB.i, opB.w_sign)
-    for (mono, beta), coeff in state.terms.items():
+    f = state.f
+    for (mono, beta), entries in by_key(state).items():
         sA = opA.w_sign * lat.pairing_row(opA.i, beta)
         sB = opB.w_sign * lat.pairing_row(opB.i, beta)
         rsign, shift = lat.reduce_signed(tuple(a + b + c for a, b, c in zip(shiftA, shiftB, beta)))
         sign = rsign * lat.cocycle_sign(tuple(a + b for a, b in zip(shiftA, shiftB)), beta)
-        vfac = Laurent.v_pow(
-            opA.zqv * sA + opB.zqv * sB
-            + eng.p_factor_v(opA.i, opA.w_sign, beta) + eng.p_factor_v(opB.i, opB.w_sign, beta)
-        )
-        base = coeff * vfac
-        if sign < 0:
-            base = -base
+        v0 = (opA.zqv * sA + opB.zqv * sB
+              + eng.p_factor_v(opA.i, opA.w_sign, beta) + eng.p_factor_v(opB.i, opB.w_sign, beta))
         for bA, mA, cA in eng.ann_expand(opA, mono):
-            bcA = base * cA
             for bB, mB, cB in eng.ann_expand(opB, mA):
-                bcAB = bcA * cB
+                cAB = cA * cB
                 for wb, zas in za_by_wb.items():
                     aB = wb - sB + bB
                     if aB < 0:
                         continue
                     for mcB, ccB in eng.cre_terms(opB, aB):
-                        bcABB = bcAB * ccB
+                        cABB = cAB * ccB
                         mBB = mB + mcB
                         for za in zas:
                             aA = za - sA + bA
                             if aA < 0:
                                 continue
-                            acc = out.get((za, wb))
+                            acc = sums.get((za, wb))
                             if acc is None:
-                                acc = out[(za, wb)] = ExtState(state.basis)
+                                acc = sums[(za, wb)] = KeyedSum()
                             for mcA, ccA in eng.cre_terms(opA, aA):
-                                acc.add_term((tuple(sorted(mBB + mcA)), shift), bcABB * ccA)
-    return out
+                                c = cABB * ccA
+                                key = (tuple(sorted(mBB + mcA)), shift)
+                                for ev, x in entries:
+                                    acc.add(key, ev + v0, f, x, c, sign)
+    return {zw: ExtState.packed(state.basis, acc.value()) for zw, acc in sums.items()}
 
 
 def signed_ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int):
@@ -473,13 +428,12 @@ def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states
     keys = {(-m - 1 - g_ab + d, -n - 1 - d) for m in mode_range for n in mode_range for d, _ in factors}
 
     def rhs(table: dict[tuple[int, int], ExtState], m: int, n: int, basis: str) -> ExtState:
-        out = ExtState(basis)
+        terms = []
         for d, fs in factors:
             term = table.get((-m - 1 - g_ab + d, -n - 1 - d))
             if term is not None:
-                for key, c in term.terms.items():
-                    out.add_term(key, fs * c)
-        return out
+                terms.append((term, fs))
+        return ExtState.lincomb(basis, terms)
 
     def pairs():
         for t, v in enumerate(states):

@@ -28,7 +28,7 @@ from .fock import FockContext, FockVector, aprime_mono, inner_closed
 from .groups import GroupData, natural_multiplicity
 from .report import CheckReport, first_mismatch
 from .repring import CxClassFunction, WeightXi
-from .scalar import Laurent
+from .scalar import KeyedSum, Laurent
 
 Partition = tuple[int, ...]
 PartitionFn = tuple[Partition, ...]  # one partition per conjugacy class
@@ -157,12 +157,10 @@ def eps_wreath(g: GroupData, f: CxClassFunction, n: int) -> WreathClassFunction:
 
 def ch(f: WreathClassFunction) -> FockVector:
     """Characteristic map: sum_rho Z_rho^{-1} bar_q(f(rho)) a'_{-rho}, class basis."""
-    out = FockVector.zero("cls")
-    for rho, val in f.values.items():
-        if val.is_zero:
-            continue
-        out.add_term(aprime_mono(rho), val.bar_q().scale(Fraction(1, big_z(f.group, rho))))
-    return out
+    # aprime_mono is injective on types, so each type has a key of its own
+    return FockVector("cls", {
+        aprime_mono(rho): val.bar_q().scale(Fraction(1, big_z(f.group, rho))) for rho, val in f.values.items()
+    })
 
 
 # --------------------------------------------------------------------------
@@ -185,11 +183,11 @@ def combo_class_function(g: GroupData, combo: Combo) -> CxClassFunction:
 
 
 def _fock_mul(u: FockVector, v: FockVector) -> FockVector:
-    out = FockVector.zero(u.basis)
+    acc = KeyedSum()
     for m1, c1 in u.terms.items():
-        for m2, c2 in v.terms.items():
-            out.add_term(tuple(sorted(m1 + m2)), c1 * c2)
-    return out
+        for (m2, e), x in v.f.entries():
+            acc.add(tuple(sorted(m1 + m2)), e, v.f, x, c1)
+    return FockVector.packed(u.basis, acc.value())
 
 
 def _exp_coeffs(linear: list[FockVector], n: int) -> list[FockVector]:

@@ -295,6 +295,20 @@ def test_toroidal_bounds_run_as_given(capsys):
     assert config["max_mode"] == 3 and config["max_degree"] == 1
 
 
+def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
+    code, out, _ = run(["toroidal", "--group", "cyclic:2", "--max-mode", "0", "--format", "json"], capsys)
+    assert code == 0
+    checks = {c["id"]: c for c in json.loads(out)["checks"]}
+    for cid in ("toroidal.heisenberg", "toroidal.a_x"):
+        assert checks[cid]["cases"] == 0 and checks[cid]["pass"]
+        assert any("no nonzero mode" in n for n in checks[cid]["notes"]), checks[cid]
+    assert all("notes" not in c for c in checks.values() if c["cases"])
+    code, out, _ = run(["all", "--group", "cyclic:2", "--format", "json"], capsys)
+    serre = [c for c in json.loads(out)["checks"] if c["id"] == "toroidal.serre"]
+    assert [c["params"]["variant"] for c in serre if c["cases"] == 0] == ["affine"]
+    assert all(any("no Serre pair" in n for n in c.get("notes", [])) == (c["cases"] == 0) for c in serre)
+
+
 @pytest.mark.parametrize("argv,sha256", [
     (["ope", "--group", "cyclic:4", "--xi", "second", "--p-exp", "-1"],
      "9ede7a827a20f9d16c6974c2716b13bcdfe62cd81702771194d208d74021a4cc"),
@@ -304,6 +318,11 @@ def test_toroidal_bounds_run_as_given(capsys):
     # bd:5 mixes conductor-4 and conductor-10 values, which meet at conductor 20
     (["isometry", "--group", "bd:3", "--n", "2"], "a772e3cdda6e05bffbb4f27c8e69526df396c8485e90f63d98aa5f457770e81b"),
     (["isometry", "--group", "bd:5", "--n", "2"], "7920e510884b5a8080c959eae9bebde8028f66e01c5b5fa31b3648df412eadfe"),
+    # the toroidal relation suites: vector sums, scalings and generator columns
+    (["toroidal", "--group", "cyclic:3"], "80892a51cacdc7e75c8a5a6a2f6ef6a80cdefe30ed218ed8543155948c6fa4e3"),
+    (["toroidal", "--group", "bd:3"], "3e7f0ded6d7d0eef3d48746ca4de0fde9ebb828ff20abe87fbb6467a5aee7352"),
+    (["all", "--group", "cyclic:3", "--xi", "second"],
+     "7fdaf93af69486a3539eddb6938c538cb8b3b7f40cab0f5f10dc784ff1e7518e"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

@@ -2,6 +2,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvertex.fock import (
     ExtState,
@@ -12,11 +14,9 @@ from qvertex.fock import (
     aprime_mono,
     cocycle_condition_check,
     ext_apply_mode,
-    ext_form,
     heisenberg_check,
     heisenberg_check_cls,
     inner_closed,
-    lattice_mul_e,
     mono_deg,
     mono_mul,
     monomial_states,
@@ -25,6 +25,7 @@ from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic
 from qvertex.repring import first_xi, second_xi
 from qvertex.scalar import L_ZERO, Cyclo, Laurent
 from qvertex.wreath import big_z, enumerate_types, rho_bar
+from vector_helpers import basis_shift, ext_form, lattice_mul_e
 
 QQ = Laurent.q_pow(1) + Laurent.q_pow(-1)
 
@@ -480,7 +481,7 @@ def test_lattice_mul_e_and_pairing():
     ctx = ctx_first(g)
     lat = LatticeContext(ctx)
     v = ExtState.vacuum(3)
-    shifted = lattice_mul_e(lat, lat.basis_shift(1), v)
+    shifted = lattice_mul_e(lat, basis_shift(lat, 1), v)
     assert list(shifted.terms) == [((), (0, 1, 0))]
     # diagonal Cartan entry at q=1 is 2
     assert lat.pairing_row(1, (0, 1, 0)) == 2
@@ -491,8 +492,8 @@ def test_quotient_reduction_and_shift():
     g = cyclic(3)
     lat = LatticeContext(ctx_first(g), quotient=True)
     assert lat.reduce((2, 1, 0)) == (0, -1, -2)
-    assert lat.basis_shift(0) == (0, -1, -1)
-    assert lat.basis_shift(2) == (0, 0, 1)
+    assert basis_shift(lat, 0) == (0, -1, -1)
+    assert basis_shift(lat, 2) == (0, 0, 1)
 
 
 def test_ext_form_lattice_diagonal():
@@ -551,3 +552,99 @@ def test_monomial_states_deterministic():
     b = [tuple(v.terms) for v in monomial_states(g, "chi", 3)]
     assert a == b
     assert all(mono_deg(m[0]) <= 3 for m in a if m)
+
+
+# ---------------------------------------------------------------- packed arithmetic against a term-by-term reference
+
+KEYS = [((), (0, 0)), (((1, 0),), (0, 0)), (((1, 1),), (1, -1)), (((1, 0), (2, 1)), (0, 1)), (((2, 1),), (-1, 0))]
+vec_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+rational_values = st.one_of(st.integers(-6, 6), vec_fracs)
+# conductors 1 (the rationals), 3, 4, 12 and 20
+vec_values = st.one_of(
+    rational_values,
+    st.builds(lambda n, k, x: Cyclo.root(n, k) * x, st.sampled_from([3, 4, 12, 20]), st.integers(0, 19), vec_fracs),
+)
+
+
+@st.composite
+def laurent_values(draw, values=vec_values, max_terms=3):
+    f = L_ZERO
+    for _ in range(draw(st.integers(1, max_terms))):
+        f = f + Laurent.v_pow(draw(st.integers(-3, 3)), draw(values))
+    return f
+
+
+@st.composite
+def vector_terms(draw, values=vec_values):
+    """{key: Laurent}; a coefficient may be zero."""
+    keys = draw(st.lists(st.sampled_from(KEYS), max_size=len(KEYS), unique=True))
+    return {key: draw(laurent_values(values)) for key in keys}
+
+
+def ref_add(x, y, sign=1):
+    out = {k: c for k, c in x.items() if not c.is_zero}
+    for k, c in y.items():
+        s = out.get(k, L_ZERO) + (c if sign > 0 else -c)
+        if s.is_zero:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def ref_scale(x, c):
+    return {k: f * c for k, f in x.items() if not (f * c).is_zero}
+
+
+def assert_vector_is(v, ref):
+    # the view holds exactly the nonzero coefficients, each canonical (Laurent == compares forms)
+    assert dict(v.terms) == ref
+    # and the vector equals one built from them: a result whose cyclotomic
+    # coordinates cancelled must be back in the rational form
+    assert v == ExtState("chi", ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_terms(), vector_terms(), vector_terms(rational_values), laurent_values(), st.booleans())
+def test_packed_vector_arithmetic_matches_a_term_by_term_reference(ta, tb, tr, c, cancel):
+    if cancel:  # b = tr - a: a + b cancels every irrational coordinate of a, leaving the rational tr
+        tb = ref_add(tr, ta, -1)
+    a, b = ExtState("chi", ta), ExtState("chi", tb)
+    assert_vector_is(a, ref_add({}, ta))
+    assert_vector_is(a + b, ref_add(ta, tb))
+    assert_vector_is(a - b, ref_add(ta, tb, -1))
+    assert_vector_is(a.scale(c), ref_scale(ref_add({}, ta), c))
+    assert_vector_is(ExtState.lincomb("chi", [(a, c), (b, -c)]), ref_scale(ref_add(ta, tb, -1), c))
+    acc = ExtState("chi", ta)
+    for key, f in tb.items():
+        acc.add_term(key, f)
+    assert_vector_is(acc, ref_add(ta, tb))
+    assert (a == b) == (ref_add(ta, tb, -1) == {})
+    if cancel:
+        assert_vector_is(a + b, ref_add({}, tr))
+
+
+# ---------------------------------------------------------------- rendering
+
+
+def test_vector_rendering_is_pinned():
+    # failure details print vectors: integer, fractional, zeta_3 and zeta_4 coefficients
+    z3, z4 = Cyclo.root(3), Cyclo.root(4)
+    coeffs = {
+        (): Laurent.of(3),
+        ((1, 0),): Laurent.v_pow(-1, Fraction(1, 2)) + Laurent.q_pow(1, -2),
+        ((1, 1),): Laurent.q_pow(2, z3) + Laurent.of(Fraction(-2, 3)),
+        ((1, 0), (2, 1)): Laurent.v_pow(1, z4 * Fraction(3, 4)) - Laurent.q_pow(-1, 1 + z3),
+    }
+    assert str(FockVector("chi", coeffs)) == (
+        "(3)*1 + (-2*v^2 + 1/2*v^-1)*a[-1](g0) + ((3/4*z4^1)*v + (-1 - 1*z3^1)*v^-2)*a[-1](g0)*a[-2](g1)"
+        " + ((1*z3^1)*q^2 - 2/3)*a[-1](g1)"
+    )
+    ext = ExtState("chi", {(m, (t, -t, 0)): c for t, (m, c) in enumerate(coeffs.items())})
+    assert str(ext) == (
+        "(3)*1*e[0, 0, 0] + (-2*v^2 + 1/2*v^-1)*a[-1](g0)*e[1, -1, 0]"
+        " + ((3/4*z4^1)*v + (-1 - 1*z3^1)*v^-2)*a[-1](g0)*a[-2](g1)*e[3, -3, 0]"
+        " + ((1*z3^1)*q^2 - 2/3)*a[-1](g1)*e[2, -2, 0]"
+    )
+    assert str(FockVector("cls", {((2, 1),): Laurent.of(z4) * Laurent.of(z3)})) == "((-1*z12^1))*a[-2](c1)"
+    assert str(ExtState("chi")) == "0"

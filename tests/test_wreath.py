@@ -300,7 +300,7 @@ def test_exp_formula_fails_on_a_perturbed_eta_fock_coefficient(monkeypatch):
     def seeded(g, combo, n):
         v = orig(g, combo, n)
         key = min(v.terms)
-        v.terms[key] = v.terms[key] * Laurent.q_pow(1)
+        v.add_term(key, v.terms[key] * (Laurent.q_pow(1) - Laurent.one()))  # the coefficient times q
         return v
 
     monkeypatch.setattr(wreath, "eta_fock", seeded)
