@@ -734,6 +734,15 @@ def _mul_coords(a: Laurent, b: Laurent) -> Laurent:
     if na != nb:
         m = lcm(na, nb)
         ta, tb = _lift_terms(na, m, ta), _lift_terms(nb, m, tb)
+    return _settle(_convolve(ta, tb, m), m, da * db)
+
+
+def _convolve(ta: dict, tb: dict, m: int) -> dict:
+    """The product of coordinate tuples ta and tb at conductor m, per exponent e1 + e2.
+
+    Each exponent's sum of products is reduced once with the rows of x^k mod
+    Phi_m; sums that vanish are dropped, and nothing is normalised.
+    """
     rows = _reduction_rows(m)
     deg = len(rows[0])
     acc: dict[int, list[int]] = {}
@@ -756,7 +765,7 @@ def _mul_coords(a: Laurent, b: Laurent) -> Laurent:
         c = tuple(p[:deg])
         if any(c):
             out[e] = c
-    return _settle(out, m, da * db)
+    return out
 
 
 def _add_coords(a: Laurent, b: Laurent) -> Laurent:
@@ -819,11 +828,9 @@ def _descend(n: int, m: int, c: tuple) -> tuple | None:
 # -- keyed values: the coefficients of a Fock vector
 
 
-def _entry(src: Laurent, e, x, k: int = 1) -> Laurent:
-    """The canonical Laurent k x v^e, for x a numerator (or coordinate tuple) of src."""
-    if src._d:
-        return _normal({e: x * k}, src._d)
-    return _settle({e: tuple([k * c for c in x]) if k != 1 else x}, *src._nd)
+def _entry(src: Laurent, e, x) -> Laurent:
+    """The canonical Laurent x v^e, for x a numerator (or coordinate tuple) of src."""
+    return _normal({e: x}, src._d) if src._d else _settle({e: x}, *src._nd)
 
 
 class KeyedSum:
@@ -850,18 +857,23 @@ class KeyedSum:
         """Add k (x v^e0) f at key, for x a numerator (or coordinate tuple) of src and an int k."""
         q = src._d
         if q:  # a rational entry scales f's own entries
-            p, m = f, x * k
-        else:
-            p = _entry(src, 0, x, k)
-            if f is not L_ONE:
-                p = p * f
-            q = m = 1
+            tp, m = f._t, x * k
+            if f._d:
+                n = 1
+                q *= f._d
+            else:
+                n, fd = f._nd
+                q *= fd
+        else:  # a cyclotomic entry is convolved with f's coordinates
+            (sn, sd), (fn, fd) = src._nd, _field(f)
+            n = lcm(sn, fn)
+            tp = _convolve(_lift_terms(sn, n, {0: x}), _terms_at(f._t, fn, n), n)
+            q, m = sd * fd, k
         t = self.t
-        if p._d and self.n == 1:
-            q *= p._d
+        if n == 1 and self.n == 1:
             d = self.d
             m *= d // q if not d % q else self._align(q)
-            for e, y in p._t.items():
+            for e, y in tp.items():
                 key2 = (key, e0 + e)
                 s = t.get(key2, 0) + m * y
                 if s:
@@ -869,13 +881,12 @@ class KeyedSum:
                 else:
                     del t[key2]
             return
-        n, pd = _field(p)
         c_n = lcm(self.n, n)
         if c_n != self.n:
             self.t = t = _terms_at(t, self.n, c_n)
             self.n = c_n
-        m *= self._align(q * pd)
-        for e, c in _terms_at(p._t, n, c_n).items():
+        m *= self._align(q)
+        for e, c in _terms_at(tp, n, c_n).items():
             key2 = (key, e0 + e)
             if m != 1:
                 c = tuple([m * y for y in c])

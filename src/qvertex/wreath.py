@@ -159,7 +159,9 @@ def ch(f: WreathClassFunction) -> FockVector:
     """Characteristic map: sum_rho Z_rho^{-1} bar_q(f(rho)) a'_{-rho}, class basis."""
     # aprime_mono is injective on types, so each type has a key of its own
     return FockVector("cls", {
-        aprime_mono(rho): val.bar_q().scale(Fraction(1, big_z(f.group, rho))) for rho, val in f.values.items()
+        aprime_mono(rho): val.bar_q().scale(Fraction(1, big_z(f.group, rho)))
+        for rho, val in f.values.items()
+        if not val.is_zero
     })
 
 
