@@ -542,8 +542,8 @@ class Laurent:
         return self.with_entries({e * m: c for e, c in self._t.items()})
 
     def with_entries(self, terms: dict) -> "Laurent":
-        """The same form, denominator and conductor over the entries terms, each an entry
-        of this value moved to a new exponent (so the result is canonical as well)."""
+        """The same form, denominator and conductor with the entries moved: terms maps new
+        exponents to this value's entries, each entry once, so the result is canonical too."""
         return _laurent(terms, self._d) if self._d else _cyclotomic(terms, *self._nd)
 
     def exact_div(self, den: "Laurent") -> "Laurent":
