@@ -38,7 +38,7 @@ from .repring import (
     qp_degeneracy_check,
     second_xi,
 )
-from .scalar import laurent_str
+from .scalar import coeff_obj, coeff_str, laurent_str
 from .toroidal import SuiteConfig, run_suite, suite_json
 from .vertex import (
     VertexEngine,
@@ -246,8 +246,8 @@ def cmd_chartable(cfg: Config, g: GroupData) -> int:
                 {"label": c.label, "centralizer": c.centralizer_order, "inverse": c.inverse_class, "element_order": c.element_order}
                 for c in g.classes
             ],
-            "char_table": [[v.to_obj() for v in row] for row in g.char_table],
-            "natural": [v.to_obj() for v in g.natural_char],
+            "char_table": [[coeff_obj(*v.coords()) for v in row] for row in g.char_table],
+            "natural": [coeff_obj(*v.coords()) for v in g.natural_char],
             "violations": bad,
         }
         print(json.dumps(doc))
@@ -256,8 +256,8 @@ def cmd_chartable(cfg: Config, g: GroupData) -> int:
         labels = [c.label for c in g.classes]
         print("classes:    " + "  ".join(f"{l}(z={c.centralizer_order})" for l, c in zip(labels, g.classes)))
         for i, row in enumerate(g.char_table):
-            print(f"gamma_{i}:  " + "  ".join(repr(v) for v in row))
-        print("pi:       " + "  ".join(repr(v) for v in g.natural_char))
+            print(f"gamma_{i}:  " + "  ".join(coeff_str(*v.coords()) for v in row))
+        print("pi:       " + "  ".join(coeff_str(*v.coords()) for v in g.natural_char))
         if bad:
             print("VIOLATIONS:")
             for b in bad:

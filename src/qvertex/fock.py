@@ -174,9 +174,9 @@ class FockContext:
         n = g.n_classes
         self.gram1 = self.cartan.at_q1()  # lattice form <gamma_i, gamma_j>_xi^1
         # basis change matrices (m-independent for untwisted characters)
-        self.chi_of_cls = [[Laurent({0: g.char_table[i][g.inv(c)]}) for i in range(n)] for c in range(n)]
+        self.chi_of_cls = [[g.char_table[i][g.inv(c)] for i in range(n)] for c in range(n)]
         self.cls_of_chi = [
-            [Laurent({0: g.char_table[i][c]}).scale(Fraction(1, g.zeta(c))) for c in range(n)] for i in range(n)
+            [g.char_table[i][c].scale(Fraction(1, g.zeta(c))) for c in range(n)] for i in range(n)
         ]
 
     def pair_pow(self, i: int, j: int, m: int) -> Laurent:

@@ -2,8 +2,10 @@
 
 A group is a table: conjugacy classes with centralizer orders, the inverse-class
 involution, the matrix of irreducible character values, and the natural
-2-dimensional character pi of the SU(2) embedding.  Nothing here touches group
-elements; every downstream computation runs off this data.
+2-dimensional character pi of the SU(2) embedding.  A character value is a
+constant Laurent (an element of Q(zeta_N), N the group's conductor or a
+divisor of it).  Nothing here touches group elements; every downstream
+computation runs off this data.
 
 Built-ins: cyclic(n), binary_dihedral(n), binary_tetrahedral.  The E7/E8 groups
 (binary octahedral/icosahedral) can be supplied through the text file format
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .scalar import CYC_ONE, CYC_ZERO, Cyclo, _lift
+from .scalar import L_ONE, L_ZERO, Laurent, _lift
 
 
 @dataclass(frozen=True)
@@ -33,8 +35,8 @@ class GroupData:
     order: int
     conductor: int
     classes: tuple[ClassData, ...]
-    char_table: tuple[tuple[Cyclo, ...], ...]  # rows = characters, cols = classes
-    natural_char: tuple[Cyclo, ...]
+    char_table: tuple[tuple[Laurent, ...], ...]  # rows = characters, cols = classes
+    natural_char: tuple[Laurent, ...]
     cartan_layout: tuple | None = None  # ("A", n) | ("D", n) | ("E", 6); None for file groups
 
     @property
@@ -80,7 +82,7 @@ def cyclic(n: int) -> GroupData:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
     table = tuple(
-        tuple(Cyclo.root(n, (i * j) % n) if n > 1 else CYC_ONE for j in range(n))
+        tuple(Laurent.root(n, i * j) for j in range(n))
         for i in range(n)
     )
     classes = tuple(
@@ -126,10 +128,10 @@ def binary_dihedral(n: int) -> GroupData:
     classes.append(ClassData("b", 4, ib, 4))
     classes.append(ClassData("ab", 4, iab, 4))
 
-    one = CYC_ONE
-    neg = -CYC_ONE
+    one = L_ONE
+    neg = -L_ONE
 
-    def one_dim(alpha: int, beta: Cyclo) -> tuple[Cyclo, ...]:
+    def one_dim(alpha: int, beta: Laurent) -> tuple[Laurent, ...]:
         # rho(a) = alpha (as +-1), rho(b) = beta
         row = [one]
         for k in range(1, n + 1):
@@ -138,15 +140,15 @@ def binary_dihedral(n: int) -> GroupData:
         row.append(beta if alpha == 1 else -beta)
         return tuple(row)
 
-    def two_dim(k: int) -> tuple[Cyclo, ...]:
-        row = [Cyclo.rational(2)]
+    def two_dim(k: int) -> tuple[Laurent, ...]:
+        row = [Laurent.of(2)]
         for j in range(1, n):
-            row.append(Cyclo.root(m, (k * j) % m) + Cyclo.root(m, (-k * j) % m))
-        row.append(Cyclo.rational(2 if (k * n) % m == 0 else -2))
-        row.extend([CYC_ZERO, CYC_ZERO])
+            row.append(Laurent.root(m, k * j) + Laurent.root(m, -k * j))
+        row.append(Laurent.of(2 if (k * n) % m == 0 else -2))
+        row.extend([L_ZERO, L_ZERO])
         return tuple(row)
 
-    beta0 = one if n % 2 == 0 else Cyclo.root(4)  # beta^2 = (-1)^n
+    beta0 = one if n % 2 == 0 else Laurent.root(4)  # beta^2 = (-1)^n
     rows = [one_dim(1, one), one_dim(1, neg)]
     rows.extend(two_dim(k) for k in range(1, n))
     rows.append(one_dim(-1, beta0))
@@ -172,9 +174,9 @@ def binary_tetrahedral() -> GroupData:
     Character order: 1, 1', 1'', 2=pi, 2'=2x1', 2''=2x1'', 3.
     """
     N = 12
-    w = Cyclo.root(N, 4)  # primitive cube root
-    w2 = Cyclo.root(N, 8)
-    r = Cyclo.rational
+    w = Laurent.root(N, 4)  # primitive cube root
+    w2 = Laurent.root(N, 8)
+    r = Laurent.of
 
     classes = (
         ClassData("e", 24, 0, 1),
@@ -243,7 +245,7 @@ def validate_group(g: GroupData) -> list[str]:
     if g.classes[0].inverse_class != 0 or g.classes[0].centralizer_order != g.order:
         bad.append("class 0 is not the identity class")
 
-    if any(v != CYC_ONE for v in g.char_table[0]):
+    if any(v != 1 for v in g.char_table[0]):
         bad.append("character 0 is not trivial")
     try:
         dims = g.dims
@@ -258,22 +260,21 @@ def validate_group(g: GroupData) -> list[str]:
     # row orthogonality: <gamma_i, gamma_j> = delta_ij
     for i in range(n):
         for j in range(n):
-            acc = CYC_ZERO
+            acc = L_ZERO
             for c in range(n):
-                acc = acc + Cyclo.rational(Fraction(1, g.zeta(c))) * g.char_table[i][c] * g.char_table[j][g.inv(c)]
-            if acc != (CYC_ONE if i == j else CYC_ZERO):
+                acc = acc + (g.char_table[i][c] * g.char_table[j][g.inv(c)]).scale(Fraction(1, g.zeta(c)))
+            if acc != (1 if i == j else 0):
                 bad.append(f"row orthogonality fails at characters ({i},{j})")
     # column orthogonality: sum_gamma gamma(c') gamma(c^-1) = delta zeta_c
     for c in range(n):
         for cp in range(n):
-            acc = CYC_ZERO
+            acc = L_ZERO
             for i in range(n):
                 acc = acc + g.char_table[i][cp] * g.char_table[i][g.inv(c)]
-            want = Cyclo.rational(g.zeta(c)) if c == cp else CYC_ZERO
-            if acc != want:
+            if acc != (g.zeta(c) if c == cp else 0):
                 bad.append(f"column orthogonality fails at classes ({c},{cp})")
 
-    if g.natural_char[0] != Cyclo.rational(2):
+    if g.natural_char[0] != 2:
         bad.append("natural character has dimension != 2")
     for c in range(n):
         if g.natural_char[g.inv(c)] != g.natural_char[c]:
@@ -281,22 +282,11 @@ def validate_group(g: GroupData) -> list[str]:
     return bad
 
 
-def tensor_multiplicity(g: GroupData, i: int, j: int, k: int) -> int:
-    """<gamma_i * gamma_j, gamma_k> via the standard form; integer for genuine chars."""
-    acc = CYC_ZERO
+def multiplicity(g: GroupData, a: tuple[Laurent, ...], b: tuple[Laurent, ...], k: int) -> int:
+    """<a * b, gamma_k>, the multiplicity of gamma_k in the product of the characters a and b."""
+    acc = L_ZERO
     for c in range(g.n_classes):
-        acc = acc + Cyclo.rational(Fraction(1, g.zeta(c))) * g.char_table[i][c] * g.char_table[j][c] * g.char_table[k][g.inv(c)]
-    val = acc.as_rational()
-    if val.denominator != 1:
-        raise ValueError(f"non-integral multiplicity {val}")
-    return int(val)
-
-
-def natural_multiplicity(g: GroupData, i: int, j: int) -> int:
-    """Multiplicity of gamma_j inside pi * gamma_i."""
-    acc = CYC_ZERO
-    for c in range(g.n_classes):
-        acc = acc + Cyclo.rational(Fraction(1, g.zeta(c))) * g.natural_char[c] * g.char_table[i][c] * g.char_table[j][g.inv(c)]
+        acc = acc + (a[c] * b[c] * g.char_table[k][g.inv(c)]).scale(Fraction(1, g.zeta(c)))
     val = acc.as_rational()
     if val.denominator != 1:
         raise ValueError(f"non-integral multiplicity {val}")
@@ -353,7 +343,7 @@ def extended_cartan(layout: tuple) -> list[list[int]]:
 def mckay_matrix(g: GroupData) -> list[list[int]]:
     """2*delta_ij - mult(gamma_j in pi*gamma_i), the McKay/Cartan matrix at q=1."""
     n = g.n_classes
-    return [[(2 if i == j else 0) - natural_multiplicity(g, i, j) for j in range(n)] for i in range(n)]
+    return [[(2 if i == j else 0) - multiplicity(g, g.natural_char, g.char_table[i], j) for j in range(n)] for i in range(n)]
 
 
 # --------------------------------------------------------------------------
@@ -372,10 +362,11 @@ def dump_group_file(g: GroupData, path: str) -> None:
     for cd in g.classes:
         lines.append(f"class {cd.label} {cd.centralizer_order} {cd.inverse_class} {cd.element_order}")
 
-    def render(v: Cyclo) -> str:
-        if g.conductor % v.N:
-            raise ValueError(f"a value at conductor {v.N} does not live at the group's conductor {g.conductor}")
-        pairs = [(i, x) for i, x in enumerate(_lift(v.N, g.conductor, v.c)) if x]
+    def render(v: Laurent) -> str:
+        n, c = v.coords()
+        if g.conductor % n:
+            raise ValueError(f"a value at conductor {n} does not live at the group's conductor {g.conductor}")
+        pairs = [(i, x) for i, x in enumerate(_lift(n, g.conductor, c)) if x]
         return ";".join(f"{i}:{x}" for i, x in pairs) if pairs else "0:0"
 
     for row in g.char_table:
@@ -398,14 +389,14 @@ def load_group_file(path: str) -> GroupData:
     """
     head: dict[str, str] = {}
     classes: list[ClassData] = []
-    char_rows: list[tuple[Cyclo, ...]] = []
-    natural: tuple[Cyclo, ...] | None = None
+    char_rows: list[tuple[Laurent, ...]] = []
+    natural: tuple[Laurent, ...] | None = None
 
-    def parse_value(tok: str, cond: int) -> Cyclo:
-        acc = CYC_ZERO
+    def parse_value(tok: str, cond: int) -> Laurent:
+        acc = L_ZERO
         for pair in tok.split(";"):
             p, x = pair.split(":")
-            acc = acc + Cyclo.root(cond, int(p)) * Cyclo.rational(Fraction(x))
+            acc = acc + Laurent.root(cond, int(p)).scale(Fraction(x))
         return acc
 
     with open(path) as fh:

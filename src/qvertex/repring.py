@@ -1,8 +1,8 @@
 """The ring R(Gamma x C*) of Laurent-valued class functions.
 
-Carries the antipode, the standard and weighted bilinear forms, the two
-distinguished self-dual weights, quantum Cartan matrices, the McKay
-eigenvector identity, the symbolic (q,p) degeneracy analysis, and the
+Carries the antipode, the two distinguished self-dual weights, quantum
+Cartan matrices (the weighted form below on irreducible characters), the
+McKay eigenvector identity, the symbolic (q,p) degeneracy analysis, and the
 numerical positivity probe.
 
 Conventions (fixed across the package):
@@ -23,7 +23,7 @@ import numpy as np
 
 from .groups import GroupData, extended_cartan
 from .report import CheckReport, first_mismatch
-from .scalar import L_ZERO, Laurent, eval_at_one, qint
+from .scalar import L_ZERO, Laurent, eval_at_one
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,11 @@ class CxClassFunction:
     @staticmethod
     def character(g: GroupData, i: int, qtwist: int = 0, vtwist: int = 0) -> "CxClassFunction":
         tw = Laurent.v_pow(2 * qtwist + vtwist)
-        return CxClassFunction(g, tuple(Laurent({0: c}) * tw for c in g.char_table[i]))
+        return CxClassFunction(g, tuple(c * tw for c in g.char_table[i]))
 
     @staticmethod
     def natural(g: GroupData) -> "CxClassFunction":
-        return CxClassFunction(g, tuple(Laurent({0: c}) for c in g.natural_char))
+        return CxClassFunction(g, g.natural_char)
 
     @staticmethod
     def constant(g: GroupData, f: Laurent) -> "CxClassFunction":
@@ -71,15 +71,6 @@ class CxClassFunction:
 def antipode(f: CxClassFunction) -> CxClassFunction:
     g = f.group
     return CxClassFunction(g, tuple(f.values[g.inv(c)].bar_q() for c in range(g.n_classes)))
-
-
-def standard_form(f: CxClassFunction, g_: CxClassFunction) -> Laurent:
-    g = f.group
-    sg = antipode(g_)
-    acc = L_ZERO
-    for c in range(g.n_classes):
-        acc = acc + (f.values[c] * sg.values[c]).scale(Fraction(1, g.zeta(c)))
-    return acc
 
 
 # --------------------------------------------------------------------------
@@ -118,17 +109,6 @@ def second_xi(g: GroupData, p_exp: int) -> WeightXi:
     return WeightXi(f, "second", p_exp=p_exp)
 
 
-def general_xi(g: GroupData, pi: CxClassFunction, d: int) -> WeightXi:
-    """xi = gamma_0 (x) [d] - pi (x) 1 for a faithful character pi of dimension d."""
-    f = CxClassFunction.character(g, 0).scale(qint(d)) - pi
-    return WeightXi(f, "general")
-
-
-def weighted_form(xi: WeightXi, f: CxClassFunction, g_: CxClassFunction) -> Laurent:
-    """<f, g>_xi = sum_c zeta_c^{-1} xi(c) f(c) (S g)(c) = <xi*f, g>."""
-    return standard_form(xi.f * f, g_)
-
-
 # --------------------------------------------------------------------------
 # quantum Cartan matrices
 
@@ -146,9 +126,10 @@ class QCartanMatrix:
         out = []
         for row in self.entries:
             vals = [eval_at_one(e) for e in row]
-            if any(not v.is_rational or v.as_rational().denominator != 1 for v in vals):
+            ints = [int(v.coords()[1][0]) for v in vals]  # an integral value is its first coordinate
+            if vals != ints:
                 raise ValueError("Cartan matrix not integral at q = 1")
-            out.append([int(v.as_rational()) for v in vals])
+            out.append(ints)
         return out
 
 
@@ -202,8 +183,8 @@ def mckay_eigencheck(xi: WeightXi) -> CheckReport:
             for i in range(n):
                 lhs = L_ZERO
                 for k in range(n):
-                    lhs = lhs + A.entries[i][k] * Laurent({0: g.char_table[k][c]})
-                rhs = ev * Laurent({0: g.char_table[i][c]})
+                    lhs = lhs + A.entries[i][k] * g.char_table[k][c]
+                rhs = ev * g.char_table[i][c]
                 yield (f"class {g.classes[c].label}, row {i}", rhs, lhs)
 
     return first_mismatch(

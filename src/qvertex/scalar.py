@@ -2,21 +2,17 @@
 
 Everything downstream computes with elements of (cyclotomic rationals)[v, v^-1]
 where v^2 = q.  Working in the half-power v keeps every exponent integral even
-when operators contribute q^{1/2}-shifts.  The kernel has three layers:
+when operators contribute q^{1/2}-shifts.  The kernel has two layers:
 
-  * Cyclo        -- an element of Q(zeta_N): the v^0 case of Laurent;
-                    rationals are the N = 1 case.
   * Laurent      -- finitely supported map (v-exponent -> element of Q(zeta_N)).
   * TruncSeries  -- dense truncated power series in one auxiliary variable
                     with Laurent coefficients.
 
-Q(zeta_N) has one arithmetic, Laurent's coordinate kernel: a Cyclo wraps a
-constant Laurent, so it is canonical in the same way (reduced modulo Phi_N,
-conductor N = 1 whenever its value is rational).  Its coordinates read as a
-Python ``int`` when integral and as a ``Fraction`` otherwise, so
-``as_rational()`` returns ``int | Fraction`` (the two compare and hash equal).
-Cyclo is the type of character values and of the coefficients Laurent's
-read-only views return.
+Laurent is the one scalar type.  An element of Q(zeta_N) -- a character value,
+a coefficient read back with ``coeff`` -- is a constant Laurent, and a rational
+value is one whose conductor is N = 1.  ``coords`` reads a coefficient at the
+value's own conductor, ``as_rational`` reads a rational constant as an ``int``
+or a ``Fraction``, and ``coeff_str``/``coeff_obj`` render one coefficient.
 
 A Laurent is one integer form, after FLINT's fmpq_poly and Antic's nf_elem:
 one conductor N, one denominator d > 0 and, per exponent, the phi(N) integer
@@ -25,9 +21,9 @@ gcd(d, every coordinate) == 1.  The rational case N = 1 keeps one int
 numerator per exponent.  Sums align denominators once; products convolve the
 integer tuples and reduce with the rows of x^k mod Phi_N; a rational operand
 scales the other's tuples by its numerators; operands at different conductors
-lift to the lcm.  Each result is normalised once, with no Cyclo or Fraction
-per coefficient, and returns to the rational case when no irrational
-coordinate is left.
+lift to the lcm.  Each result is normalised once, with no Fraction per
+coefficient, and returns to the rational case when no irrational coordinate
+is left.
 
 The same two forms hold the coefficients of a Fock vector, with the exponent
 replaced by a (basis key, v-exponent) pair: Laurent's sum, negation and
@@ -149,180 +145,7 @@ def _root_power(n: int, c: tuple, s: int) -> tuple:
     return _reduce_mod_phi(n, out)
 
 
-class Cyclo:
-    """An element of Q(zeta_N): a constant Laurent, the v^0 case of the coordinate kernel.
-
-    ``f`` is zero or supported at v^0, and every operation runs in the kernel,
-    so a Cyclo follows its conductor rules: a rational value has N = 1, sums
-    and products go to the lcm, and a rational operand keeps the other's N.
-    ``N`` and ``c`` read the conductor and the coordinates on the power basis
-    1, z, ..., z^{phi(N)-1}, each an int when integral and a Fraction otherwise.
-    """
-
-    __slots__ = ("f",)
-
-    def __init__(self, n: int, coeffs):
-        c = _reduce_mod_phi(n, list(coeffs))
-        d = lcm(*(x.denominator for x in c))
-        _set_f(self, _settle({0: tuple([int(x * d) for x in c])} if any(c) else {}, n, d))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Cyclo is immutable")
-
-    # -- constructors
-
-    @staticmethod
-    def rational(x) -> "Cyclo":
-        if type(x) is not int and not isinstance(x, Fraction):
-            x = Fraction(x)
-        return _wrap(Laurent.v_pow(0, x))
-
-    @staticmethod
-    def root(n: int, k: int = 1) -> "Cyclo":
-        """zeta_n^k."""
-        k %= n
-        coeffs = [0] * (k + 1)
-        coeffs[k] = 1
-        return Cyclo(n, coeffs)
-
-    # -- structure
-
-    @property
-    def N(self) -> int:
-        f = self.f
-        return 1 if f._d else f._nd[0]
-
-    @property
-    def c(self) -> tuple:
-        f = self.f
-        if f._d:
-            return (_ratval(f._t.get(0, 0), f._d),)
-        n, d = f._nd
-        return tuple(_ratval(x, d) for x in f._t[0])
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.f._t
-
-    @property
-    def is_rational(self) -> bool:
-        return self.f._d != 0
-
-    def as_rational(self) -> int | Fraction:
-        if not self.f._d:
-            raise ValueError(f"not a rational value: {self}")
-        return self.c[0]
-
-    # -- arithmetic
-
-    def __add__(self, other):
-        return _wrap(self.f + Laurent.of(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _wrap(-self.f)
-
-    def __sub__(self, other):
-        return _wrap(self.f - Laurent.of(other))
-
-    def __rsub__(self, other):
-        return _wrap(Laurent.of(other) - self.f)
-
-    def __mul__(self, other):
-        return _wrap(self.f * Laurent.of(other))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Cyclo":
-        """prod_{s != 1} sigma_s(x) / Norm(x), over s in (Z/N)^* with sigma_s: zeta_N -> zeta_N^s."""
-        if self.is_zero:
-            raise ZeroDivisionError("cyclotomic inverse of zero")
-        n, p = self.N, L_ONE
-        for s in range(2, n):
-            if gcd(s, n) == 1:
-                p = p * self.subst_root_power(s).f
-        norm = self.f * p  # the product of every conjugate, a nonzero rational
-        return _wrap(p.scale(Fraction(norm._d, norm._t[0])))
-
-    def subst_root_power(self, s: int) -> "Cyclo":
-        """Apply the field map zeta_N -> zeta_N^s (s coprime to N)."""
-        f = self.f
-        if f._d:
-            return self
-        n, d = f._nd
-        # a field automorphism maps Z[zeta_N] onto itself: the content, hence d, is unchanged
-        return _wrap(_cyclotomic({0: _root_power(n, f._t[0], s)}, n, d))
-
-    def conj(self) -> "Cyclo":
-        """zeta_N -> zeta_N^{-1} (complex conjugation)."""
-        return self.subst_root_power(-1)
-
-    def eval_complex(self) -> complex:
-        n, c = self.N, self.c
-        if n == 1:
-            return complex(c[0])
-        w = cmath.exp(2j * cmath.pi / n)
-        return sum(complex(x) * w**i for i, x in enumerate(c) if x)
-
-    # -- comparison / io
-
-    def __eq__(self, other):
-        if type(other) is Cyclo:
-            return self.f == other.f
-        if isinstance(other, (int, Fraction)):
-            return self.f == Laurent.of(other)
-        return NotImplemented
-
-    def __hash__(self):
-        # equal values may sit at different conductors; the normalised trace does not
-        # depend on the conductor, and it is the value itself when that is rational
-        n, c = self.N, self.c
-        return hash(c[0] if n == 1 else _normalised_trace(n, c))
-
-    def __repr__(self):
-        n, c = self.N, self.c
-        if n == 1:
-            return str(c[0])
-        parts = [f"{x}*z{n}^{i}" if i else str(x) for i, x in enumerate(c) if x]
-        return " + ".join(parts)
-
-    def to_obj(self):
-        return [self.N, [[i, str(x)] for i, x in enumerate(self.c) if x]]
-
-    @staticmethod
-    def from_obj(obj) -> "Cyclo":
-        n, pairs = obj
-        coeffs = [0] * _euler_phi(n)
-        for i, x in pairs:
-            coeffs[i] = Fraction(x)
-        return Cyclo(n, coeffs)
-
-
-def _normalised_trace(n: int, coeffs: tuple) -> Fraction:
-    """Tr(x)/phi(n) for x = sum_k coeffs[k] zeta_n^k in Q(zeta_n).
-
-    zeta_n^k is a primitive m-th root of unity, m = n / gcd(n, k), with trace
-    mu(m) phi(n)/phi(m); mu(m), the sum of the primitive m-th roots, is minus
-    the x^{phi(m)-1} coefficient of Phi_m.
-    """
-    acc = Fraction(0)
-    for k, x in enumerate(coeffs):
-        if x:
-            m = n // gcd(n, k)
-            acc += Fraction(-_cyclotomic_poly(m)[-2] * x, _euler_phi(m))
-    return acc
-
-
 _new = object.__new__
-_set_f = Cyclo.f.__set__
-
-
-def _wrap(f: Laurent) -> Cyclo:
-    """The Cyclo of a canonical Laurent that is zero or supported at v^0."""
-    out = _new(Cyclo)
-    _set_f(out, f)
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -345,14 +168,14 @@ class Laurent:
         coordinate past the first nonzero (at least one irrational coefficient).
 
     Operands at different conductors lift to the lcm; a result with no
-    irrational coordinate left returns to the rational form.  ``t`` and
-    ``coeff`` read either form as Cyclo values, each irrational one at its
-    minimal conductor.
+    irrational coordinate left returns to the rational form.  ``coeff`` reads
+    one coefficient as a constant Laurent and ``coords`` as its coordinates,
+    both at the value's own conductor.
     """
 
     __slots__ = ("_t", "_d", "_nd")
 
-    def __init__(self, terms: dict[int, Cyclo] | None = None):
+    def __init__(self, terms: dict | None = None):
         f = L_ZERO
         for e, c in (terms or {}).items():
             f = f + Laurent.v_pow(e, c)
@@ -372,7 +195,7 @@ class Laurent:
 
     @staticmethod
     def of(x) -> "Laurent":
-        """Constant scalar from int / Fraction / Cyclo."""
+        """Constant scalar from int / Fraction / Laurent."""
         return Laurent.v_pow(0, x)
 
     @staticmethod
@@ -381,13 +204,13 @@ class Laurent:
 
     @staticmethod
     def v_pow(e: int, coeff=1) -> "Laurent":
+        """coeff v^e, for an int, a Fraction or a Laurent coeff."""
         if type(coeff) is int:
             return _laurent({e: coeff} if coeff else {}, 1)
         if isinstance(coeff, Fraction):
             return _laurent({e: coeff.numerator} if coeff else {}, coeff.denominator)
-        if type(coeff) is Cyclo:
-            f = coeff.f
-            return f.with_entries({e: c for c in f._t.values()}) if e else f
+        if type(coeff) is Laurent:
+            return coeff.with_entries({e + e0: c for e0, c in coeff._t.items()}) if e else coeff
         if isinstance(coeff, float):
             raise TypeError("floats are not exact; use Fraction")
         return Laurent.v_pow(e, Fraction(coeff))
@@ -396,16 +219,13 @@ class Laurent:
     def q_pow(k: int, coeff=1) -> "Laurent":
         return Laurent.v_pow(2 * k, coeff)
 
-    # -- inspection
+    @staticmethod
+    def root(n: int, k: int = 1) -> "Laurent":
+        """zeta_n^k, a constant."""
+        k %= n
+        return _settle({0: _reduce_mod_phi(n, [0] * k + [1])}, n, 1)
 
-    @property
-    def t(self) -> dict[int, Cyclo]:
-        """The coefficients as {v-exponent: Cyclo}; read-only."""
-        d = self._d
-        if d:
-            return {e: _wrap(_normal({0: k}, d)) for e, k in self._t.items()}
-        n, d = self._nd
-        return {e: _cyclo_value(n, d, c) for e, c in self._t.items()}
+    # -- inspection
 
     @property
     def is_zero(self) -> bool:
@@ -420,13 +240,30 @@ class Laurent:
         entry together with the value it came from."""
         return self._t.items()
 
-    def coeff(self, e: int) -> Cyclo:
+    def coeff(self, e: int) -> "Laurent":
+        """The coefficient of v^e, a constant."""
         c = self._t.get(e)
-        if c is None:
-            return CYC_ZERO
-        if self._d:
-            return _wrap(_normal({0: c}, self._d))
-        return _cyclo_value(*self._nd, c)
+        return L_ZERO if c is None else _entry(self, 0, c)
+
+    def coords(self, e: int = 0) -> tuple[int, tuple]:
+        """(N, coordinates) of the coefficient of v^e at this value's own conductor N.
+
+        The coordinates are on the power basis 1, z, ..., z^{phi(N)-1}, each an
+        int when integral and a Fraction otherwise; a rational coefficient of a
+        rational value reads at N = 1.
+        """
+        c = self._t.get(e)
+        if self._d or c is None:
+            return 1, (_ratval(c or 0, self._d or 1),)
+        n, d = self._nd
+        return n, tuple([_ratval(x, d) for x in c])
+
+    def as_rational(self) -> int | Fraction:
+        """A rational constant as an int when integral, else as a Fraction."""
+        t = self._t
+        if not self._d or t.keys() - {0}:
+            raise ValueError(f"not a rational constant: {self}")
+        return _ratval(t.get(0, 0), self._d)
 
     # -- arithmetic
 
@@ -546,6 +383,29 @@ class Laurent:
         exponents to this value's entries, each entry once, so the result is canonical too."""
         return _laurent(terms, self._d) if self._d else _cyclotomic(terms, *self._nd)
 
+    def inverse(self) -> "Laurent":
+        """1/(c v^e) for a monomial c v^e: v^-e prod_{s != 1} sigma_s(c) / Norm(c).
+
+        s runs over (Z/N)^* with sigma_s: zeta_N -> zeta_N^s; the norm, the
+        product of every conjugate, is a nonzero rational.
+        """
+        t = self._t
+        if len(t) != 1:
+            if not t:
+                raise ZeroDivisionError("inverse of zero")
+            raise ValueError(f"inverse needs a monomial, got {self}")
+        ((e, x),) = t.items()
+        if self._d:  # gcd(x, d) == 1, so d/x is canonical once the sign moves up
+            return _laurent({-e: self._d if x > 0 else -self._d}, abs(x))
+        n, d = self._nd
+        p = L_ONE
+        for s in range(2, n):
+            if gcd(s, n) == 1:
+                # a field automorphism maps Z[zeta_N] onto itself: the content, hence d, is unchanged
+                p = p * _cyclotomic({0: _root_power(n, x, s)}, n, d)
+        norm = _cyclotomic({0: x}, n, d) * p
+        return Laurent.v_pow(-e, p.scale(Fraction(norm._d, norm._t[0])))
+
     def exact_div(self, den: "Laurent") -> "Laurent":
         """Exact quotient self/den; raises if the division leaves a remainder."""
         if den.is_zero:
@@ -571,13 +431,13 @@ class Laurent:
         if t <= 0:
             raise ValueError("real evaluation needs t > 0")
         v = t**0.5
-        return sum(c.eval_complex() * v**e for e, c in self.t.items())
+        return sum(_eval_complex(*_minimal(*self.coords(e))) * v**e for e in self._t)
 
     # -- comparison / io
 
     def __eq__(self, other):
         if type(other) is not Laurent:
-            if isinstance(other, int):
+            if isinstance(other, (int, Fraction)):
                 other = Laurent.of(other)
             elif not isinstance(other, Laurent):
                 return NotImplemented
@@ -590,8 +450,9 @@ class Laurent:
 
     def __hash__(self):
         t, d = self._t, self._d
-        if d == 1 and (not t or len(t) == 1 and 0 in t):
-            return hash(t.get(0, 0))  # == accepts an int, so an integral constant hashes as that int
+        if d and (not t or len(t) == 1 and 0 in t):
+            # == accepts an int or a Fraction, so a rational constant hashes as that number
+            return hash(t.get(0, 0) if d == 1 else Fraction(t[0], d))
         # coordinates depend on the conductor, so only the support is hashed in the cyclotomic form
         return hash((d, frozenset(t.items()) if d else frozenset(t)))
 
@@ -599,11 +460,7 @@ class Laurent:
         return laurent_str(self)
 
     def to_obj(self):
-        return [[e, self.coeff(e).to_obj()] for e in self.support()]
-
-    @staticmethod
-    def from_obj(obj) -> "Laurent":
-        return Laurent({e: Cyclo.from_obj(c) for e, c in obj})
+        return [[e, coeff_obj(*_minimal(*self.coords(e)))] for e in self.support()]
 
 
 _set_t = Laurent._t.__set__
@@ -620,7 +477,7 @@ def _laurent(terms: dict, d: int) -> Laurent:
 
 
 def _cyclotomic(terms: dict, n: int, d: int) -> Laurent:
-    """Cyclotomic Laurent from coordinate tuples at conductor n over d, already in canonical form."""
+    """The cyclotomic form from coordinate tuples at conductor n over d, already in canonical form."""
     out = _new(Laurent)
     _set_t(out, terms)
     _set_d(out, 0)
@@ -789,25 +646,25 @@ def _add_coords(a: Laurent, b: Laurent) -> Laurent:
     return _settle(out, m, da * fa)
 
 
-def _cyclo_value(n: int, d: int, c: tuple) -> Cyclo:
-    """The Cyclo of int coordinates c at conductor n over d, at its minimal conductor."""
-    if any(c[1:]):
-        for m in range(3, n):
-            # Q(zeta_m) = Q(zeta_{m/2}) for m = 2 mod 4, already tried
-            if n % m == 0 and m % 4 != 2:
-                a = _descend(n, m, c)
-                if a is not None:
-                    n, c = m, a
-                    break
-    # one coefficient's coordinates may share a factor with d: _settle divides it out
-    return _wrap(_settle({0: c} if any(c) else {}, n, d))
+def _minimal(n: int, c: tuple) -> tuple[int, tuple]:
+    """(m, coordinates at m) of the value with coordinates c at conductor n, for the least
+    conductor m whose field holds it; a rational value reads at m = 1."""
+    if not any(c[1:]):
+        return 1, c[:1]
+    for m in range(3, n):
+        # Q(zeta_m) = Q(zeta_{m/2}) for m = 2 mod 4, already tried
+        if n % m == 0 and m % 4 != 2:
+            a = _descend(n, m, c)
+            if a is not None:
+                return m, a
+    return n, c
 
 
 def _descend(n: int, m: int, c: tuple) -> tuple | None:
     """Coordinates at conductor m (m | n) of the value with coordinates c at n, or None outside Q(zeta_m).
 
-    Solves sum_j a_j lift(zeta_m^j) = c by elimination; the lift is injective.  The
-    solution is an algebraic integer of Q(zeta_m), whose power-basis coordinates are ints.
+    Solves sum_j a_j lift(zeta_m^j) = c by elimination; the lift is injective.
+    Each coordinate reads as an int when integral, else as a Fraction.
     """
     k = _euler_phi(m)
     rows = [[Fraction(x) for x in _lift(m, n, (0,) * j + (1,))] for j in range(k)]
@@ -822,7 +679,26 @@ def _descend(n: int, m: int, c: tuple) -> tuple | None:
                 eqs[i] = [x - eq[j] * y for x, y in zip(eq, top)]
     if any(eq[k] for eq in eqs[k:]):
         return None
-    return tuple(int(eqs[j][k]) for j in range(k))
+    return tuple(x.numerator if x.denominator == 1 else x for x in (eq[k] for eq in eqs[:k]))
+
+
+def _eval_complex(n: int, c: tuple) -> complex:
+    if n == 1:
+        return complex(c[0])
+    w = cmath.exp(2j * cmath.pi / n)
+    return sum(complex(x) * w**i for i, x in enumerate(c) if x)
+
+
+def coeff_str(n: int, c: tuple) -> str:
+    """Text of the coefficient with coordinates c at conductor n (as ``coords`` gives them)."""
+    if n == 1:
+        return str(c[0])
+    return " + ".join(f"{x}*z{n}^{i}" if i else str(x) for i, x in enumerate(c) if x)
+
+
+def coeff_obj(n: int, c: tuple) -> list:
+    """JSON form [n, [[i, "x_i"], ...]] of the same coefficient, nonzero coordinates only."""
+    return [n, [[i, str(x)] for i, x in enumerate(c) if x]]
 
 
 # -- keyed values: the coefficients of a Fock vector
@@ -1003,13 +879,11 @@ def laurent_str(f: Laurent) -> str:
     """Human rendering; integral q-powers print in q, otherwise fall back to v."""
     if f.is_zero:
         return "0"
-    t = f.t
-    use_q = all(e % 2 == 0 for e in t)
+    use_q = all(e % 2 == 0 for e in f._t)
     sym, div = ("q", 2) if use_q else ("v", 1)
     parts = []
-    for e in sorted(t, reverse=True):
-        c = t[e]
-        cs = repr(c)
+    for e in sorted(f._t, reverse=True):
+        cs = coeff_str(*_minimal(*f.coords(e)))
         if "+" in cs or ("-" in cs[1:]) or "*" in cs:
             cs = f"({cs})"
         p = e // div
@@ -1026,8 +900,13 @@ L_ZERO = Laurent.zero()
 L_ONE = Laurent.one()
 L_Q = Laurent.q_pow(1)
 L_QINV = Laurent.q_pow(-1)
-CYC_ZERO = _wrap(L_ZERO)
-CYC_ONE = _wrap(L_ONE)
+
+
+class Cyclo:
+    """No instances: read only by perfbench/, whose workloads call ``Cyclo.root`` and whose tracer wraps ``__mul__``."""
+
+    root = staticmethod(Laurent.root)
+    __mul__ = __rmul__ = Laurent.__mul__
 
 
 def qint(n: int) -> Laurent:
@@ -1056,13 +935,13 @@ def qbinom(a: int, m: int) -> Laurent:
     return num.exact_div(qfact(m))
 
 
-def eval_at_one(f: Laurent) -> Cyclo:
-    """Exact specialisation v = 1 (hence q = 1)."""
+def eval_at_one(f: Laurent) -> Laurent:
+    """Exact specialisation v = 1 (hence q = 1), a constant."""
     if f._d:
         s = sum(f._t.values())
-        return _wrap(_normal({0: s} if s else {}, f._d))
-    n, d = f._nd
-    return _cyclo_value(n, d, tuple(map(sum, zip(*f._t.values()))))
+        return _normal({0: s} if s else {}, f._d)
+    c = tuple(map(sum, zip(*f._t.values())))
+    return _settle({0: c} if any(c) else {}, *f._nd)
 
 
 # --------------------------------------------------------------------------
@@ -1123,11 +1002,8 @@ class TruncSeries:
         return TruncSeries(self.order, out)
 
     def inverse(self) -> "TruncSeries":
-        c0 = self.coeffs[0]
-        if len(c0.t) != 1:
-            raise ValueError("series inverse needs a monomial constant term")
-        ((e0, a0),) = c0.t.items()
-        inv0 = Laurent.v_pow(-e0, a0.inverse())
+        """Needs a monomial constant term (Laurent.inverse)."""
+        inv0 = self.coeffs[0].inverse()
         out = [inv0]
         for m in range(1, self.order + 1):
             acc = L_ZERO

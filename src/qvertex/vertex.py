@@ -314,10 +314,11 @@ def contraction_check(eng: VertexEngine, i: int, j: int, k: int, l: int, D: int)
         # single monomial entry c v^e (A1 constants, p-shifted adjacents):
         # exp(-sum (c/n)(v^e x)^n) = (1 - v^e x)^c classically
         entry = ctx.pair_pow(i, j, 1)
-        ((ev, c0),) = entry.t.items() if entry.t else ((0, None),)
-        if c0 is None or not c0.is_rational or c0.as_rational().denominator != 1:
+        sup = entry.support()
+        c0 = entry.coeff(sup[0]) if len(sup) == 1 else None
+        if c0 is None or c0 != int(c0.coords()[1][0]):
             raise ValueError("no closed contraction reference for this entry")
-        reference = classical_pow(int(c0.as_rational()), D).shift_var(Laurent.v_pow(ev))
+        reference = classical_pow(c0.as_rational(), D).shift_var(Laurent.v_pow(sup[0]))
         notes.append("non-deformed Cartan entry: classical power reference")
     want = reference.shift_var(Laurent.q_pow(k - l))
     params = {"group": ctx.group.name, "xi": ctx.xi.kind, "i": i, "j": j, "k": k, "l": l, "order": D}
@@ -483,10 +484,10 @@ def table_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, La
         return 2, L_ONE, lin(tw) * lin(tw)  # A1 cross pairing, classical square
     if g_ab == -2 and entry == Laurent.of(-2):
         return -2, L_ONE, (lin(tw) * lin(tw)).inverse()  # A1 cross, classical double pole
-    if g_ab == -1 and len(entry.t) == 1:
+    if g_ab == -1 and len(entry.support()) == 1:
         # entry is a single monomial of negative sign; the pole sits at tw*(-entry)
         return -1, p_prefactor() if eng.p_exp is not None else L_ONE, lin(tw * (-entry)).inverse()
-    if g_ab == 1 and len(entry.t) == 1:
+    if g_ab == 1 and len(entry.support()) == 1:
         # entry is a single positive monomial; one linear vanishing factor
         return 1, p_prefactor() if eng.p_exp is not None else L_ONE, lin(tw * entry)
     return None

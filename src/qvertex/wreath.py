@@ -25,7 +25,7 @@ from functools import lru_cache
 from math import factorial
 
 from .fock import FockContext, FockVector, aprime_mono, inner_closed
-from .groups import GroupData, natural_multiplicity
+from .groups import GroupData
 from .report import CheckReport, first_mismatch
 from .repring import CxClassFunction, WeightXi
 from .scalar import KeyedSum, Laurent
@@ -138,15 +138,6 @@ def sigma_rho(g: GroupData, rho: PartitionFn, k: int = 0) -> WreathClassFunction
     return WreathClassFunction(g, n, {tuple(rho): Laurent.q_pow(n * k).scale(big_z(g, rho))})
 
 
-def sigma_n_gamma(g: GroupData, i: int, n: int, k: int = 0) -> WreathClassFunction:
-    """sigma_n(gamma_i (x) q^k): value n gamma_i(c) q^{nk} on single-n-cycle types."""
-    vals: dict[PartitionFn, Laurent] = {}
-    for c in range(g.n_classes):
-        rho = tuple((n,) if cc == c else () for cc in range(g.n_classes))
-        vals[rho] = Laurent.q_pow(n * k, g.char_table[i][c]).scale(n)
-    return WreathClassFunction(g, n, vals)
-
-
 def eta_wreath(g: GroupData, f: CxClassFunction, n: int) -> WreathClassFunction:
     return WreathClassFunction(g, n, {rho: eta_value(f, rho) for rho in enumerate_types(g, n)})
 
@@ -169,12 +160,6 @@ def ch(f: WreathClassFunction) -> FockVector:
 # exponential formulas on the Fock side
 
 Combo = list[tuple[int, int, int]]  # (coefficient, character index, q-twist k)
-
-
-def natural_combo(g: GroupData) -> Combo:
-    """Decomposition of pi into irreducible characters (<pi, gamma_i> is gamma_i's multiplicity in pi * gamma_0)."""
-    multiplicities = (natural_multiplicity(g, 0, i) for i in range(g.n_classes))
-    return [(m, i, 0) for i, m in enumerate(multiplicities) if m]
 
 
 def combo_class_function(g: GroupData, combo: Combo) -> CxClassFunction:

@@ -19,7 +19,7 @@ from qvertex.repring import (
     qp_eigenvalues,
     second_xi,
 )
-from qvertex.scalar import Cyclo, Laurent, TruncSeries
+from qvertex.scalar import Laurent, TruncSeries
 from qvertex.toroidal import SuiteConfig, run_suite
 from qvertex.vertex import (
     VertexEngine,
@@ -30,7 +30,9 @@ from qvertex.vertex import (
     y_minus,
     y_plus,
 )
-from qvertex.wreath import exp_formula_check, isometry_check, natural_combo
+from qvertex.wreath import exp_formula_check, isometry_check
+
+from helpers import natural_combo
 
 
 def report(num: int, ok: bool, detail: str = ""):
@@ -66,9 +68,7 @@ def test_criterion_02_quantum_mckay():
             ok &= mckay_eigencheck(second_xi(g, k)).passed
             vals = qp_eigenvalues(g, k)
             for j in range(n):
-                want = qq - Laurent.q_pow(k, Cyclo.root(n, j % n) if n > 1 else Cyclo.rational(1)) - Laurent.q_pow(
-                    -k, Cyclo.root(n, (-j) % n) if n > 1 else Cyclo.rational(1)
-                )
+                want = qq - Laurent.q_pow(k, Laurent.root(n, j)) - Laurent.q_pow(-k, Laurent.root(n, -j))
                 ok &= vals[j] == want
     dt = time.time() - t0
     report(2, ok and dt < 1.0, f"eigenvector identities exact in {dt:.2f}s")

@@ -12,6 +12,8 @@ from qvertex import cli, fock, repring, toroidal, vertex, wreath
 from qvertex.cli import REGISTRY, build_parser, main
 from qvertex.report import CheckReport
 
+from helpers import laurent_from_obj
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -30,7 +32,7 @@ def test_cartan_json_round_trips(capsys):
     doc = json.loads(out)
     from qvertex.scalar import Laurent
 
-    entries = [[Laurent.from_obj(e) for e in row] for row in doc["entries"]]
+    entries = [[laurent_from_obj(e) for e in row] for row in doc["entries"]]
     qq = Laurent.q_pow(1) + Laurent.q_pow(-1)
     assert entries[0][0] == qq and entries[0][1] == Laurent.of(-2)
     # round trip: re-serialise
@@ -323,9 +325,20 @@ def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
     (["toroidal", "--group", "bd:3"], "3e7f0ded6d7d0eef3d48746ca4de0fde9ebb828ff20abe87fbb6467a5aee7352"),
     (["all", "--group", "cyclic:3", "--xi", "second"],
      "7fdaf93af69486a3539eddb6938c538cb8b3b7f40cab0f5f10dc784ff1e7518e"),
+    # character values print at their own conductor: bd:5's 2-dimensional values at 10
+    (["chartable", "--group", "bd:5"], "576c407609021217c6d157dbd752744e13f3c37ddd7bff8030f4a3fbb43b3b5a"),
+    (["chartable", "--group", "bt"], "b060c014a4bc3fa170ca1e3a721c15d40e8afaf993afb3ee50ef5bad027f0688"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place
     code, out, _ = run([*argv, "--format", "json"], capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
+def test_chartable_text_is_byte_identical_to_the_recorded_golden(capsys):
+    # the table prints bd:5's values at conductor 10, where a Laurent's rendering descends to 5
+    code, out, _ = run(["chartable", "--group", "bd:5"], capsys)
+    assert code == 0
+    assert "1 + 1*z10^2 + -1*z10^3" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == "074bb2bd7894dcc79aadcbc418391d7304663ca9d27adeb29c2c5f111b27e4cf"

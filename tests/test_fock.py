@@ -23,7 +23,7 @@ from qvertex.fock import (
 )
 from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic
 from qvertex.repring import first_xi, second_xi
-from qvertex.scalar import L_ZERO, Cyclo, Laurent
+from qvertex.scalar import L_ZERO, Laurent
 from qvertex.wreath import big_z, enumerate_types, rho_bar
 from vector_helpers import basis_shift, ext_form, lattice_mul_e
 
@@ -223,13 +223,13 @@ def rebase_oracle(g, v, basis):
     out = {}
     for m, coeff in v.terms.items():
         for ys in product(range(r), repeat=len(m)):
-            w = Cyclo.rational(1)
+            w = Laurent.one()
             for (_, x), y in zip(m, ys):
                 w = w * row[x][y]
             if w.is_zero:
                 continue
             key = tuple(sorted((deg, y) for (deg, _), y in zip(m, ys)))
-            out[key] = out.get(key, L_ZERO) + coeff * Laurent.of(w)
+            out[key] = out.get(key, L_ZERO) + coeff * w
     return FockVector(basis, {k: c for k, c in out.items() if not c.is_zero})
 
 
@@ -237,7 +237,7 @@ def oracle_coeff(t):
     """Coefficient of the t-th monomial: rational and cyclotomic Laurents alternate."""
     if t % 2 == 0:
         return Laurent.q_pow(t % 3 - 1).scale(Fraction(t + 1, 2))
-    return Laurent.v_pow(t % 5 - 2, Cyclo.root(12, t)) + Laurent.of(Fraction(-1, t))
+    return Laurent.v_pow(t % 5 - 2, Laurent.root(12, t)) + Laurent.of(Fraction(-1, t))
 
 
 def oracle_vectors(g, basis):
@@ -369,7 +369,7 @@ def gram_vectors(g):
     cyclotomic coefficients and mixed degrees, and a class vector whose
     character expansion cancels a term."""
     r = g.n_classes - 1
-    cyc = Laurent.q_pow(-1, Cyclo.root(3)) + Laurent.of(Fraction(1, 2))
+    cyc = Laurent.q_pow(-1, Laurent.root(3)) + Laurent.of(Fraction(1, 2))
     lau = Laurent.q_pow(2) - Laurent.q_pow(-1).scale(3)
     frac = Laurent.of(Fraction(-2, 3))
     return [
@@ -443,7 +443,7 @@ def test_gram_pairs_only_monomials_of_equal_degree():
 def test_form_sesquilinear_and_bar_symmetric_on_combinations(config):
     ctx = FockContext(GRAM_CONFIGS[config]())
     vecs = [v for v in gram_vectors(ctx.group) if v.basis == "chi"]
-    a = Laurent.q_pow(1, Cyclo.root(3)) - Laurent.of(Fraction(3, 4))
+    a = Laurent.q_pow(1, Laurent.root(3)) - Laurent.of(Fraction(3, 4))
     b = Laurent.q_pow(-2) + Laurent.q_pow(1).scale(2)
     for u in vecs:
         for w in vecs:
@@ -562,7 +562,7 @@ rational_values = st.one_of(st.integers(-6, 6), vec_fracs)
 # conductors 1 (the rationals), 3, 4, 12 and 20
 vec_values = st.one_of(
     rational_values,
-    st.builds(lambda n, k, x: Cyclo.root(n, k) * x, st.sampled_from([3, 4, 12, 20]), st.integers(0, 19), vec_fracs),
+    st.builds(lambda n, k, x: Laurent.root(n, k) * x, st.sampled_from([3, 4, 12, 20]), st.integers(0, 19), vec_fracs),
 )
 
 
@@ -629,12 +629,12 @@ def test_packed_vector_arithmetic_matches_a_term_by_term_reference(ta, tb, tr, c
 
 def test_vector_rendering_is_pinned():
     # failure details print vectors: integer, fractional, zeta_3 and zeta_4 coefficients
-    z3, z4 = Cyclo.root(3), Cyclo.root(4)
+    z3, z4 = Laurent.root(3), Laurent.root(4)
     coeffs = {
         (): Laurent.of(3),
         ((1, 0),): Laurent.v_pow(-1, Fraction(1, 2)) + Laurent.q_pow(1, -2),
         ((1, 1),): Laurent.q_pow(2, z3) + Laurent.of(Fraction(-2, 3)),
-        ((1, 0), (2, 1)): Laurent.v_pow(1, z4 * Fraction(3, 4)) - Laurent.q_pow(-1, 1 + z3),
+        ((1, 0), (2, 1)): Laurent.v_pow(1, z4 * Fraction(3, 4)) - Laurent.q_pow(-1, Laurent.one() + z3),
     }
     assert str(FockVector("chi", coeffs)) == (
         "(3)*1 + (-2*v^2 + 1/2*v^-1)*a[-1](g0) + ((3/4*z4^1)*v + (-1 - 1*z3^1)*v^-2)*a[-1](g0)*a[-2](g1)"

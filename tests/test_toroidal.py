@@ -16,7 +16,7 @@ from qvertex.toroidal import (
     suite_json,
 )
 from qvertex.fock import ExtState
-from qvertex.scalar import Cyclo, Laurent, qint
+from qvertex.scalar import Laurent, qint
 from qvertex.vertex import fj_x
 
 SMALL = dict(max_degree=1, max_mode=1, max_states=5)
@@ -144,7 +144,7 @@ MIXED = [
     Laurent.one(),
     Laurent.q_pow(1) - Laurent.of(2),
     Laurent.v_pow(-1, Fraction(1, 3)),
-    Laurent.of(Cyclo.root(3)) + Laurent.q_pow(-2),
+    Laurent.root(3) + Laurent.q_pow(-2),
 ]
 
 

@@ -28,12 +28,12 @@ from qvertex.wreath import (
     eta_wreath,
     exp_formula_check,
     isometry_check,
-    natural_combo,
     rho_bar,
-    sigma_n_gamma,
     sigma_rho,
     z_part,
 )
+
+from helpers import natural_combo, sigma_n_gamma
 
 # ---------------------------------------------------------------- brute force
 
