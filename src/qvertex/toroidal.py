@@ -79,16 +79,29 @@ class RepMap:
 
     Every generator -- a_i(m), k_i^{+-1}, the psi half-current modes and
     x_i^s(n) -- applies through `_apply`, which builds the image of each basis
-    term (a column) once per RepMap, so one relation suite builds each column
-    of a generator once.  Columns are keyed by the generator's data (for x the
-    operator's data, not (i, s)).  A column is the image's keyed value
-    (scalar.KeyedSum), with its (key, v-exponent) pairs interned across
-    columns, so applying a generator is one int product and one exponent add
-    per (input term, column term).  The column map is the only cache that
-    lives for a suite run.  A relation check keeps the images of whole states
-    it rereads (x_j^s(n) v_t, ...) in tables of its own, keyed by (index,
-    sign, mode, state index), which die with the check or with the block of
-    it that rereads them.
+    term (a column) once per RepMap.  Columns are keyed by the generator's
+    data (for x the operator's data, not (i, s)) and its mode.  A column is
+    the image's keyed value (scalar.KeyedSum), with its (key, v-exponent)
+    pairs interned across columns, so applying a generator is one int product
+    and one exponent add per (input term, column term).
+
+    A generator reads the lattice point beta only through its step at beta,
+    (mode offset, sign, beta', v-exponent).  So the column of u (x) e^beta is
+    the origin column, the image of u (x) e^0 at the mode plus the offset,
+    translated: times the ratio of beta's sign to the origin's, moved to beta'
+    and shifted by the difference of the v-exponents.  x's step is
+    `VertexEngine.lattice_step` (see vertex.py); an x origin column is the
+    creation stage for its mode on one annihilation stage per (operator,
+    monomial), uncut, since the creation stage drops the z-orders a mode
+    cannot reach.  a_i(m) steps to beta and does nothing else; k_i^p and the
+    psi modes, whose k_i factor alone reads beta, multiply by
+    q^{p <gamma_i, beta>_1}.
+
+    The column, origin, annihilation and step tables live for one suite run
+    and are its only caches.  A relation check keeps the images of whole
+    states it rereads (x_j^s(n) v_t, ...) in tables of its own, keyed by
+    (index, sign, mode, state index), which die with the check or with the
+    block of it that rereads them.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -112,23 +125,31 @@ class RepMap:
         self.affine = cfg.variant == "affine"
         self.indices = list(range(1, group.n_classes)) if self.affine else list(range(group.n_classes))
         self._x_ops = {(i, s): fj_x(i, s, self.k_eff) for i in range(group.n_classes) for s in (1, -1)}
-        # generator key + (basis,) -> {basis key: keyed value of the image}, built on first read
-        self._columns: dict[tuple, _Images] = {}
+        self._origin_point = (0,) * group.n_classes
+        # (generator, mode, basis) -> {basis key: keyed value of the image}, built on first read
+        self._columns: dict[tuple, dict] = {}
+        self._origins: dict[tuple, Laurent] = {}  # (generator, mode, basis, monomial) -> origin column
+        self._ann: dict[tuple, Laurent] = {}  # (x generator, basis, monomial) -> annihilation stage at e^0
+        self._steps: dict[tuple, tuple] = {}  # (generator, beta) -> lattice step
         self._interned: dict = {}
 
-    def _apply(self, gen: tuple, image, v: ExtState) -> ExtState:
-        """sum_t c_t image(t) over v's terms c_t t, each column image(t) built once.
+    def _apply(self, gen: tuple, n: int, v: ExtState, step, origin) -> ExtState:
+        """sum_t c_t image(t) over v's nonzero terms c_t t, each column image(t) built once.
 
-        image maps a single basis term (coefficient one) to its image; gen
-        names the generator, so two generators never share a column.
+        gen names the generator and n its mode, so two generators never share
+        a column; step(beta) is the generator's lattice step at beta and
+        origin(N, basis, mono) its image of mono (x) e^0 at mode N.  The
+        tables keep no closure over the RepMap, so it is freed when its suite
+        ends, without waiting for the cycle collector.
         """
         f = v.f
         entries = f.entries()
-        if not entries:
-            return ExtState.zero(v.basis)
-        cols = self._columns.get(gen + (v.basis,))
+        cols = self._columns.get((gen, n, v.basis))
         if cols is None:
-            cols = self._columns[gen + (v.basis,)] = _Images(lambda *key: self._column(image, v.basis, key))
+            cols = self._columns[(gen, n, v.basis)] = {}
+        for (key, _), _ in entries:
+            if key not in cols:
+                cols[key] = self._column(gen, n, v.basis, step, origin, *key)
         if len(entries) == 1:
             ((key, e), x), = entries
             return ExtState.packed(v.basis, keyed_times(cols[key], e, f, x))
@@ -137,16 +158,35 @@ class RepMap:
             acc.add_all(cols[key], e, f, x)
         return ExtState.packed(v.basis, acc.value())
 
-    def _column(self, image, basis: str, key) -> Laurent:
-        f = image(ExtState.unit(basis, key)).f
-        if f.is_zero:
+    def _step(self, gen: tuple, step, beta: tuple[int, ...]) -> tuple:
+        st = self._steps.get((gen, beta))
+        if st is None:
+            st = self._steps[(gen, beta)] = step(beta)
+        return st
+
+    def _column(self, gen: tuple, n: int, basis: str, step, origin, mono, beta) -> Laurent:
+        """The column of mono (x) e^beta: the origin column at the shifted mode, translated."""
+        offset, sign, point, ev = self._step(gen, step, beta)
+        _, sign0, _, ev0 = self._step(gen, step, self._origin_point)
+        okey = (gen, n + offset, basis, mono)
+        col = self._origins.get(okey)
+        if col is None:
+            col = self._origins[okey] = origin(n + offset, basis, mono).f
+        if col.is_zero:
             return L_ZERO
         intern = self._interned.setdefault
         t = {}
-        for (k, e), x in f.entries():
-            ke = (intern(k, k), e)
+        de = ev - ev0
+        for ((m, _), e), x in col.entries():
+            k = (m, point)
+            ke = (intern(k, k), e + de)
             t[intern(ke, ke)] = x
-        return f.with_entries(t)
+        col = col.with_entries(t)
+        return col if sign == sign0 else -col
+
+    def _unit(self, basis: str, mono) -> ExtState:
+        """mono (x) e^0."""
+        return ExtState.unit(basis, (mono, self._origin_point))
 
     # -- generators
 
@@ -155,26 +195,45 @@ class RepMap:
 
     def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
         """x_i^sign(n) v."""
+        if v.is_zero:
+            return ExtState.zero(v.basis)
         op = self.x_op(i, sign)
-        gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv, n)
-        return self._apply(gen, lambda t: self.eng.mode(op, n, t), v)
+        gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv)
+
+        def origin(N: int, basis: str, mono) -> ExtState:
+            ann = self._ann.get((gen, basis, mono))
+            if ann is None:
+                # b - <w, 0> = b >= 0: no z-order is cut
+                ann = self._ann[(gen, basis, mono)] = self.eng.annihilation_stage(op, self._unit(basis, mono), -1)
+            return self.eng.creation_stage(op, N, ann, basis)
+
+        return self._apply(gen, n, v, lambda beta: self.eng.lattice_step(op, beta), origin)
+
+    def _k_step(self, i: int, power: int):
+        """The lattice step of k_i^power: q^{power <gamma_i, beta>_1} at beta."""
+        return lambda beta: (0, 1, beta, 2 * power * self.eng.lat.pairing_row(i, beta))
 
     def a_mode(self, i: int, m: int, v: ExtState) -> ExtState:
         """a_i(m) = ([m]/m) a_m(gamma_i)."""
         if m == 0:
             raise ValueError("a_i(0) is not a generator here")
-        return self._apply(
-            ("a", i, m), lambda t: ext_apply_mode(self.fock, m, i, t).scale(qint(abs(m)).scale(Fraction(1, abs(m)))), v
-        )
+        if v.is_zero:
+            return ExtState.zero(v.basis)
+
+        def origin(m: int, basis: str, mono) -> ExtState:
+            return ext_apply_mode(self.fock, m, i, self._unit(basis, mono)).scale(
+                qint(abs(m)).scale(Fraction(1, abs(m)))
+            )
+
+        return self._apply(("a", i), m, v, self._k_step(i, 0), origin)
 
     def k_diag(self, i: int, v: ExtState, power: int = 1) -> ExtState:
         """k_i^power: q^{power <gamma_i, beta>_1} on the lattice point beta."""
-
-        def image(t: ExtState) -> ExtState:
-            (_, beta), = t.terms
-            return t.scale(Laurent.q_pow(power * self.eng.lat.pairing_row(i, beta)))
-
-        return self._apply(("k", i, power), image, v)
+        if v.is_zero:
+            return ExtState.zero(v.basis)
+        return self._apply(
+            ("k", i, power), 0, v, self._k_step(i, power), lambda _, basis, mono: self._unit(basis, mono)
+        )
 
     def psi_mode(self, i: int, mode_sign: int, coeff_sign: int, j: int, v: ExtState) -> ExtState:
         """Mode j (coefficient of w^{-mode_sign*j}; zero for j < 0) of the half-current
@@ -183,12 +242,16 @@ class RepMap:
                                  q^{k n/2} w^{-mode_sign*n}).
 
         The comm3 check combines (mode_sign, coeff_sign) = (+1, o) and (-1, -o)
-        with o = -k: at k = -1 these are the printed psi^+ / psi^-.
+        with o = -k: at k = -1 these are the printed psi^+ / psi^-.  The
+        exponential is built on mono (x) e^0, where k_i is one; the step
+        carries k_i^{coeff_sign}.
         """
+        if v.is_zero:
+            return ExtState.zero(v.basis)
 
-        def image(t: ExtState) -> ExtState:
+        def origin(j: int, basis: str, mono) -> ExtState:
             qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
-            base = self.k_diag(i, t, power=coeff_sign)
+            base = self._unit(basis, mono)
             terms = []
             for lam in partitions(j):
                 term = base
@@ -198,9 +261,9 @@ class RepMap:
                     coeff = coeff * qdiff * Laurent.v_pow(self.k_eff * part)
                 denom = prod(factorial(c) for c in Counter(lam).values())
                 terms.append((term, coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom))))
-            return ExtState.lincomb(t.basis, terms)
+            return ExtState.lincomb(basis, terms)
 
-        return self._apply(("psi", i, mode_sign, coeff_sign, j), image, v)
+        return self._apply(("psi", i, mode_sign, coeff_sign), j, v, self._k_step(i, coeff_sign), origin)
 
     # -- deterministic test states
 

@@ -22,6 +22,15 @@ skipping z-orders that no requested mode reaches.  The creation stage then
 multiplies each of those groups by the creation exponential's component for
 the requested mode.
 
+Only the lattice factor sees the lattice point: on e^beta, V(z) contributes
+its lattice step (VertexEngine.lattice_step), the mode offset <w, beta>_1, the
+cocycle and reduction sign, the reduced point w + beta and the zero mode's
+v-power.  So the image of u (x) e^beta at mode n is the image of u (x) e^0 at
+mode n + <w, beta>_1, translated: times the ratio of the two signs, moved to
+the new point and shifted by the difference of the v-powers.  The toroidal
+RepMap builds its x columns so, one annihilation stage per (operator,
+monomial) at e^0 and one creation stage per mode.
+
 In p-mode (type A, second weight) the zero mode carries the extra factor
 p^{-(1/2) sum_j <w, m_j gamma_j> b_{ij}} with b the cyclic skew matrix; the sign
 conventions here were pinned by exact computation against the OPE tables and
@@ -188,6 +197,21 @@ class VertexEngine:
         s = sum(m * self.lat.gram[i][j] * self.bmat[i][j] for j, m in enumerate(beta) if m)
         return -self.p_exp * w_sign * s
 
+    def lattice_step(self, op: VOp, beta: tuple[int, ...]) -> tuple[int, int, tuple[int, ...], int]:
+        """What op(z) does to the lattice factor e^beta: (s, sign, beta', v0).
+
+        s = <w, beta>_1 is the mode offset of the zero mode z^{<w, .>}, sign the
+        cocycle sign eps(w, beta) times the quotient's reduction sign, beta' the
+        reduced point w + beta, and v0 the zero mode's v-exponent
+        zqv s + p-factor.
+        """
+        moved = list(beta)
+        moved[op.i] += op.w_sign
+        rsign, newb = self.lat.reduce_signed(tuple(moved))
+        s = op.w_sign * self.lat.pairing_row(op.i, beta)
+        v0 = op.zqv * s + self.p_factor_v(op.i, op.w_sign, beta)
+        return s, self.lat.cocycle_sign(self.shift_vec(op.i, op.w_sign), beta) * rsign, newb, v0
+
     def ann_expand(self, op: VOp, mono: Mono) -> list[tuple[int, Mono, Laurent]]:
         """Expansion of the annihilation exponential on a monomial.
 
@@ -234,26 +258,22 @@ class VertexEngine:
         """The n-independent half of op(z) on the state, like terms summed.
 
         A keyed value over (m_ann, newb, e) keys: the summed coefficient
-        of m_ann (x) e^newb at z^{-e} after the annihilation exponential, the
-        lattice shift with its cocycle and reduction signs, and the zero
-        mode; e = b - <w, beta>
-        for an annihilation term of z-order b.  Terms that no mode n >= n_min
-        reaches (e <= n_min) are skipped; groups that cancel are dropped.
+        of m_ann (x) e^newb at z^{-e} after the annihilation exponential and
+        the lattice step (the shift with its cocycle and reduction signs, and
+        the zero mode); e = b - <w, beta> for an annihilation term of z-order
+        b.  Terms that no mode n >= n_min reaches (e <= n_min) are skipped;
+        groups that cancel are dropped.
         """
         acc = KeyedSum()
-        shift = self.shift_vec(op.i, op.w_sign)
         f = state.f
         for (mono, beta), entries in by_key(state).items():
-            s_pair = op.w_sign * self.lat.pairing_row(op.i, beta)
-            sign = self.lat.cocycle_sign(shift, beta)
-            rsign, newb = self.lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))
-            v0 = op.zqv * s_pair + self.p_factor_v(op.i, op.w_sign, beta)
+            s_pair, sign, newb, v0 = self.lattice_step(op, beta)
             for b, m_ann, c_ann in self.ann_expand(op, mono):
                 e = b - s_pair
                 if e <= n_min:
                     continue
                 for ev, x in entries:
-                    acc.add((m_ann, newb, e), ev + v0, f, x, c_ann, sign * rsign)
+                    acc.add((m_ann, newb, e), ev + v0, f, x, c_ann, sign)
         return acc.value()
 
     def creation_stage(self, op: VOp, n: int, table: AnnTable, basis: str) -> ExtState:

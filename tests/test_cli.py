@@ -328,6 +328,15 @@ def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
     # character values print at their own conductor: bd:5's 2-dimensional values at 10
     (["chartable", "--group", "bd:5"], "576c407609021217c6d157dbd752744e13f3c37ddd7bff8030f4a3fbb43b3b5a"),
     (["chartable", "--group", "bt"], "b060c014a4bc3fa170ca1e3a721c15d40e8afaf993afb3ee50ef5bad027f0688"),
+    # columns translated from the lattice origin: the quotient lattice's reduction signs,
+    # p-mode's zero-mode v-powers, conductor-12 columns and the second weight at p = q^-1
+    (["toroidal", "--group", "cyclic:3", "--variant", "qp", "--p-exp", "1"],
+     "2116aab1eff970c1570192b748d0e4b7c316ac1d32b4664339bba6d0e57541c9"),
+    (["toroidal", "--group", "cyclic:3", "--variant", "qp", "--p-exp", "2"],
+     "0bcce7bb7039c361261ae1458844a089fccb4f81e909ea020953fd029b2723ea"),
+    (["toroidal", "--group", "bt"], "ce6769ad9b5855d6ef9ab88408dff6be0b2fa00aec7c0cd4e710d27b587cbede"),
+    (["toroidal", "--group", "cyclic:4", "--xi", "second", "--p-exp", "-1"],
+     "8437cebccd748fd61aace801b01578d72524569daf57662d4eb53e7c3567f845"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +20,8 @@ from qvertex.toroidal import (
 from qvertex.fock import ExtState
 from qvertex.scalar import Laurent, qint
 from qvertex.vertex import fj_x
+
+from vector_helpers import ref_a_mode, ref_k_diag, ref_psi_mode
 
 SMALL = dict(max_degree=1, max_mode=1, max_states=5)
 
@@ -138,6 +142,8 @@ CACHE_CASES = [
     ("cyclic:3", cyclic(3), {"variant": "typeA_qp", "p_exp": 1}),
     ("cyclic:3", cyclic(3), {"variant": "typeA_qp", "p_exp": 2}),
     ("cyclic:3", cyclic(3), {"variant": "toroidal_plus", "xi": "second", "p_exp": -1}),
+    # not type A: the cocycle signs of the shifted points are not all one
+    ("bd:2", binary_dihedral(2), {"variant": "toroidal_plus"}),
 ]
 
 MIXED = [
@@ -217,6 +223,53 @@ def test_x_mode_cache_follows_a_replaced_operator():
     assert rep.x_mode(0, 1, -2, v) == mirrored
 
 
+HEISENBERG_SIDE_CASES = [
+    ("cyclic:3", cyclic(3), {"variant": "toroidal_plus"}),
+    ("cyclic:3", cyclic(3), {"variant": "toroidal_minus", "k": 1}),
+    ("cyclic:3", cyclic(3), {"variant": "typeA_qp", "p_exp": 1}),
+    ("bd:2", binary_dihedral(2), {"variant": "toroidal_plus"}),
+]
+
+
+@pytest.mark.parametrize("spec,group,kw", HEISENBERG_SIDE_CASES,
+                         ids=[f"{s}-{'-'.join(map(str, k.values()))}" for s, _, k in HEISENBERG_SIDE_CASES])
+def test_a_k_psi_off_the_origin_match_references(spec, group, kw):
+    """a_i(m), k_i^p and the psi modes on states away from e^0 (in the quotient
+    lattice, at reduced points) against references applied term by term."""
+    rep = RepMap(group, small_cfg(spec, **kw))
+    lat, rank = rep.eng.lat, group.n_classes
+    raw = []
+    for i in range(rank):
+        for s in (1, -1):
+            e = [0] * rank
+            e[i] = s
+            raw.append(tuple(e))
+    raw += [(-1, 2) + (0,) * (rank - 2), (1,) * (rank - 1) + (0,)]
+    points = sorted({lat.reduce(b) for b in raw})
+    assert (0,) * rank not in points
+    assert any(lat.reduce(b) != b for b in raw) == lat.quotient
+    monos = [(), ((1, 0),), ((1, 1), (2, 0))]
+    states = []
+    for basis in ("chi", "cls"):
+        states += [ExtState.point(m, b, basis=basis) for m in monos for b in points[:3]]
+        states.append(sum(
+            (ExtState.point(m, b, basis=basis, coeff=MIXED[(t + u) % len(MIXED)])
+             for t, m in enumerate(monos) for u, b in enumerate(points)),
+            ExtState(basis),
+        ))
+    for v in states:
+        for i in rep.indices:
+            for m in (-2, -1, 1, 2):
+                assert rep.a_mode(i, m, v) == ref_a_mode(rep.fock, i, m, v), (i, m, v)
+            for p in (1, -1):
+                assert rep.k_diag(i, v, power=p) == ref_k_diag(lat, i, p, v), (i, p, v)
+            for ms in (1, -1):
+                for cs in (1, -1):
+                    for j in range(4):
+                        want = ref_psi_mode(rep.fock, lat, rep.k_eff, i, ms, cs, j, v)
+                        assert rep.psi_mode(i, ms, cs, j, v) == want, (i, ms, cs, j, v)
+
+
 def test_one_rep_map_serving_every_generator_matches_a_fresh_one_per_call():
     """No two generators share a column: a, k, psi and x, called in both bases
     and with every sign combination on one RepMap, agree with a fresh RepMap."""
@@ -234,6 +287,20 @@ def test_one_rep_map_serving_every_generator_matches_a_fresh_one_per_call():
     warm = RepMap(cyclic(3), cfg)
     for name, args in calls:
         assert getattr(warm, name)(*args) == getattr(RepMap(cyclic(3), cfg), name)(*args), (name, args)
+
+
+def test_a_rep_map_is_freed_without_the_cycle_collector():
+    # its tables hold every column of a suite run: they go when the suite ends
+    gc.disable()
+    try:
+        rep = RepMap(cyclic(3), small_cfg("cyclic:3"))
+        states = rep.test_states()
+        assert check_a_x(rep, states).passed and check_xpxm(rep, states).passed
+        ref = weakref.ref(rep)
+        del rep
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # -- every relation check fails on a seeded defect, at a named coefficient
@@ -315,13 +382,15 @@ def test_xpxm_sees_a_defect_in_a_positive_heisenberg_mode(monkeypatch):
 
 # (x_mode calls, a_mode calls) of each check on small_cfg("cyclic:3"), the checks
 # run in suite order on one RepMap.  xpxm's a_mode calls are psi_mode building
-# its columns.  The Serre count also guards its suffix table's keys: a table
-# that served one state's chains for every state would still see zero sums.
+# its origin columns, once per (mode, monomial) and not per lattice point: the
+# five states are the vacuum at five points.  The Serre count also guards its
+# suffix table's keys: a table that served one state's chains for every state
+# would still see zero sums.
 IMAGE_CALLS = {
     "check_heisenberg_rel": (0, 210),
     "check_a_x": (690, 570),
     "check_xx": (2220, 0),
-    "check_xpxm": (900, 120),
+    "check_xpxm": (900, 24),
     "check_serre": (3420, 0),
 }
 

@@ -1,8 +1,11 @@
 """Test-only vector helpers, written against the public FockVector API: the
 read-only ``terms`` view, the constructor and ``add_term``."""
 
-from qvertex.fock import ExtState, FockContext, FockVector, LatticeContext
-from qvertex.scalar import L_ZERO, Laurent
+from fractions import Fraction
+from math import factorial
+
+from qvertex.fock import ExtState, FockContext, FockVector, LatticeContext, ext_apply_mode
+from qvertex.scalar import L_ZERO, Laurent, qint
 from qvertex.vertex import VertexEngine, VOp
 
 
@@ -66,3 +69,39 @@ def half_vertex(eng: VertexEngine, kind: str, i: int, l_v: int, state: ExtState,
                 acc = out.setdefault(-b, ExtState.zero(state.basis))
                 acc.add_term((m_ann, beta), coeff * c_ann)
     return {k: v for k, v in out.items() if not v.is_zero or k == 0}
+
+
+# -- the toroidal Heisenberg-side generators, term by term on the whole state
+
+
+def ref_a_mode(ctx: FockContext, i: int, m: int, v: ExtState) -> ExtState:
+    """a_i(m) = ([m]/m) a_m(gamma_i) on the Fock factor."""
+    return ext_apply_mode(ctx, m, i, v).scale(qint(abs(m)).scale(Fraction(1, abs(m))))
+
+
+def ref_k_diag(lat: LatticeContext, i: int, power: int, v: ExtState) -> ExtState:
+    """k_i^power: each term u (x) e^beta times q^{power <gamma_i, beta>_1}."""
+    out = ExtState.zero(v.basis)
+    for (mono, beta), c in v.terms.items():
+        out.add_term((mono, beta), c * Laurent.q_pow(power * lat.pairing_row(i, beta)))
+    return out
+
+
+def ref_psi_mode(ctx: FockContext, lat: LatticeContext, k_eff: int, i: int, mode_sign: int, coeff_sign: int,
+                 j: int, v: ExtState) -> ExtState:
+    """The w^{-mode_sign j} coefficient of k_i^cs exp(X) v with
+    X = cs (q - q^-1) sum_{n>0} a_i(mode_sign n) q^{k n/2} w^{-mode_sign n},
+    summed as X^r / r! over r, X^r kept by w-order (ordered compositions of j)."""
+    qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
+    powers = {0: ref_k_diag(lat, i, coeff_sign, v)}
+    out = powers[0] if j == 0 else ExtState.zero(v.basis)
+    for r in range(1, j + 1):
+        nxt: dict[int, ExtState] = {}
+        for d, u in powers.items():
+            for n in range(1, j - d + 1):
+                w = ref_a_mode(ctx, i, mode_sign * n, u).scale((qdiff * Laurent.v_pow(k_eff * n)).scale(coeff_sign))
+                nxt[d + n] = nxt[d + n] + w if d + n in nxt else w
+        powers = nxt
+        if j in powers:
+            out = out + powers[j].scale(Laurent.of(Fraction(1, factorial(r))))
+    return out
