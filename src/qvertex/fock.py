@@ -25,10 +25,17 @@ Normalisations:
   * the bilinear form is q-sesquilinear: <f u, g v> = f bar_q(g) <u, v>,
     <1,1> = 1, adjoint a_n^* = a_{-n}.
 
-The form is evaluated in Gram rows (FockContext.gram): every right-hand
-vector is expanded into character-basis monomials once, and every left vector
-once, into a dual row over those monomials; <u, v> for a single pair is the
-one-entry Gram row.
+The form of two monomials is the Wick recursion (FockContext.form_mono): the
+first factor a_{-n}(x) of u contracts with each degree-n factor a_{-n}(x') of
+v through the one-factor table T[x][x'] = <a_{-n}(x), a_{-n}(x')>, and the
+rest of u pairs with the rest of v.  One table per (basis of u, basis of v,
+n), filled on first read from the character route only: n <gamma_i,
+gamma_j>^{q^n} for two characters, with chi_of_cls applied on a class side.
+So every basis pair runs the same code, and a class monomial is never expanded
+into character monomials.  The form is evaluated in Gram rows
+(FockContext.gram), each vector in its own basis: every right-hand vector is
+read once, and every left vector once, into a dual row over those monomials;
+<u, v> for a single pair is the one-entry Gram row.
 
 The basis change (FockContext.to_chi / to_cls) is a tensor-power change of
 basis, applied by sum factorisation: one factor per pass over the whole
@@ -149,6 +156,15 @@ class FockVector:
         return " + ".join(f"({c})*{mono_str(m, self.basis)}" for m, c in sorted(self.terms.items()))
 
 
+def _dot(a, b) -> Laurent:
+    """sum_k a[k] b[k] over the pairs with both factors nonzero."""
+    acc = L_ZERO
+    for x, y in zip(a, b):
+        if not x.is_zero and not y.is_zero:
+            acc = acc + x * y
+    return acc
+
+
 def by_key(v: FockVector) -> dict:
     """v's entries grouped by basis key: {key: [(v-exponent, entry), ...]}."""
     out: dict = {}
@@ -162,14 +178,16 @@ def by_key(v: FockVector) -> dict:
 
 
 class FockContext:
-    """Caches the xi-weighted pairings a_ij^{q^m} and class-basis data."""
+    """Caches the xi-weighted pairings a_ij^{q^m}, class-basis data, and the
+    form's one-factor tables and monomial pairings (filled on first read)."""
 
     def __init__(self, xi: WeightXi):
         self.xi = xi
         self.group: GroupData = xi.group
         self.cartan: QCartanMatrix = qcartan(xi)
         self._pair_cache: dict[tuple[int, int, int], Laurent] = {}
-        self._form_cache: dict[tuple[Mono, Mono], Laurent] = {}
+        self._factor_cache: dict[tuple[str, str, int], list[list[Laurent]]] = {}
+        self._form_cache: dict[tuple[Mono, Mono, str, str], Laurent] = {}
         g = self.group
         n = g.n_classes
         self.gram1 = self.cartan.at_q1()  # lattice form <gamma_i, gamma_j>_xi^1
@@ -278,53 +296,89 @@ class FockContext:
 
     # -- bilinear form
 
-    def form_mono(self, u: Mono, v: Mono) -> Laurent:
+    def one_factor(self, bu: str, bv: str, n: int) -> list[list[Laurent]]:
+        """T[x][x'] = <a_{-n}(x), a_{-n}(x')> for x of basis bu and x' of basis bv.
+
+        T = M_bu (n a_ij^{q^n}) bar_q(M_bv)^t, with M the identity for "chi"
+        and chi_of_cls for "cls": the character route only, filled on first
+        read.  The chi x chi table is n pair_pow itself.
+        """
+        key = (bu, bv, n)
+        t = self._factor_cache.get(key)
+        if t is None:
+            if bv == "cls":
+                half = self.one_factor(bu, "chi", n)
+                bars = [[w.bar_q() for w in m_row] for m_row in self.chi_of_cls]
+                t = [[_dot(row, bar_row) for bar_row in bars] for row in half]
+            elif bu == "cls":
+                cols = list(zip(*self.one_factor("chi", "chi", n)))
+                t = [[_dot(m_row, col) for col in cols] for m_row in self.chi_of_cls]
+            else:
+                r = range(self.group.n_classes)
+                t = [[self.pair_pow(i, j, n).scale(n) for j in r] for i in r]
+            self._factor_cache[key] = t
+        return t
+
+    def form_mono(self, u: Mono, v: Mono, bu: str = "chi", bv: str = "chi") -> Laurent:
+        """<u, v> of a bu-monomial u and a bv-monomial v, by the Wick recursion.
+
+        u's first factor (n, x) contracts with each distinct degree-n factor
+        (n, x') of v, as often as v holds it, with value T[x][x'] (one_factor);
+        the rest of u then pairs with the rest of v.
+        """
         if mono_deg(u) != mono_deg(v):
             return L_ZERO
         if not u:
-            return Laurent.one()
-        key = (u, v)
+            return L_ONE
+        key = (u, v, bu, bv)
         out = self._form_cache.get(key)
         if out is not None:
             return out
-        (n, i), rest = u[0], u[1:]
+        (n, x), rest = u[0], u[1:]
+        row = self.one_factor(bu, bv, n)[x]
         acc = L_ZERO
-        contracted = self.annihilate(n, i, FockVector.unit("chi", v))
-        for w, c in contracted.terms.items():
-            acc = acc + c * self.form_mono(rest, w)
+        prev = None
+        for k, factor in enumerate(v):  # sorted, so equal factors are adjacent
+            if factor[0] != n or factor == prev:
+                continue
+            prev = factor
+            t = row[factor[1]]
+            if t.is_zero:
+                continue
+            f = self.form_mono(rest, v[:k] + v[k + 1:], bu, bv)
+            if not f.is_zero:
+                acc = acc + t.scale(v.count(factor)) * f
         self._form_cache[key] = acc
         return acc
 
     def gram(self, us, vs):
         """Rows [<u, v> for v in vs], one per u of us, generated lazily.
 
-        Each v is expanded in the character basis once, with its barred
-        coefficients and monomial degrees.  Each u is expanded when its row is
-        pulled, into a dual row d_u[mv] = sum_mu cu <mu, mv> over the monomials
-        mu of equal degree, filled on demand; then <u, v> = sum_mv d_u[mv]
-        bar_q(cv).
+        Every vector is paired in its own basis, with no basis change.  Each v
+        is read once, with its barred coefficients and monomial degrees.  Each
+        u is read when its row is pulled, into a dual row d_u[mv] = sum_mu cu
+        <mu, mv> over its monomials mu of equal degree, filled on demand; then
+        <u, v> = sum_mv d_u[mv] bar_q(cv).
         """
-        cols = [
-            [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in self.to_chi(v).terms.items()]
-            for v in vs
-        ]
+        cols = [(v.basis, [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in v.terms.items()]) for v in vs]
         for u in us:
+            bu = u.basis
             by_deg: dict[int, list[tuple[Mono, Laurent]]] = {}
-            for mu, cu in self.to_chi(u).terms.items():
+            for mu, cu in u.terms.items():
                 by_deg.setdefault(mono_deg(mu), []).append((mu, cu))
-            dual: dict[Mono, Laurent] = {}
+            dual: dict[tuple[str, Mono], Laurent] = {}
             row = []
-            for col in cols:
+            for bv, col in cols:
                 acc = L_ZERO
                 for mv, deg, bar_cv in col:
-                    d = dual.get(mv)
+                    d = dual.get((bv, mv))
                     if d is None:
                         d = L_ZERO
                         for mu, cu in by_deg.get(deg, ()):
-                            f = self.form_mono(mu, mv)
+                            f = self.form_mono(mu, mv, bu, bv)
                             if not f.is_zero:
                                 d = d + cu * f
-                        dual[mv] = d
+                        dual[bv, mv] = d
                     if not d.is_zero:
                         acc = acc + d * bar_cv
                 row.append(acc)

@@ -292,7 +292,8 @@ def isometry_check(ctx: FockContext, n: int, k: int, l: int) -> CheckReport:
     """Group-side and Fock-side pairings of the sigma basis against the norm formula.
 
     Group side: <sigma_{rho x q^k}, sigma_{sigma x q^l}>_xi over types.
-    Fock side:  <a'_{-rho x q^k}, a'_{-sigma_bar x q^l}> via Heisenberg contractions.
+    Fock side:  <a'_{-rho x q^k}, a'_{-sigma_bar x q^l}> by the Wick recursion on
+    class monomials, whose one-factor tables come from the character values.
     Both must equal delta_{rho,sigma} Z_rho prod xi_{q^i}(c)^{m_i(rho(c))} with
     q-power n(k-l) on the group side and n(l-k) on the Fock side (the antipode
     twist built into ch; see module docstring).

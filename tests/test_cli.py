@@ -337,6 +337,9 @@ def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
     (["toroidal", "--group", "bt"], "ce6769ad9b5855d6ef9ab88408dff6be0b2fa00aec7c0cd4e710d27b587cbede"),
     (["toroidal", "--group", "cyclic:4", "--xi", "second", "--p-exp", "-1"],
      "8437cebccd748fd61aace801b01578d72524569daf57662d4eb53e7c3567f845"),
+    # n = 3: class-basis Gram rows paired by the one-factor tables, three-factor monomials
+    (["isometry", "--group", "bt", "--n", "3"], "9023a4ef2f20d0ae3254319f10b12fb40c587b7137b640c32230e3c6103b60ef"),
+    (["isometry", "--group", "cyclic:6", "--n", "3"], "23a3f535807398d9f1cd922b7d554dea62de4103f0dd022e280242bb5bb002a3"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

@@ -361,6 +361,8 @@ GRAM_CONFIGS = {
     "cyclic3-second-p2": lambda: second_xi(cyclic(3), 2),
     "bd2-first": lambda: first_xi(binary_dihedral(2)),
     "bt-first": lambda: first_xi(binary_tetrahedral()),
+    # conductors 4 and 10 in one character table, which meet at 20
+    "bd5-first": lambda: first_xi(binary_dihedral(5)),
 }
 
 
@@ -408,10 +410,13 @@ def test_gram_on_empty_and_zero_inputs():
 def test_gram_rows_are_lazy():
     ctx = ctx_first(binary_dihedral(2))
     vecs = gram_vectors(ctx.group)
+    want = [[form_oracle(ctx_first(ctx.group), u, v) for v in vecs] for u in vecs]
     pulled = []
     expanded = []
-    to_chi = ctx.to_chi
+    paired = []
+    to_chi, form_mono = ctx.to_chi, ctx.form_mono
     ctx.to_chi = lambda v: expanded.append(v) or to_chi(v)
+    ctx.form_mono = lambda u, v, bu, bv: paired.append((u, bu)) or form_mono(u, v, bu, bv)
 
     def us():
         for u in vecs:
@@ -419,24 +424,51 @@ def test_gram_rows_are_lazy():
             yield u
 
     rows = ctx.gram(us(), vecs)
-    assert not pulled and not expanded
-    first = next(rows)
-    assert pulled == vecs[:1]
-    assert len(expanded) == len(vecs) + 1  # every v once, then u_0 alone
-    assert first == [form_oracle(ctx, vecs[0], v) for v in vecs]
-    assert next(rows) == [form_oracle(ctx, vecs[1], v) for v in vecs]
-    assert pulled == vecs[:2]
+    assert not pulled and not paired
+    for t, u in enumerate(vecs):
+        assert next(rows) == want[t]
+        assert pulled == vecs[:t + 1]
+        # only the pulled vectors' monomials, and their tails, are paired, each in its own basis
+        read = {(mu[k:], w.basis) for w in pulled for mu in w.terms for k in range(len(mu) + 1)}
+        assert set(paired) <= read
+    assert paired and not expanded  # no vector is rewritten in the character basis
 
 
 def test_gram_pairs_only_monomials_of_equal_degree():
     ctx = ctx_first(cyclic(3))
     vecs = gram_vectors(ctx.group)
+    want = [[form_oracle(ctx_first(ctx.group), u, v) for v in vecs] for u in vecs]
     pairs = []
     form_mono = ctx.form_mono
-    ctx.form_mono = lambda u, v: pairs.append((u, v)) or form_mono(u, v)
+    ctx.form_mono = lambda u, v, bu, bv: pairs.append((u, v, bu, bv)) or form_mono(u, v, bu, bv)
     rows = list(ctx.gram(vecs, vecs))
-    assert pairs and all(mono_deg(u) == mono_deg(v) for u, v in pairs)
-    assert rows == [[form_oracle(ctx, u, v) for v in vecs] for u in vecs]
+    assert pairs and all(mono_deg(u) == mono_deg(v) for u, v, _, _ in pairs)
+    # class monomials are paired as they stand, against either basis
+    assert {(bu, bv) for _, _, bu, bv in pairs} == {("chi", "chi"), ("chi", "cls"), ("cls", "chi"), ("cls", "cls")}
+    assert rows == want
+
+
+def raise_if_called(*a, **kw):
+    raise AssertionError("the Fock form read a factor of the closed norm formula")
+
+
+@pytest.mark.parametrize("config", ["cyclic3-second-p2", "bt-first", "bd5-first"])
+def test_gram_reads_no_factor_of_the_closed_formula(config):
+    # inner_closed is built from xi_pow; the Fock side must reach its values by the character route
+    ctx = FockContext(GRAM_CONFIGS[config]())
+    vecs = gram_vectors(ctx.group)
+    want = [[form_oracle(FockContext(ctx.xi), u, v) for v in vecs] for u in vecs]
+    ctx.annihilate_cls = ctx.xi_pow = ctx.annihilate = raise_if_called
+    assert list(ctx.gram(vecs, vecs)) == want
+
+
+def test_one_factor_tables_are_filled_on_first_read():
+    ctx = ctx_first(binary_tetrahedral())
+    assert not ctx._factor_cache and not ctx._form_cache
+    u = FockVector("cls", {((1, 1), (2, 3)): Laurent.one()})
+    ctx.form(u, u)
+    assert {("cls", "cls", 1), ("cls", "cls", 2)} <= set(ctx._factor_cache)
+    assert {n for _, _, n in ctx._factor_cache} == {1, 2}  # only the degrees u holds
 
 
 @pytest.mark.parametrize("config", ["cyclic3-first", "cyclic3-second-p2", "bd2-first"])

@@ -423,3 +423,18 @@ def test_isometry_cli_fails_on_a_wrong_pairing(monkeypatch, capsys):
     assert first["params"]["rho"] == first["params"]["sigma"] == "((1, 1), (), ())"
     assert first["cases"] == 2
     assert first["fail_detail"] == {**SEEDED_FAILURE, "where": "fock side"}
+
+
+def test_isometry_fails_on_a_wrong_character_value():
+    # the Fock side reaches the class basis through chi_of_cls alone: chi_1(c_1) times zeta_3
+    # must surface there, while the group side, read off the character table, still agrees
+    ctx = FockContext(first_xi(cyclic(3)))
+    ctx.chi_of_cls[1][1] = ctx.chi_of_cls[1][1] * Laurent.root(3)
+    rep = isometry_check(ctx, 2, 0, 0)
+    assert not rep.passed
+    assert rep.n_cases == 16  # group side and Fock side of the first 8 pairs
+    assert rep.fail_detail == {
+        "where": "fock side rho=((2,), (), ()) sigma=((), (), (2,))",
+        "expected": "0",
+        "got": "(4 + 2*z3^1)*q^2 + (-8 - 4*z3^1) + (4 + 2*z3^1)*q^-2",
+    }
