@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
 

@@ -33,9 +33,9 @@ n), filled on first read from the character route only: n <gamma_i,
 gamma_j>^{q^n} for two characters, with chi_of_cls applied on a class side.
 So every basis pair runs the same code, and a class monomial is never expanded
 into character monomials.  The form is evaluated in Gram rows
-(FockContext.gram), each vector in its own basis: every right-hand vector is
-read once, and every left vector once, into a dual row over those monomials;
-<u, v> for a single pair is the one-entry Gram row.
+(FockContext.gram), each vector in its own basis: <u, v> sums cu bar_q(cv)
+<mu, mv> over the term pairs of u and v of equal degree; <u, v> for a single
+pair is the one-entry Gram row.
 
 The basis change (FockContext.to_chi / to_cls) is a tensor-power change of
 basis, applied by sum factorisation: one factor per pass over the whole
@@ -48,6 +48,7 @@ character monomials -- thus cancel as soon as their prefixes agree.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from .groups import GroupData
@@ -179,7 +180,7 @@ def by_key(v: FockVector) -> dict:
 
 class FockContext:
     """Caches the xi-weighted pairings a_ij^{q^m}, class-basis data, and the
-    form's one-factor tables and monomial pairings (filled on first read)."""
+    form's one-factor tables (filled on first read)."""
 
     def __init__(self, xi: WeightXi):
         self.xi = xi
@@ -187,15 +188,16 @@ class FockContext:
         self.cartan: QCartanMatrix = qcartan(xi)
         self._pair_cache: dict[tuple[int, int, int], Laurent] = {}
         self._factor_cache: dict[tuple[str, str, int], list[list[Laurent]]] = {}
-        self._form_cache: dict[tuple[Mono, Mono, str, str], Laurent] = {}
         g = self.group
         n = g.n_classes
         self.gram1 = self.cartan.at_q1()  # lattice form <gamma_i, gamma_j>_xi^1
         # basis change matrices (m-independent for untwisted characters)
         self.chi_of_cls = [[g.char_table[i][g.inv(c)] for i in range(n)] for c in range(n)]
-        self.cls_of_chi = [
-            [g.char_table[i][c].scale(Fraction(1, g.zeta(c))) for c in range(n)] for i in range(n)
-        ]
+
+    @cached_property
+    def cls_of_chi(self) -> list[list[Laurent]]:  # built on first read: to_cls alone reads it
+        g, r = self.group, range(self.group.n_classes)
+        return [[g.char_table[i][c].scale(Fraction(1, g.zeta(c))) for c in r] for i in r]
 
     def pair_pow(self, i: int, j: int, m: int) -> Laurent:
         key = (i, j, m)
@@ -324,16 +326,10 @@ class FockContext:
 
         u's first factor (n, x) contracts with each distinct degree-n factor
         (n, x') of v, as often as v holds it, with value T[x][x'] (one_factor);
-        the rest of u then pairs with the rest of v.
+        the rest of u then pairs with the rest of v, and <1, v> is 0 unless v = 1.
         """
-        if mono_deg(u) != mono_deg(v):
-            return L_ZERO
         if not u:
-            return L_ONE
-        key = (u, v, bu, bv)
-        out = self._form_cache.get(key)
-        if out is not None:
-            return out
+            return L_ZERO if v else L_ONE
         (n, x), rest = u[0], u[1:]
         row = self.one_factor(bu, bv, n)[x]
         acc = L_ZERO
@@ -348,39 +344,28 @@ class FockContext:
             f = self.form_mono(rest, v[:k] + v[k + 1:], bu, bv)
             if not f.is_zero:
                 acc = acc + t.scale(v.count(factor)) * f
-        self._form_cache[key] = acc
         return acc
 
     def gram(self, us, vs):
         """Rows [<u, v> for v in vs], one per u of us, generated lazily.
 
-        Every vector is paired in its own basis, with no basis change.  Each v
-        is read once, with its barred coefficients and monomial degrees.  Each
-        u is read when its row is pulled, into a dual row d_u[mv] = sum_mu cu
-        <mu, mv> over its monomials mu of equal degree, filled on demand; then
-        <u, v> = sum_mv d_u[mv] bar_q(cv).
+        Every vector is paired in its own basis, with no basis change: <u, v>
+        = sum cu bar_q(cv) <mu, mv> over u's terms cu mu and v's terms cv mv of
+        equal degree.  Each v is read once, with its barred coefficients and
+        monomial degrees; each u when its row is pulled.
         """
         cols = [(v.basis, [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in v.terms.items()]) for v in vs]
         for u in us:
-            bu = u.basis
-            by_deg: dict[int, list[tuple[Mono, Laurent]]] = {}
-            for mu, cu in u.terms.items():
-                by_deg.setdefault(mono_deg(mu), []).append((mu, cu))
-            dual: dict[tuple[str, Mono], Laurent] = {}
+            terms = [(mu, mono_deg(mu), cu) for mu, cu in u.terms.items()]
             row = []
             for bv, col in cols:
                 acc = L_ZERO
-                for mv, deg, bar_cv in col:
-                    d = dual.get((bv, mv))
-                    if d is None:
-                        d = L_ZERO
-                        for mu, cu in by_deg.get(deg, ()):
-                            f = self.form_mono(mu, mv, bu, bv)
+                for mu, deg, cu in terms:
+                    for mv, deg_v, bar_cv in col:
+                        if deg == deg_v:
+                            f = self.form_mono(mu, mv, u.basis, bv)
                             if not f.is_zero:
-                                d = d + cu * f
-                        dual[bv, mv] = d
-                    if not d.is_zero:
-                        acc = acc + d * bar_cv
+                                acc = acc + cu * f * bar_cv
                 row.append(acc)
             yield row
 

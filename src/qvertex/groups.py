@@ -350,6 +350,12 @@ def mckay_matrix(g: GroupData) -> list[list[int]]:
 # group data files
 
 _HEADER_KEYS = ("name", "order", "conductor", "classes")
+_VALUES = "each V semicolon-joined POWER:RATIONAL pairs with nonzero denominators"
+_RECORDS = {  # the shape of each record, named when a record does not parse
+    "name": "name NAME", "order": "order N, an integer", "conductor": "conductor N, an integer",
+    "classes": "classes K, an integer", "class": "class LABEL CENTRALIZER INVERSE_INDEX ELEMENT_ORDER, three integers",
+    "char": f"char V1 ... VK, {_VALUES}", "natural": f"natural V1 ... VK, {_VALUES}",
+}
 
 
 def dump_group_file(g: GroupData, path: str) -> None:
@@ -387,16 +393,16 @@ def load_group_file(path: str) -> GroupData:
     where each V is semicolon-joined root-power:rational pairs, e.g. 0:1;2:-1/2
     meaning 1*zeta^0 - 1/2*zeta^2 at the declared conductor.
     """
-    head: dict[str, str] = {}
+    head: dict = {}  # name: str, the other headers: int
     classes: list[ClassData] = []
     char_rows: list[tuple[Laurent, ...]] = []
     natural: tuple[Laurent, ...] | None = None
 
-    def parse_value(tok: str, cond: int) -> Laurent:
+    def parse_value(tok: str) -> Laurent:
         acc = L_ZERO
         for pair in tok.split(";"):
             p, x = pair.split(":")
-            acc = acc + Laurent.root(cond, int(p)).scale(Fraction(x))
+            acc = acc + Laurent.root(head["conductor"], int(p)).scale(Fraction(x))
         return acc
 
     with open(path) as fh:
@@ -405,34 +411,36 @@ def load_group_file(path: str) -> GroupData:
             if not line:
                 continue
             key, _, rest = line.partition(" ")
-            if key in _HEADER_KEYS:
-                head[key] = rest.strip()
-            elif key == "class":
-                label, cent, invc, eo = rest.split()
-                classes.append(ClassData(label, int(cent), int(invc), int(eo)))
-            elif key in ("char", "natural"):
-                cond = int(head.get("conductor", 0))
-                if cond < 1:
-                    raise ValueError(f"group file rejected: a {key} row needs a positive conductor header before it")
-                row = tuple(parse_value(t, cond) for t in rest.split())
-                if key == "char":
-                    char_rows.append(row)
-                else:
-                    natural = row
-            else:
+            if key not in _RECORDS:
                 raise ValueError(f"unknown record {key!r} in {path}")
+            if key in ("char", "natural") and head.get("conductor", 0) < 1:
+                raise ValueError(f"group file rejected: a {key} row needs a positive conductor header before it")
+            try:
+                if key == "name":
+                    head[key] = rest.strip()
+                elif key in _HEADER_KEYS:
+                    head[key] = int(rest)
+                elif key == "class":
+                    label, cent, invc, eo = rest.split()
+                    classes.append(ClassData(label, int(cent), int(invc), int(eo)))
+                elif key == "char":
+                    char_rows.append(tuple(parse_value(t) for t in rest.split()))
+                else:
+                    natural = tuple(parse_value(t) for t in rest.split())
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"group file rejected: a {key} record reads {_RECORDS[key]}; got {line!r}") from None
 
     missing = [k for k in _HEADER_KEYS if k not in head]
     if missing:
         raise ValueError(f"group file missing header fields: {missing}")
     if natural is None:
         raise ValueError("group file missing natural character row")
-    if len(classes) != int(head["classes"]):
+    if len(classes) != head["classes"]:
         raise ValueError(f"group file rejected: header declares classes {head['classes']} but {len(classes)} class lines follow")
     g = GroupData(
         name=head["name"],
-        order=int(head["order"]),
-        conductor=int(head["conductor"]),
+        order=head["order"],
+        conductor=head["conductor"],
         classes=tuple(classes),
         char_table=tuple(char_rows),
         natural_char=natural,

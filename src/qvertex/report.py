@@ -35,7 +35,7 @@ class CheckReport:
         return out
 
 
-def first_mismatch(check_id: str, params: dict, pairs, n_cases: int | None = None, notes=None) -> CheckReport:
+def first_mismatch(check_id: str, params: dict, pairs, notes=None) -> CheckReport:
     """Build a report from an iterable of (where, expected, got) triples.
 
     Consumes lazily and stops at the first mismatch, so callers can generate
@@ -49,8 +49,8 @@ def first_mismatch(check_id: str, params: dict, pairs, n_cases: int | None = Non
                 check_id,
                 params,
                 passed=False,
-                n_cases=count if n_cases is None else n_cases,
+                n_cases=count,
                 fail_detail={"where": str(where), "expected": str(expected), "got": str(got)},
                 notes=list(notes or []),
             )
-    return CheckReport(check_id, params, passed=True, n_cases=count if n_cases is None else n_cases, notes=list(notes or []))
+    return CheckReport(check_id, params, passed=True, n_cases=count, notes=list(notes or []))

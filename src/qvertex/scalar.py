@@ -824,11 +824,8 @@ class KeyedSum:
 
 def keyed_times(p: Laurent, e0: int, src: Laurent, x) -> Laurent:
     """The keyed value p times x v^e0, for x a numerator (or coordinate tuple) of src."""
-    pd, sd = p._d, src._d
-    if pd and sd:  # one pass, one gcd
-        if not p._t or x == 1 and sd == 1 and not e0:
-            return p
-        return _normal({(key, e + e0): y * x for (key, e), y in p._t.items()}, pd * sd)
+    if not p._t or x == 1 and src._d == 1 and not e0:
+        return p
     acc = KeyedSum()
     acc.add_all(p, e0, src, x)
     return acc.value()
@@ -836,24 +833,8 @@ def keyed_times(p: Laurent, e0: int, src: Laurent, x) -> Laurent:
 
 def keyed_product(p: Laurent, c: Laurent) -> Laurent:
     """The keyed value p times the Laurent c."""
-    pd, cd = p._d, c._d
-    tc = c._t
-    if not p._t:
-        return p
-    if pd and cd and len(tc) > 1:  # one pass, one gcd
-        out: dict = {}
-        get = out.get
-        for (key, e), y in p._t.items():
-            for e0, x in tc.items():
-                key2 = (key, e + e0)
-                s = get(key2, 0) + x * y
-                if s:
-                    out[key2] = s
-                else:
-                    del out[key2]
-        return _normal(out, pd * cd)
-    if len(tc) == 1:
-        ((e0, x),) = tc.items()
+    if len(c._t) == 1:
+        ((e0, x),) = c._t.items()
         return keyed_times(p, e0, c, x)
     acc = KeyedSum()
     acc.add_product(p, c)

@@ -28,6 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
@@ -98,10 +99,10 @@ class RepMap:
     q^{p <gamma_i, beta>_1}.
 
     The column, origin, annihilation and step tables live for one suite run
-    and are its only caches.  A relation check keeps the images of whole
-    states it rereads (x_j^s(n) v_t, ...) in tables of its own, keyed by
-    (index, sign, mode, state index), which die with the check or with the
-    block of it that rereads them.
+    and are its only caches.  A relation check reads the images of whole
+    states it rereads (x_j^s(n) v_t, ...) through functools.cache locals,
+    called with (index, sign, mode, state index), which die with the check or
+    with the block of it that rereads them.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -142,6 +143,8 @@ class RepMap:
         tables keep no closure over the RepMap, so it is freed when its suite
         ends, without waiting for the cycle collector.
         """
+        if v.basis != "chi":
+            raise ValueError("the generators act on character-basis states only")
         f = v.f
         entries = f.entries()
         cols = self._columns.get((gen, n, v.basis))
@@ -298,28 +301,6 @@ def sign_pow(sign: int, n: int) -> int:
 # relation checks
 
 
-class _Images(dict):
-    """A table of generator images: a missing key is built once, by build(*key)."""
-
-    def __init__(self, build):
-        super().__init__()
-        self.build = build
-
-    def __missing__(self, key):
-        img = self[key] = self.build(*key)
-        return img
-
-
-def _x_images(rep: RepMap, states: list[ExtState]) -> _Images:
-    """x_j^s(n) v_t, keyed (j, s, n, t)."""
-    return _Images(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))
-
-
-def _a_images(rep: RepMap, states: list[ExtState]) -> _Images:
-    """a_i(m) v_t, keyed (i, m, t)."""
-    return _Images(lambda i, m, t: rep.a_mode(i, m, states[t]))
-
-
 NO_MODE = "the mode window holds no nonzero mode (max_mode 0)"
 
 
@@ -338,8 +319,8 @@ def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """
     cfg = rep.cfg
     modes = [m for m in range(-cfg.max_mode, cfg.max_mode + 1) if m]
-    a1 = _a_images(rep, states)
-    a2 = _Images(lambda i, m, j, n, t: rep.a_mode(i, m, a1[j, n, t]))  # a_i(m) a_j(n) v_t
+    a1 = cache(lambda i, m, t: rep.a_mode(i, m, states[t]))  # a_i(m) v_t
+    a2 = cache(lambda i, m, j, n, t: rep.a_mode(i, m, a1(j, n, t)))  # a_i(m) a_j(n) v_t
 
     def pairs():
         for i in rep.indices:
@@ -348,7 +329,7 @@ def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     coeff = (qint(abs(m)) ** 2).scale(Fraction(1, m)) * rep.fock.pair_pow(i, j, m)
                     for n in modes:
                         for t, v in enumerate(states):
-                            lhs = a2[i, m, j, n, t] - a2[j, n, i, m, t]
+                            lhs = a2(i, m, j, n, t) - a2(j, n, i, m, t)
                             rhs = v.scale(coeff) if m == -n else ExtState.zero(v.basis)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
@@ -363,8 +344,8 @@ def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
-    x1 = _x_images(rep, states)
-    a1 = _a_images(rep, states)
+    x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
+    a1 = cache(lambda i, m, t: rep.a_mode(i, m, states[t]))  # a_i(m) v_t
 
     def pairs():
         for i in rep.indices:
@@ -380,8 +361,8 @@ def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
                         )
                         for n in modes:
                             for t in range(len(states)):
-                                lhs = rep.a_mode(i, m, x1[j, s, n, t]) - rep.x_mode(j, s, n, a1[i, m, t])
-                                rhs = x1[j, s, m + n, t].scale(coeff)
+                                lhs = rep.a_mode(i, m, x1(j, s, n, t)) - rep.x_mode(j, s, n, a1(i, m, t))
+                                rhs = x1(j, s, m + n, t).scale(coeff)
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return _say_why_empty(first_mismatch("toroidal.a_x", rep.params, pairs()), states, NO_MODE)
@@ -422,20 +403,20 @@ def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
-    x1 = _x_images(rep, states)
+    x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
                     PL, PR = _xx_multipliers(rep, i, j, s)
-                    ij = _Images(lambda a, b, t: rep.x_mode(i, s, a, x1[j, s, b, t]))  # x_i(a) x_j(b) v_t
-                    ji = ij if i == j else _Images(lambda b, a, t: rep.x_mode(j, s, b, x1[i, s, a, t]))
+                    ij = cache(lambda a, b, t: rep.x_mode(i, s, a, x1(j, s, b, t)))  # x_i(a) x_j(b) v_t
+                    ji = ij if i == j else cache(lambda b, a, t: rep.x_mode(j, s, b, x1(i, s, a, t)))
                     for m in modes:
                         for n in modes:
                             for t, v in enumerate(states):
-                                lhs = ExtState.lincomb(v.basis, ((ij[m + u, n + w, t], c) for (u, w), c in PL.items()))
-                                rhs = ExtState.lincomb(v.basis, ((ji[n + w, m + u, t], c) for (u, w), c in PR.items()))
+                                lhs = ExtState.lincomb(v.basis, ((ij(m + u, n + w, t), c) for (u, w), c in PL.items()))
+                                rhs = ExtState.lincomb(v.basis, ((ji(n + w, m + u, t), c) for (u, w), c in PR.items()))
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xx", rep.params, pairs())
@@ -453,7 +434,7 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
     o = -rep.k_eff
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
-    x1 = _x_images(rep, states)
+    x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
 
     def pairs():
         for i in rep.indices:
@@ -463,7 +444,7 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     c_minus = Laurent.q_pow(-o * m).scale(o)
                     for n in modes:
                         for t, v in enumerate(states):
-                            lhs = rep.x_mode(i, 1, m, x1[j, -1, n, t]) - rep.x_mode(j, -1, n, x1[i, 1, m, t])
+                            lhs = rep.x_mode(i, 1, m, x1(j, -1, n, t)) - rep.x_mode(j, -1, n, x1(i, 1, m, t))
                             lhs = lhs.scale(qdiff)
                             terms = []
                             if i == j:

@@ -264,6 +264,8 @@ class VertexEngine:
         b.  Terms that no mode n >= n_min reaches (e <= n_min) are skipped;
         groups that cancel are dropped.
         """
+        if state.basis != "chi":
+            raise ValueError("vertex operators act on character-basis states only")
         acc = KeyedSum()
         f = state.f
         for (mono, beta), entries in by_key(state).items():

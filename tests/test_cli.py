@@ -92,7 +92,14 @@ def test_group_file_rejected_exit2(tmp_path, capsys):
     ("chartable", "natural 0:2 0:-1 0:-1", "natural 0:2 0:-1", "natural character has 2 values for 3 classes"),
     ("chartable", "class c1 3 2 3", "class c1 0 2 3", "centralizer and element orders of c1 must be positive"),
     ("all", "classes 3", "classes 5", "header declares classes 5 but 3 class lines follow"),
-], ids=["char-before-conductor", "inverse-index-out-of-range", "short-natural-row", "zero-centralizer", "class-count-mismatch"])
+    ("chartable", "class c1 3 2 3", "class c1 3 2",
+     "a class record reads class LABEL CENTRALIZER INVERSE_INDEX ELEMENT_ORDER, three integers; got 'class c1 3 2'"),
+    ("chartable", "classes 3", "classes seven", "a classes record reads classes K, an integer; got 'classes seven'"),
+    ("chartable", "char 0:1 0:1 0:1", "char 0:1/0 0:1 0:1",
+     "a char record reads char V1 ... VK, each V semicolon-joined POWER:RATIONAL pairs with nonzero denominators;"
+     " got 'char 0:1/0 0:1 0:1'"),
+], ids=["char-before-conductor", "inverse-index-out-of-range", "short-natural-row", "zero-centralizer", "class-count-mismatch",
+        "three-field-class", "non-integer-class-count", "zero-denominator"])
 def test_malformed_group_file_exits2(command, old, new, precondition, tmp_path, capsys):
     from qvertex.groups import cyclic, dump_group_file
 
@@ -103,6 +110,11 @@ def test_malformed_group_file_exits2(command, old, new, precondition, tmp_path, 
     p.write_text(text.replace(old, new) + ("" if new else old))  # a removed line moves to the end
     code, out, err = run([command, "--group", f"file:{p}"], capsys)
     assert code == 2 and precondition in err and out == ""
+
+
+def test_group_file_path_that_is_a_directory_exits2(tmp_path, capsys):
+    code, out, err = run(["chartable", "--group", f"file:{tmp_path}"], capsys)
+    assert code == 2 and "Is a directory" in err and out == ""
 
 
 def test_isometry_per_pair_output(capsys):
@@ -340,6 +352,8 @@ def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
     # n = 3: class-basis Gram rows paired by the one-factor tables, three-factor monomials
     (["isometry", "--group", "bt", "--n", "3"], "9023a4ef2f20d0ae3254319f10b12fb40c587b7137b640c32230e3c6103b60ef"),
     (["isometry", "--group", "cyclic:6", "--n", "3"], "23a3f535807398d9f1cd922b7d554dea62de4103f0dd022e280242bb5bb002a3"),
+    # n = 8: up to 8 repeated factors, the Wick recursion's deepest branching
+    (["isometry", "--group", "cyclic:2", "--n", "8"], "9b8e4e434f991bfb5878ea3d090fc4586f28d6baee4f7fe626b6d4bdb943c74c"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

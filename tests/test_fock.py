@@ -448,6 +448,13 @@ def test_gram_pairs_only_monomials_of_equal_degree():
     assert rows == want
 
 
+def test_monomials_of_unequal_degree_pair_to_zero():
+    ctx = ctx_first(cyclic(3))
+    for u, v in [((), ((1, 0),)), (((1, 0),), ((1, 0), (1, 2))), (((2, 1),), ((1, 2),)), (((1, 1), (2, 0)), ((1, 2),))]:
+        for bu, bv in (("chi", "chi"), ("chi", "cls"), ("cls", "cls")):
+            assert ctx.form_mono(u, v, bu, bv).is_zero and ctx.form_mono(v, u, bv, bu).is_zero, (u, v, bu, bv)
+
+
 def raise_if_called(*a, **kw):
     raise AssertionError("the Fock form read a factor of the closed norm formula")
 
@@ -464,11 +471,19 @@ def test_gram_reads_no_factor_of_the_closed_formula(config):
 
 def test_one_factor_tables_are_filled_on_first_read():
     ctx = ctx_first(binary_tetrahedral())
-    assert not ctx._factor_cache and not ctx._form_cache
+    assert not ctx._factor_cache
     u = FockVector("cls", {((1, 1), (2, 3)): Laurent.one()})
     ctx.form(u, u)
     assert {("cls", "cls", 1), ("cls", "cls", 2)} <= set(ctx._factor_cache)
     assert {n for _, _, n in ctx._factor_cache} == {1, 2}  # only the degrees u holds
+
+
+def test_the_class_basis_matrix_is_built_on_first_read():
+    ctx = ctx_first(binary_tetrahedral())
+    assert "cls_of_chi" not in vars(ctx)
+    v = FockVector("chi", {((1, 1), (2, 3)): Laurent.one()})
+    assert ctx.to_chi(ctx.to_cls(v)) == v
+    assert "cls_of_chi" in vars(ctx)
 
 
 @pytest.mark.parametrize("config", ["cyclic3-first", "cyclic3-second-p2", "bd2-first"])

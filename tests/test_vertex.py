@@ -244,6 +244,15 @@ def test_one_annihilation_table_serves_a_mode_window():
             assert got == eng.mode(op, m, MIXED) == mode_term_by_term(eng, op, m, MIXED), (op.label, m)
 
 
+def test_a_class_basis_state_is_refused():
+    # the lattice layer reads a factor (1, i) as a_{-1}(gamma_i); on a class it would relabel gamma_i as c_i
+    eng = eng_first(cyclic(3))
+    state = ExtState.point(((1, 1),), (0, 0, 0), basis="cls")
+    for call in (lambda: eng.annihilation_stage(fj_x(0, 1, -1), state, -1), lambda: eng.mode(fj_x(0, 1, -1), -1, state)):
+        with pytest.raises(ValueError, match="character-basis states only"):
+            call()
+
+
 # ---------------------------------------------------------------- half vertex
 
 
