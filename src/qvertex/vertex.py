@@ -40,13 +40,18 @@ ope_product_check verifies A(z)B(w) = eps * scalar * z^g * f(w/z) :A(z)B(w):
 coefficient by coefficient over a window of modes (m, n).  The left side
 applies B_n to each test state through VertexEngine.mode, runs A's
 annihilation stage once on B_n v, and A's creation stage once per m.  The
-right side builds, per (operator pair, state) and per check, one table N of
-the normal-ordered coefficients :A(z)B(w): v in one walk, and convolves it
-along diagonals with the factor series:
-sum_d (eps * scalar * f_d) N[-m-1-g+d, -n-1-d].  The two sides are computed
-independently; neither reads a result of the other, and both tables (the
-left side's annihilation stage of B_n v, the right side's N) die with the
-check.
+right side (normal_pair_coeff) walks each state once: a path through A's and
+then B's annihilation exponential contributes its coefficient times B's
+annihilated monomial times one entry G[T, c] of the check's creation table,
+where T and c are fixed by the path's z-orders and lattice offsets and by
+(m, n).  G[T, c] = sum_a (eps * scalar * f_{c-a}) cre_B(a) cre_A(T-a) folds the
+factor series into the two creation exponentials (creation_pair); it is built
+on first read and shared by every state and path of the check.  The factor
+series is expanded only as far as the walk reads it (ope_rhs_factor); a
+shorter one would drop terms and fail the check.  The two sides are computed
+independently: neither reads a result or a stage of the other, and both
+tables (the left side's annihilation stage of B_n v, the right side's G) die
+with the check.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from fractions import Fraction
 
 from .fock import ExtState, FockContext, FockVector, LatticeContext, Mono, by_key, mono_deg
 from .report import CheckReport, first_mismatch
-from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, TruncSeries, qbinom, qint, series_exp
+from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, TruncSeries, keyed_parts, qbinom, qint, series_exp
 from .wreath import partitions, z_part
 
 # a keyed value (scalar.KeyedSum) over (annihilated monomial, shifted lattice point, z-order e) keys
@@ -367,25 +372,47 @@ def ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, Laur
     return g_ab, scalar, contraction_series(eng, opA, opB, D)
 
 
-def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple[int, int]],
-                      state: ExtState) -> dict[tuple[int, int], ExtState]:
-    """Coefficients of z^{za} w^{wb} in :opA(z) opB(w): applied to state, for each (za, wb) in keys.
+def creation_pair(eng: VertexEngine, opA: VOp, opB: VOp, factors: list[Laurent], T: int,
+                  c: int) -> list[tuple[Mono, Laurent]]:
+    """G[T, c]: the creation side of the right side of the OPE, with the factor folded in.
 
-    One walk over the state's terms, the annihilation pairs and the creation
-    terms computes every requested coefficient once; a key missing from the
-    result has coefficient zero.  Each scalar product of the walk is formed at
-    the loop level where its factors are fixed; a state entry meets it as one
-    int product and one exponent add.
+    sum over 0 <= a_B <= min(T, c) of factors[c - a_B] cre_B(a_B) cre_A(T - a_B),
+    as (merged creation monomial, coefficient) pairs.  factors[d] is the
+    signed factor's w/z-power d; a term past its order is missing, so a too
+    short factor series makes the check fail, never pass.
     """
-    za_by_wb: dict[int, list[int]] = {}
-    for za, wb in keys:
-        za_by_wb.setdefault(wb, []).append(za)
+    acc = KeyedSum()
+    for aB in range(max(0, c + 1 - len(factors)), min(T, c) + 1):
+        fs = factors[c - aB]
+        if fs.is_zero:
+            continue
+        for mcB, ccB in eng.cre_terms(opB, aB):
+            fB = fs * ccB
+            for mcA, ccA in eng.cre_terms(opA, T - aB):
+                for e, x in ccA.entries():
+                    acc.add(tuple(sorted(mcB + mcA)), e, ccA, x, fB)
+    return list(keyed_parts(acc.value()).items())
+
+
+def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
+                      factor: tuple[int, list[Laurent]], g_table: dict,
+                      state: ExtState) -> dict[tuple[int, int], ExtState]:
+    """The right side eps * scalar * z^g * f(w/z) :opA(z) opB(w): on state, per mode pair.
+
+    Returns {(m, n): coefficient of z^{-m-1} w^{-n-1}} over the window; a
+    missing pair is zero.  factor is (g, [eps * scalar * f_d for d = 0..D]).
+    One walk over the state's terms and the two annihilation expansions: the
+    path through A's term (b_A, m_A, c_A) and B's term (b_B, m_B, c_B) adds
+    c_A c_B (state coefficient) m_B G[T, c] with T = b_A + b_B - s_A - s_B - g
+    - m - n - 2 and c = b_B - s_B - n - 1 (s_X = <w_X, beta>_1).  G[T, c] =
+    creation_pair is read from g_table, the check's table, built on first read.
+    """
+    g_ab, factors = factor
     lat = eng.lat
     sums: dict[tuple[int, int], KeyedSum] = {}
     shiftA = eng.shift_vec(opA.i, opA.w_sign)
     shiftB = eng.shift_vec(opB.i, opB.w_sign)
-    f = state.f
-    for (mono, beta), entries in by_key(state).items():
+    for (mono, beta), coeff in state.terms.items():
         sA = opA.w_sign * lat.pairing_row(opA.i, beta)
         sB = opB.w_sign * lat.pairing_row(opB.i, beta)
         rsign, shift = lat.reduce_signed(tuple(a + b + c for a, b, c in zip(shiftA, shiftB, beta)))
@@ -393,28 +420,28 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple[int
         v0 = (opA.zqv * sA + opB.zqv * sB
               + eng.p_factor_v(opA.i, opA.w_sign, beta) + eng.p_factor_v(opB.i, opB.w_sign, beta))
         for bA, mA, cA in eng.ann_expand(opA, mono):
+            cAv = cA * coeff
             for bB, mB, cB in eng.ann_expand(opB, mA):
-                cAB = cA * cB
-                for wb, zas in za_by_wb.items():
-                    aB = wb - sB + bB
-                    if aB < 0:
-                        continue
-                    for mcB, ccB in eng.cre_terms(opB, aB):
-                        cABB = cAB * ccB
-                        mBB = mB + mcB
-                        for za in zas:
-                            aA = za - sA + bA
-                            if aA < 0:
-                                continue
-                            acc = sums.get((za, wb))
-                            if acc is None:
-                                acc = sums[(za, wb)] = KeyedSum()
-                            for mcA, ccA in eng.cre_terms(opA, aA):
-                                c = cABB * ccA
-                                key = (tuple(sorted(mBB + mcA)), shift)
-                                for ev, x in entries:
-                                    acc.add(key, ev + v0, f, x, c, sign)
-    return {zw: ExtState.packed(state.basis, acc.value()) for zw, acc in sums.items()}
+                path = cAv * cB
+                ents = path.entries()
+                c0 = bB - sB - 1
+                t0 = bA + c0 - sA - g_ab - 1
+                for n in range(-window, min(window, c0) + 1):
+                    for m in range(-window, min(window, t0 - n) + 1):
+                        tc = (t0 - n - m, c0 - n)
+                        gtc = g_table.get(tc)
+                        if gtc is None:
+                            gtc = g_table[tc] = creation_pair(eng, opA, opB, factors, *tc)
+                        if not gtc:
+                            continue
+                        acc = sums.get((m, n))
+                        if acc is None:
+                            acc = sums[(m, n)] = KeyedSum()
+                        for mc, gc in gtc:
+                            key = (tuple(sorted(mB + mc)) if mB else mc, shift)
+                            for e, x in ents:
+                                acc.add(key, e + v0, path, x, gc, sign)
+    return {mn: ExtState.packed(state.basis, acc.value()) for mn, acc in sums.items()}
 
 
 def signed_ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int):
@@ -424,16 +451,17 @@ def signed_ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int):
     return g_ab, (-scalar if eps < 0 else scalar), series
 
 
-def annihilation_bound(eng: VertexEngine, state: ExtState) -> int:
-    """Upper bound on how deep a w-side annihilation can bite into the state."""
-    if not state.terms:
-        return 0
-    deg = max(mono_deg(m) for m, _ in state.terms)
-    pairings = []
-    for (_, beta) in state.terms:
-        for i in range(eng.rank):
-            pairings.append(abs(eng.lat.pairing_row(i, beta)))
-    return deg + (max(pairings) if pairings else 0) + 2
+def ope_rhs_factor(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
+                   states: list[ExtState]) -> tuple[int, list[Laurent]]:
+    """(g, [eps * scalar * f_d for d = 0..D]), the signed factor as the right side reads it.
+
+    D is the largest c of normal_pair_coeff: window - 1 + max over the
+    states' terms of the Fock degree plus |<w_B, beta>_1|.
+    """
+    reach = max((mono_deg(mono) + abs(eng.lat.pairing_row(opB.i, beta))
+                 for s in states for mono, beta in s.terms), default=0)
+    g_ab, scalar, series = signed_ope_factor(eng, opA, opB, max(0, window - 1 + reach))
+    return g_ab, [scalar * fd for fd in series.coeffs]
 
 
 def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states: list[ExtState],
@@ -443,30 +471,20 @@ def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states
     The factor is expanded in powers of w/z (the |w| < |z| region); see the
     module docstring for how each side is computed.
     """
-    d_extra = max((annihilation_bound(eng, s) for s in states), default=4)
-    d_cap = 2 * window + d_extra + 6
-    g_ab, scalar, series = signed_ope_factor(eng, opA, opB, d_cap)
-    factors = [(d, scalar * fd) for d, fd in enumerate(series.coeffs) if not fd.is_zero]
+    factor = ope_rhs_factor(eng, opA, opB, window, states)
+    g_table: dict[tuple[int, int], list[tuple[Mono, Laurent]]] = {}
     mode_range = range(-window, window + 1)
-    keys = {(-m - 1 - g_ab + d, -n - 1 - d) for m in mode_range for n in mode_range for d, _ in factors}
-
-    def rhs(table: dict[tuple[int, int], ExtState], m: int, n: int, basis: str) -> ExtState:
-        terms = []
-        for d, fs in factors:
-            term = table.get((-m - 1 - g_ab + d, -n - 1 - d))
-            if term is not None:
-                terms.append((term, fs))
-        return ExtState.lincomb(basis, terms)
 
     def pairs():
         for t, v in enumerate(states):
-            table = normal_pair_coeff(eng, opA, opB, keys, v)
+            rhs = normal_pair_coeff(eng, opA, opB, window, factor, g_table, v)
+            zero = ExtState.zero(v.basis)
             for n in mode_range:
                 bn = eng.mode(opB, n, v)
                 ann = eng.annihilation_stage(opA, bn, -window)
                 for m in mode_range:
                     lhs = eng.creation_stage(opA, m, ann, bn.basis)
-                    yield (f"state #{t} modes ({m},{n})", rhs(table, m, n, v.basis), lhs)
+                    yield (f"state #{t} modes ({m},{n})", rhs.get((m, n), zero), lhs)
 
     return first_mismatch(check_id, params, pairs())
 

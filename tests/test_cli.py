@@ -354,6 +354,13 @@ def test_a_toroidal_check_that_ran_no_case_says_why(capsys):
     (["isometry", "--group", "cyclic:6", "--n", "3"], "23a3f535807398d9f1cd922b7d554dea62de4103f0dd022e280242bb5bb002a3"),
     # n = 8: up to 8 repeated factors, the Wick recursion's deepest branching
     (["isometry", "--group", "cyclic:2", "--n", "8"], "9b8e4e434f991bfb5878ea3d090fc4586f28d6baee4f7fe626b6d4bdb943c74c"),
+    # OPE products at window 3: the right side reads the factor series further than at window 2
+    (["ope", "--group", "cyclic:4", "--max-mode", "3"],
+     "9fe87f5ed721f703368ad02664e63e75acebe04155c1644a54b27985c462532d"),
+    (["ope", "--group", "cyclic:3", "--xi", "second", "--p-exp", "2", "--max-mode", "3"],
+     "56ec6f6ba314ce85dda5d2fcf1258c37d960134b6c1a4e19a412420fc81b76de"),
+    (["ope", "--group", "bt", "--max-mode", "3"], "daac0900ac9acb93a22e0556221739e9027d06f0b0d94bbe5b1d4682adaa9067"),
+    (["ope", "--group", "bd:3", "--max-mode", "3"], "c1f48d4ff930678888dde6f0615751594761ea40cbb916085b30b0c859995dac"),
 ])
 def test_json_output_is_byte_identical_to_the_recorded_golden(argv, sha256, capsys):
     # the JSON is the exactness contract: a kernel change must leave every byte in place

@@ -510,6 +510,26 @@ def test_cocycle_condition_all_builtin():
         assert cocycle_condition_check(lat).passed
 
 
+@pytest.mark.parametrize("g,where,n_cases", [
+    (cyclic(3), "(0,1)", 2), (binary_dihedral(3), "(0,2)", 3), (binary_tetrahedral(), "(0,3)", 4),
+], ids=["cyclic:3", "bd:3", "bt"])
+def test_cocycle_condition_check_fails_on_a_trivial_cocycle(g, where, n_cases, monkeypatch):
+    # eps = 1 gives eps(a,b) eps(b,a)^-1 = 1, wrong at the first odd pairing
+    lat = LatticeContext(ctx_first(g))
+    monkeypatch.setattr(LatticeContext, "cocycle_sign", lambda self, a, b: 1)
+    rep = cocycle_condition_check(lat)
+    assert not rep.passed
+    assert (rep.fail_detail, rep.n_cases) == ({"where": where, "expected": "-1", "got": "1"}, n_cases)
+
+
+def test_cocycle_condition_check_passes_a_trivial_cocycle_on_an_even_lattice(monkeypatch):
+    # every pairing of the affine A1 lattice is even, so every expected sign is +1
+    lat = LatticeContext(ctx_first(cyclic(2)))
+    assert all(lat.pairing_row(i, e) % 2 == 0 for i in range(2) for e in ((1, 0), (0, 1)))
+    monkeypatch.setattr(LatticeContext, "cocycle_sign", lambda self, a, b: 1)
+    assert cocycle_condition_check(lat).passed
+
+
 def test_cocycle_bimultiplicative():
     lat = LatticeContext(ctx_first(cyclic(3)))
     import itertools

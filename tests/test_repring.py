@@ -151,6 +151,16 @@ def test_hermitian_likeness_second(k):
     assert hermitian_like_check(qcartan(second_xi(cyclic(5), k))).passed
 
 
+def test_hermitian_like_check_fails_on_a_moved_entry():
+    # a[3][1] of bd:2 moved by zeta_5 v: the first failing case is its mirror a[1][3]
+    A = qcartan(first_xi(binary_dihedral(2)))
+    rows = [list(r) for r in A.entries]
+    rows[3][1] = rows[3][1] + Laurent.v_pow(1, Laurent.root(5))
+    rep = hermitian_like_check(QCartanMatrix(A.xi, tuple(tuple(r) for r in rows)))
+    assert not rep.passed
+    assert (rep.fail_detail["where"], rep.n_cases) == ("a[1][3]", 9)
+
+
 @pytest.mark.parametrize("g", [cyclic(2), cyclic(3), binary_dihedral(2), binary_tetrahedral()], ids=lambda g: g.name)
 def test_mckay_eigencheck_first(g):
     assert mckay_eigencheck(first_xi(g)).passed

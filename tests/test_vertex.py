@@ -4,7 +4,7 @@ import pytest
 
 from qvertex import vertex
 from qvertex.fock import ExtState, FockContext
-from qvertex.groups import cyclic
+from qvertex.groups import build_group, cyclic
 from qvertex.repring import first_xi, second_xi
 from qvertex.scalar import L_ONE, Laurent, TruncSeries, keyed_parts
 from qvertex.vertex import (
@@ -13,8 +13,10 @@ from qvertex.vertex import (
     contraction_check,
     contraction_series,
     fj_x,
+    normal_pair_coeff,
     ope_factor,
     ope_product_check,
+    ope_rhs_factor,
     ope_table_check,
     qpow_consistency_check,
     qpow_series_binom,
@@ -24,7 +26,7 @@ from qvertex.vertex import (
     y_plus,
 )
 from qvertex.wreath import eps_fock, eta_fock
-from vector_helpers import ext_form, half_vertex
+from vector_helpers import ext_form, half_vertex, ref_ope_rhs
 
 
 def eng_first(g):
@@ -478,3 +480,117 @@ def test_fj_ops_match_shifted_y():
     assert (op.cre_v, op.ann_v, op.zqv, op.w_sign) == (-1, -1, 0, 1)
     ym = y_minus(1, 1, 0, 0)
     assert ym.w_sign == -1
+
+
+# ---------------------------------------------------------------- the OPE right side against its reference
+
+OPE_MAKERS = (
+    lambda i, j: (y_plus(i, 1, 0, -1), y_plus(j, 1, 0, -1)),
+    lambda i, j: (y_plus(i, 1, 0, -1), y_minus(j, 1, 0, -1)),
+    lambda i, j: (y_plus(i, 1, 0, -1), y_plus(j, -1, 0, 1)),
+    lambda i, j: (y_plus(i, 1, 0, -1), y_minus(j, -1, 0, 1)),
+    lambda i, j: (y_minus(i, 1, 0, -1), y_plus(j, -1, 0, 1)),
+)
+
+
+def eng_for(spec, weight):
+    g = build_group(spec)
+    xi = first_xi(g) if weight == "first" else second_xi(g, int(weight.split(":")[1]))
+    return VertexEngine(FockContext(xi), p_exp=xi.p_exp)
+
+
+def oracle_states(rank):
+    """The benchmark's four states and one mixed state: several lattice points,
+    Laurent coefficients with more than one term, a degree-3 monomial."""
+    e1 = tuple(1 if t == 1 else 0 for t in range(rank))
+    em = tuple(-1 if t == 0 else 1 if t == rank - 1 else 0 for t in range(rank))
+    mixed = ExtState("chi", {
+        ((), (0,) * rank): Laurent.of(3),
+        (((1, 0),), e1): Laurent.q_pow(1) + Laurent.of(Fraction(1, 2)),
+        (((1, 1), (2, 0)), em): -Laurent.q_pow(-1),
+    })
+    return [ExtState.vacuum(rank), ExtState.point(((1, 1),), (0,) * rank),
+            ExtState.point(((1, 0), (1, 1)), (0,) * rank), ExtState.point((), e1), mixed]
+
+
+def new_rhs(eng, opA, opB, window, states):
+    factor, table = ope_rhs_factor(eng, opA, opB, window, states), {}
+    return [normal_pair_coeff(eng, opA, opB, window, factor, table, v) for v in states]
+
+
+def assert_rhs_is_reference(got, want):
+    """Equal at every (state, m, n); returns how many of the values are nonzero."""
+    nonzero = 0
+    for t, (g, w) in enumerate(zip(got, want)):
+        assert set(g) <= set(w), t
+        for mn, value in w.items():
+            assert g.get(mn, ExtState.zero(value.basis)) == value, (t, mn)
+            nonzero += not value.is_zero
+    return nonzero
+
+
+@pytest.mark.parametrize("window", [2, 3])
+@pytest.mark.parametrize("spec,weight", [
+    ("cyclic:3", "first"), ("cyclic:3", "second:1"), ("cyclic:3", "second:-1"), ("cyclic:3", "second:2"),
+    ("cyclic:4", "first"), ("cyclic:4", "second:1"), ("cyclic:4", "second:-1"), ("cyclic:4", "second:2"),
+    ("bd:2", "first"), ("bt", "first"),
+])
+def test_ope_right_side_equals_the_convolved_normal_ordered_table(spec, weight, window):
+    # the reference expands the factor further (2 window + bound + 6), so equality also
+    # shows that the right side's shorter factor series loses no term
+    eng = eng_for(spec, weight)
+    states = oracle_states(eng.rank)
+    for t, mk in enumerate(OPE_MAKERS):
+        opA, opB = mk(0, (t + window) % 2)
+        assert assert_rhs_is_reference(new_rhs(eng, opA, opB, window, states),
+                                       ref_ope_rhs(eng, opA, opB, window, states)) > 0, t
+
+
+def test_ope_right_side_equals_its_reference_under_a_moved_factor_coefficient(monkeypatch):
+    # the defect of test_ope_product_check_fails_on_a_moved_factor_coefficient
+    signed = vertex.signed_ope_factor
+
+    def moved(eng, opA, opB, D):
+        g_ab, scalar, series = signed(eng, opA, opB, D)
+        coeffs = list(series.coeffs)
+        coeffs[1] = coeffs[1] * Laurent.q_pow(1)
+        return g_ab, scalar, TruncSeries(series.order, coeffs)
+
+    eng = eng_first(cyclic(3))
+    opA, opB, states = y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1), oracle_states(3)
+    right = ref_ope_rhs(eng, opA, opB, 2, states)
+    monkeypatch.setattr(vertex, "signed_ope_factor", moved)
+    got, want = new_rhs(eng, opA, opB, 2, states), ref_ope_rhs(eng, opA, opB, 2, states)
+    assert_rhs_is_reference(got, want)
+    assert want[0][(-2, -2)] != right[0][(-2, -2)]
+
+
+def test_ope_right_side_reads_no_stage_of_the_left_side(monkeypatch):
+    eng = eng_first(cyclic(3))
+    opA, opB, states = y_plus(0, 1, 0, -1), y_minus(1, 1, 0, -1), oracle_states(3)
+    want = ref_ope_rhs(eng, opA, opB, 2, states)
+
+    def left_side_stage(*args, **kwargs):
+        raise AssertionError("the right side read a stage of the left side")
+
+    for name in ("creation_stage", "annihilation_stage", "mode"):
+        monkeypatch.setattr(VertexEngine, name, left_side_stage)
+    assert assert_rhs_is_reference(new_rhs(eng, opA, opB, 2, states), want) > 0
+
+
+def test_ope_product_check_fails_on_a_moved_creation_pair_coefficient(monkeypatch):
+    # a defect in the right side alone: one coefficient of G[1, 1] times q
+    pair = vertex.creation_pair
+
+    def moved(eng, opA, opB, factors, T, c):
+        out = pair(eng, opA, opB, factors, T, c)
+        if (T, c) == (1, 1):
+            (mono, coeff), *rest = out
+            out = [(mono, coeff * Laurent.q_pow(1)), *rest]
+        return out
+
+    monkeypatch.setattr(vertex, "creation_pair", moved)
+    eng = eng_first(cyclic(3))
+    rep = ope_product_check(eng, y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1), 2, states_for(None, 3), "t", {})
+    assert not rep.passed
+    assert (rep.fail_detail["where"], rep.n_cases) == ("state #0 modes (0,-2)", 3)

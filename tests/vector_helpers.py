@@ -4,7 +4,8 @@ read-only ``terms`` view, the constructor and ``add_term``."""
 from fractions import Fraction
 from math import factorial
 
-from qvertex.fock import ExtState, FockContext, FockVector, LatticeContext, ext_apply_mode
+from qvertex import vertex
+from qvertex.fock import ExtState, FockContext, FockVector, LatticeContext, ext_apply_mode, mono_deg
 from qvertex.scalar import L_ZERO, Laurent, qint
 from qvertex.vertex import VertexEngine, VOp
 
@@ -104,4 +105,71 @@ def ref_psi_mode(ctx: FockContext, lat: LatticeContext, k_eff: int, i: int, mode
         powers = nxt
         if j in powers:
             out = out + powers[j].scale(Laurent.of(Fraction(1, factorial(r))))
+    return out
+
+
+# -- the OPE right side as an N table of :A(z)B(w): convolved with the factor
+
+
+def ref_normal_pair_table(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple[int, int]],
+                          state: ExtState) -> dict[tuple[int, int], ExtState]:
+    """N[za, wb]: the coefficient of z^{za} w^{wb} in :opA(z) opB(w): v, for each
+    requested key, one Laurent product per term."""
+    lat = eng.lat
+    shiftA, shiftB = eng.shift_vec(opA.i, opA.w_sign), eng.shift_vec(opB.i, opB.w_sign)
+    out: dict[tuple[int, int], dict] = {}
+    for (mono, beta), coeff in state.terms.items():
+        sA = opA.w_sign * lat.pairing_row(opA.i, beta)
+        sB = opB.w_sign * lat.pairing_row(opB.i, beta)
+        rsign, shift = lat.reduce_signed(tuple(a + b + c for a, b, c in zip(shiftA, shiftB, beta)))
+        sign = rsign * lat.cocycle_sign(tuple(a + b for a, b in zip(shiftA, shiftB)), beta)
+        v0 = (opA.zqv * sA + opB.zqv * sB
+              + eng.p_factor_v(opA.i, opA.w_sign, beta) + eng.p_factor_v(opB.i, opB.w_sign, beta))
+        lead = Laurent.v_pow(v0, coeff.scale(sign))
+        for bA, mA, cA in eng.ann_expand(opA, mono):
+            for bB, mB, cB in eng.ann_expand(opB, mA):
+                cAB = lead * cA * cB
+                for za, wb in keys:
+                    aA, aB = za - sA + bA, wb - sB + bB
+                    if aA < 0 or aB < 0:
+                        continue
+                    acc = out.setdefault((za, wb), {})
+                    for mcB, ccB in eng.cre_terms(opB, aB):
+                        cABB = cAB * ccB
+                        for mcA, ccA in eng.cre_terms(opA, aA):
+                            key = (tuple(sorted(mB + mcB + mcA)), shift)
+                            acc[key] = acc.get(key, L_ZERO) + cABB * ccA
+    return {zw: ExtState(state.basis, t) for zw, t in out.items()}
+
+
+def ref_annihilation_bound(eng: VertexEngine, state: ExtState) -> int:
+    """A bound on how deep a w-side annihilation can bite into the state, plus 2."""
+    deg = max((mono_deg(m) for m, _ in state.terms), default=0)
+    return deg + max((abs(eng.lat.pairing_row(i, beta)) for _, beta in state.terms for i in range(eng.rank)),
+                     default=0) + 2
+
+
+def ref_ope_rhs(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
+                states: list[ExtState]) -> list[dict[tuple[int, int], ExtState]]:
+    """eps * scalar * z^g * f(w/z) :opA(z) opB(w): v per state and mode pair (m, n):
+    sum_d (eps * scalar * f_d) N[-m-1-g+d, -n-1-d], the factor (read through
+    vertex.signed_ope_factor) expanded to 2 * window + the bound + 6."""
+    D = 2 * window + max((ref_annihilation_bound(eng, s) for s in states), default=4) + 6
+    g_ab, scalar, series = vertex.signed_ope_factor(eng, opA, opB, D)
+    factors = [(d, scalar * fd) for d, fd in enumerate(series.coeffs) if not fd.is_zero]
+    modes = range(-window, window + 1)
+    keys = {(-m - 1 - g_ab + d, -n - 1 - d) for m in modes for n in modes for d, _ in factors}
+    out = []
+    for v in states:
+        table = ref_normal_pair_table(eng, opA, opB, keys, v)
+        rhs = {}
+        for m in modes:
+            for n in modes:
+                acc = ExtState.zero(v.basis)
+                for d, fs in factors:
+                    term = table.get((-m - 1 - g_ab + d, -n - 1 - d))
+                    if term is not None:
+                        acc = acc + term.scale(fs)
+                rhs[(m, n)] = acc
+        out.append(rhs)
     return out
