@@ -44,13 +44,17 @@ right side (normal_pair_coeff) walks each state once: a path through A's and
 then B's annihilation exponential contributes its coefficient times B's
 annihilated monomial times one entry G[T, c] of the check's creation table,
 where T and c are fixed by the path's z-orders and lattice offsets and by
-(m, n).  G[T, c] = sum_a (eps * scalar * f_{c-a}) cre_B(a) cre_A(T-a) folds the
-factor series into the two creation exponentials (creation_pair); it is built
-on first read and shared by every state and path of the check.  The factor
-series is expanded only as far as the walk reads it (ope_rhs_factor); a
-shorter one would drop terms and fail the check.  The two sides are computed
-independently: neither reads a result or a stage of the other, and both
-tables (the left side's annihilation stage of B_n v, the right side's G) die
+(m, n).  Three check-local tables, each built on first read, serve it:
+P[T, a] = cre_B(a) cre_A(T-a), one keyed value over merged creation monomials
+(creation_product); G[T, c] = sum_a (eps * scalar * f_{c-a}) P[T, a], which
+folds the factor series in (creation_pair) and reuses each P for every c; and
+G[T, c] re-keyed once per (B's annihilated monomial m_B, lattice point) to the
+output keys (m_B * creation monomial, point), so that a path term adds a
+whole read with one KeyedSum.add_all.  The factor series is expanded only as
+far as the walk reads it (ope_rhs_factor); a shorter one would drop terms and
+fail the check.  The two sides are computed independently: neither reads a
+result or a stage of the other, and all their tables (the left side's
+annihilation stage of B_n v, the right side's P, G and re-keyed reads) die
 with the check.
 """
 
@@ -61,7 +65,7 @@ from fractions import Fraction
 
 from .fock import ExtState, FockContext, FockVector, LatticeContext, Mono, by_key, mono_deg
 from .report import CheckReport, first_mismatch
-from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, TruncSeries, keyed_parts, qbinom, qint, series_exp
+from .scalar import L_ONE, L_ZERO, KeyedSum, Laurent, TruncSeries, qbinom, qint, series_exp
 from .wreath import partitions, z_part
 
 # a keyed value (scalar.KeyedSum) over (annihilated monomial, shifted lattice point, z-order e) keys
@@ -372,30 +376,40 @@ def ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, Laur
     return g_ab, scalar, contraction_series(eng, opA, opB, D)
 
 
-def creation_pair(eng: VertexEngine, opA: VOp, opB: VOp, factors: list[Laurent], T: int,
-                  c: int) -> list[tuple[Mono, Laurent]]:
+def creation_product(eng: VertexEngine, opA: VOp, opB: VOp, T: int, aB: int) -> Laurent:
+    """P[T, a_B]: cre_B(a_B) cre_A(T - a_B) as a keyed value over merged creation monomials."""
+    acc = KeyedSum()
+    for mcB, ccB in eng.cre_terms(opB, aB):
+        for mcA, ccA in eng.cre_terms(opA, T - aB):
+            for e, x in ccA.entries():
+                acc.add(tuple(sorted(mcB + mcA)), e, ccA, x, ccB)
+    return acc.value()
+
+
+def creation_pair(eng: VertexEngine, opA: VOp, opB: VOp, factors: list[Laurent], T: int, c: int,
+                  products: dict[tuple[int, int], Laurent]) -> Laurent:
     """G[T, c]: the creation side of the right side of the OPE, with the factor folded in.
 
-    sum over 0 <= a_B <= min(T, c) of factors[c - a_B] cre_B(a_B) cre_A(T - a_B),
-    as (merged creation monomial, coefficient) pairs.  factors[d] is the
-    signed factor's w/z-power d; a term past its order is missing, so a too
-    short factor series makes the check fail, never pass.
+    sum over 0 <= a_B <= min(T, c) of factors[c - a_B] P[T, a_B], a keyed value
+    over merged creation monomials.  factors[d] is the signed factor's w/z-power
+    d; a term past its order is missing, so a too short factor series makes
+    the check fail, never pass.  P[T, a_B] is read from products, built on
+    first read.
     """
     acc = KeyedSum()
     for aB in range(max(0, c + 1 - len(factors)), min(T, c) + 1):
         fs = factors[c - aB]
         if fs.is_zero:
             continue
-        for mcB, ccB in eng.cre_terms(opB, aB):
-            fB = fs * ccB
-            for mcA, ccA in eng.cre_terms(opA, T - aB):
-                for e, x in ccA.entries():
-                    acc.add(tuple(sorted(mcB + mcA)), e, ccA, x, fB)
-    return list(keyed_parts(acc.value()).items())
+        p = products.get((T, aB))
+        if p is None:
+            p = products[(T, aB)] = creation_product(eng, opA, opB, T, aB)
+        acc.add_product(p, fs)
+    return acc.value()
 
 
 def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
-                      factor: tuple[int, list[Laurent]], g_table: dict,
+                      factor: tuple[int, list[Laurent]], tables: dict,
                       state: ExtState) -> dict[tuple[int, int], ExtState]:
     """The right side eps * scalar * z^g * f(w/z) :opA(z) opB(w): on state, per mode pair.
 
@@ -404,11 +418,18 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
     One walk over the state's terms and the two annihilation expansions: the
     path through A's term (b_A, m_A, c_A) and B's term (b_B, m_B, c_B) adds
     c_A c_B (state coefficient) m_B G[T, c] with T = b_A + b_B - s_A - s_B - g
-    - m - n - 2 and c = b_B - s_B - n - 1 (s_X = <w_X, beta>_1).  G[T, c] =
-    creation_pair is read from g_table, the check's table, built on first read.
+    - m - n - 2 and c = b_B - s_B - n - 1 (s_X = <w_X, beta>_1).  tables holds
+    the check's tables, each built on first read: "P" and "G" (creation_pair)
+    and "read", G[T, c] re-keyed to the output keys (m_B mc, shift) at
+    [(m_B, shift)][(T, c)], so a path adds a whole read with one add_all per
+    entry of its coefficient.  The re-keying is injective, as multiplying by
+    m_B is.
     """
     g_ab, factors = factor
     lat = eng.lat
+    products = tables.setdefault("P", {})
+    pairs = tables.setdefault("G", {})
+    reads = tables.setdefault("read", {})
     sums: dict[tuple[int, int], KeyedSum] = {}
     shiftA = eng.shift_vec(opA.i, opA.w_sign)
     shiftB = eng.shift_vec(opB.i, opB.w_sign)
@@ -419,28 +440,31 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
         sign = rsign * lat.cocycle_sign(tuple(a + b for a, b in zip(shiftA, shiftB)), beta)
         v0 = (opA.zqv * sA + opB.zqv * sB
               + eng.p_factor_v(opA.i, opA.w_sign, beta) + eng.p_factor_v(opB.i, opB.w_sign, beta))
+        coeff = Laurent.v_pow(v0, coeff if sign > 0 else -coeff)  # the lattice factor, folded in once
         for bA, mA, cA in eng.ann_expand(opA, mono):
             cAv = cA * coeff
             for bB, mB, cB in eng.ann_expand(opB, mA):
                 path = cAv * cB
-                ents = path.entries()
                 c0 = bB - sB - 1
                 t0 = bA + c0 - sA - g_ab - 1
+                rd = reads.setdefault((mB, shift), {})
                 for n in range(-window, min(window, c0) + 1):
                     for m in range(-window, min(window, t0 - n) + 1):
                         tc = (t0 - n - m, c0 - n)
-                        gtc = g_table.get(tc)
-                        if gtc is None:
-                            gtc = g_table[tc] = creation_pair(eng, opA, opB, factors, *tc)
-                        if not gtc:
+                        read = rd.get(tc)
+                        if read is None:
+                            g = pairs.get(tc)
+                            if g is None:
+                                g = pairs[tc] = creation_pair(eng, opA, opB, factors, *tc, products)
+                            read = rd[tc] = g.with_entries(
+                                {((tuple(sorted(mB + mc)) if mB else mc, shift), e): x
+                                 for (mc, e), x in g.entries()})
+                        if read.is_zero:
                             continue
                         acc = sums.get((m, n))
                         if acc is None:
                             acc = sums[(m, n)] = KeyedSum()
-                        for mc, gc in gtc:
-                            key = (tuple(sorted(mB + mc)) if mB else mc, shift)
-                            for e, x in ents:
-                                acc.add(key, e + v0, path, x, gc, sign)
+                        acc.add_product(read, path)
     return {mn: ExtState.packed(state.basis, acc.value()) for mn, acc in sums.items()}
 
 
@@ -472,12 +496,12 @@ def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states
     module docstring for how each side is computed.
     """
     factor = ope_rhs_factor(eng, opA, opB, window, states)
-    g_table: dict[tuple[int, int], list[tuple[Mono, Laurent]]] = {}
+    tables: dict[str, dict] = {}  # the right side's P, G and re-keyed reads; they die with the check
     mode_range = range(-window, window + 1)
 
     def pairs():
         for t, v in enumerate(states):
-            rhs = normal_pair_coeff(eng, opA, opB, window, factor, g_table, v)
+            rhs = normal_pair_coeff(eng, opA, opB, window, factor, tables, v)
             zero = ExtState.zero(v.basis)
             for n in mode_range:
                 bn = eng.mode(opB, n, v)

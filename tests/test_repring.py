@@ -273,3 +273,22 @@ def test_qp_degeneracy_fails_on_a_shifted_eigenvalue_exponent(monkeypatch):
     assert bad.fail_detail["where"] == "zero eigenvalue set"
     assert bad.fail_detail["expected"] == "[0]" and bad.fail_detail["got"] == "[]"
     assert bad.n_cases == 4
+
+
+@pytest.mark.parametrize("g,n_cases", [(cyclic(3), 3), (binary_dihedral(2), 5)], ids=lambda x: getattr(x, "name", x))
+def test_positivity_probe_fails_on_a_lowered_diagonal_entry(monkeypatch, g, n_cases):
+    assert positivity_probe(first_xi(g), 0.5).passed
+    moved_cartan_entry(monkeypatch, 0, 0, lambda a: a - Laurent.of(3))
+    bad = positivity_probe(first_xi(g), 0.5)
+    assert not bad.passed
+    assert (bad.fail_detail["where"], bad.n_cases) == ("positive definiteness", n_cases)
+
+
+def test_positivity_probe_fails_on_a_moved_entry_at_p_equal_q(monkeypatch):
+    # the null direction (1, 1, 1) of the p = q Cartan matrix is lost
+    xi = second_xi(cyclic(3), 1)
+    assert positivity_probe(xi, 2.0).passed
+    moved_cartan_entry(monkeypatch, 0, 1, lambda a: a + Laurent.one())
+    bad = positivity_probe(xi, 2.0)
+    assert not bad.passed
+    assert (bad.fail_detail["where"], bad.n_cases) == ("rank", 3)

@@ -6,7 +6,7 @@ from qvertex import vertex
 from qvertex.fock import ExtState, FockContext
 from qvertex.groups import build_group, cyclic
 from qvertex.repring import first_xi, second_xi
-from qvertex.scalar import L_ONE, Laurent, TruncSeries, keyed_parts
+from qvertex.scalar import L_ONE, KeyedSum, Laurent, TruncSeries, keyed_parts
 from qvertex.vertex import (
     VertexEngine,
     classical_pow,
@@ -578,19 +578,61 @@ def test_ope_right_side_reads_no_stage_of_the_left_side(monkeypatch):
     assert assert_rhs_is_reference(new_rhs(eng, opA, opB, 2, states), want) > 0
 
 
+def moved_first_part(value):
+    """The keyed value with its first key's coefficient times q."""
+    acc = KeyedSum()
+    for t, (key, coeff) in enumerate(keyed_parts(value).items()):
+        acc.add(key, 0, L_ONE, 1, coeff * Laurent.q_pow(1) if t == 0 else coeff)
+    return acc.value()
+
+
 def test_ope_product_check_fails_on_a_moved_creation_pair_coefficient(monkeypatch):
     # a defect in the right side alone: one coefficient of G[1, 1] times q
     pair = vertex.creation_pair
 
-    def moved(eng, opA, opB, factors, T, c):
-        out = pair(eng, opA, opB, factors, T, c)
-        if (T, c) == (1, 1):
-            (mono, coeff), *rest = out
-            out = [(mono, coeff * Laurent.q_pow(1)), *rest]
-        return out
+    def moved(eng, opA, opB, factors, T, c, products):
+        out = pair(eng, opA, opB, factors, T, c, products)
+        return moved_first_part(out) if (T, c) == (1, 1) else out
 
     monkeypatch.setattr(vertex, "creation_pair", moved)
     eng = eng_first(cyclic(3))
     rep = ope_product_check(eng, y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1), 2, states_for(None, 3), "t", {})
     assert not rep.passed
     assert (rep.fail_detail["where"], rep.n_cases) == ("state #0 modes (0,-2)", 3)
+
+
+def test_ope_product_check_fails_on_a_moved_creation_product_coefficient(monkeypatch):
+    # one coefficient of P[2, 1] = cre_B(1) cre_A(1) times q reaches every G[2, c] read from it
+    product = vertex.creation_product
+
+    def moved(eng, opA, opB, T, aB):
+        out = product(eng, opA, opB, T, aB)
+        return moved_first_part(out) if (T, aB) == (2, 1) else out
+
+    monkeypatch.setattr(vertex, "creation_product", moved)
+    eng = eng_first(cyclic(3))
+    rep = ope_product_check(eng, y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1), 2, states_for(None, 3), "t", {})
+    assert not rep.passed
+    assert (rep.fail_detail["where"], rep.n_cases) == ("state #0 modes (-1,-2)", 2)
+
+
+def test_ope_right_side_tables_die_with_the_check():
+    eng = eng_first(cyclic(3))
+    caches = ("_ann_cache", "_cre_cache")
+
+    def snapshot(obj):
+        return {k: len(v) if isinstance(v, (dict, list, set)) else id(v) for k, v in vars(obj).items()}
+
+    before, module = snapshot(eng), snapshot(vertex)
+    reports = []
+    for _ in range(2):
+        reports.append(ope_product_check(eng, y_plus(0, 1, 0, -1), y_minus(1, 1, 0, -1), 2,
+                                         oracle_states(3), "t", {}).to_obj())
+        after = snapshot(eng)
+        assert after.keys() == before.keys()
+        assert {k for k in after if after[k] != before[k]} == set(caches)
+        assert snapshot(vertex) == module
+        if len(reports) == 1:
+            warm = after
+    assert after == warm  # the second check builds nothing that outlives it
+    assert reports[0] == reports[1] and reports[0]["pass"]
