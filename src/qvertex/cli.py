@@ -18,6 +18,7 @@ import sys
 from dataclasses import dataclass
 
 from .fock import (
+    ClassVector,
     ExtState,
     FockContext,
     LatticeContext,
@@ -119,8 +120,8 @@ def run_repring_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
 
 def run_fock_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
     ctx = FockContext(make_xi(cfg, g))
-    states = monomial_states(g, "chi", cfg.max_degree)
-    states_c = monomial_states(g, "cls", cfg.max_degree)
+    states = monomial_states(g, cfg.max_degree)
+    states_c = monomial_states(g, cfg.max_degree, ClassVector)
     out = [cocycle_condition_check(LatticeContext(ctx))]
     idx = range(min(2, g.n_classes))
     for m in range(1, cfg.max_mode + 1):

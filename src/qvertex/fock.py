@@ -1,10 +1,10 @@
 """Heisenberg algebra on the group Fock space, and its lattice extension.
 
 Monomials are sorted tuples of (degree n, generator index) pairs: products of
-creation generators a_{-n}(gamma_i) (character basis, tag "chi") or a_{-n}(c)
-(class basis, tag "cls").  One sparse state class, FockVector, combines keys
-with Laurent coefficients; its keys are monomials, and in the subclass
-ExtState they are (monomial, lattice point) pairs, the lattice Z^{r+1} being
+a_{-n}(gamma_i) over the irreducible characters or of a_{-n}(c) over the classes.
+A vector's type is its basis (class attribute ``basis``, "chi" or "cls"): a
+FockVector holds character monomials, a ClassVector class monomials, and an
+ExtState (character monomial, lattice point) pairs, the lattice Z^{r+1} being
 spanned by the irreducible characters.
 
 A vector holds all its coefficients as one keyed value of the scalar kernel
@@ -84,77 +84,83 @@ class FockVector:
     product and one exponent add, gathered by a KeyedSum; sums, differences
     and equality are Laurent's own.  ``terms`` is a read-only {key: Laurent}
     view, and the constructor takes such a dict.  Arithmetic returns
-    ``type(self)``, so the lattice-extended ExtState shares it unchanged.
+    ``type(self)``; vectors of two types never add or compare equal.
     """
 
-    __slots__ = ("basis", "f")
+    __slots__ = ("f",)
     __hash__ = None
+    basis = "chi"
 
-    def __init__(self, basis: str, terms: dict | None = None):  # basis: "chi" | "cls"
+    def __init__(self, terms: dict | None = None):
         acc = KeyedSum()
         for key, c in (terms or {}).items():
             acc.add(key, 0, L_ONE, 1, c)
-        self.basis = basis
         self.f = acc.value()
 
     @classmethod
-    def packed(cls, basis: str, f: Laurent):
+    def packed(cls, f: Laurent):
         """The vector whose coefficients are the keyed value f."""
         out = object.__new__(cls)
-        out.basis = basis
         out.f = f
         return out
 
     @classmethod
-    def unit(cls, basis: str, key):
+    def unit(cls, key):
         """The basis vector of key (coefficient one)."""
-        return cls.packed(basis, L_ONE.with_entries({(key, 0): 1}))
-
-    @staticmethod
-    def vacuum(basis: str = "chi") -> "FockVector":
-        return FockVector.unit(basis, VACUUM)
+        return cls.packed(L_ONE.with_entries({(key, 0): 1}))
 
     @classmethod
-    def zero(cls, basis: str = "chi"):
-        return cls.packed(basis, L_ZERO)
+    def vacuum(cls):
+        return cls.unit(VACUUM)
 
     @classmethod
-    def lincomb(cls, basis: str, pairs):
+    def zero(cls):
+        return cls.packed(L_ZERO)
+
+    @classmethod
+    def lincomb(cls, pairs):
         """sum c v over (vector, Laurent c) pairs, normalised once."""
         acc = KeyedSum()
         for v, c in pairs:
             acc.add_product(v.f, c)
-        return cls.packed(basis, acc.value())
+        return cls.packed(acc.value())
 
     @property
     def terms(self):
         return MappingProxyType(keyed_parts(self.f))
 
     def add_term(self, key, c: Laurent) -> None:
-        self.f = self.f + FockVector(self.basis, {key: c}).f
+        self.f = self.f + FockVector({key: c}).f
 
     def __add__(self, other):
-        assert self.basis == other.basis
-        return self.packed(self.basis, self.f + other.f)
+        assert type(other) is type(self)
+        return self.packed(self.f + other.f)
 
     def __sub__(self, other):
-        assert self.basis == other.basis
-        return self.packed(self.basis, self.f - other.f)
+        assert type(other) is type(self)
+        return self.packed(self.f - other.f)
 
     def scale(self, c: Laurent):
-        return self.packed(self.basis, keyed_product(self.f, c))
+        return self.packed(keyed_product(self.f, c))
 
     @property
     def is_zero(self) -> bool:
         return self.f.is_zero
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.basis == other.basis and self.f == other.f
+        return type(other) is type(self) and self.f == other.f
 
     def __repr__(self):
         if self.f.is_zero:
             return "0"
         return " + ".join(f"({c})*{mono_str(m, self.basis)}" for m, c in sorted(self.terms.items()))
+
+
+class ClassVector(FockVector):
+    """A FockVector on the class basis: its monomials are products of a_{-n}(c)."""
+
+    __slots__ = ()
+    basis = "cls"
 
 
 def _dot(a, b) -> Laurent:
@@ -195,7 +201,7 @@ class FockContext:
         self.chi_of_cls = [[g.char_table[i][g.inv(c)] for i in range(n)] for c in range(n)]
 
     @cached_property
-    def cls_of_chi(self) -> list[list[Laurent]]:  # built on first read: to_cls alone reads it
+    def cls_of_chi(self) -> list[list[Laurent]]:  # to_cls alone reads it; kept as the inverse the tests check to_chi against
         g, r = self.group, range(self.group.n_classes)
         return [[g.char_table[i][c].scale(Fraction(1, g.zeta(c))) for c in r] for i in r]
 
@@ -214,15 +220,15 @@ class FockContext:
     # -- Heisenberg action
 
     def create(self, n: int, i: int, v: FockVector) -> FockVector:
-        """a_{-n} of generator i (a character or a class, per v.basis): multiply it in."""
+        """a_{-n} of generator i (a character or a class, per v's type): multiply it in."""
         assert n > 0
         f = v.f
         # multiplying a factor in is injective on monomials: the entries move unchanged
-        return FockVector.packed(v.basis, f.with_entries({(mono_mul(m, (n, i)), e): x for (m, e), x in f.entries()}))
+        return v.packed(f.with_entries({(mono_mul(m, (n, i)), e): x for (m, e), x in f.entries()}))
 
     def annihilate(self, n: int, i: int, v: FockVector) -> FockVector:
         """Apply a_n(gamma_i), n > 0: contraction with factor n per matched slot."""
-        assert v.basis == "chi" and n > 0
+        assert type(v) is FockVector and n > 0
         acc = KeyedSum()
         f = v.f
         for (m, e), x in f.entries():
@@ -234,11 +240,11 @@ class FockContext:
                 reduced = list(m)
                 reduced.remove(factor)
                 acc.add(tuple(reduced), e, f, x, self.pair_pow(i, factor[1], n), m.count(factor) * n)
-        return FockVector.packed("chi", acc.value())
+        return FockVector.packed(acc.value())
 
-    def annihilate_cls(self, n: int, c: int, v: FockVector) -> FockVector:
+    def annihilate_cls(self, n: int, c: int, v: ClassVector) -> ClassVector:
         """a_n(c): contraction value n zeta_c xi_{q^n}(c) against each a_{-n}(c^{-1})."""
-        assert v.basis == "cls" and n > 0
+        assert type(v) is ClassVector and n > 0
         g = self.group
         factor = (n, g.inv(c))
         val = self.xi_pow(c, n).scale(g.zeta(c) * n)
@@ -250,17 +256,17 @@ class FockContext:
                 reduced = list(m)
                 reduced.remove(factor)
                 acc.add(tuple(reduced), e, f, x, val, mult)
-        return FockVector.packed("cls", acc.value())
+        return ClassVector.packed(acc.value())
 
     def apply_mode(self, m: int, i: int, v: FockVector) -> FockVector:
         """a_m(gamma_i) with the sign convention m < 0 creation, m > 0 annihilation."""
         if m < 0:
             return self.create(-m, i, v)
-        return self.annihilate(m, i, v) if v.basis == "chi" else self.annihilate_cls(m, i, v)
+        return self.annihilate_cls(m, i, v) if type(v) is ClassVector else self.annihilate(m, i, v)
 
     # -- basis change
 
-    def _rebase(self, v: FockVector, matrix: list[list[Laurent]], basis: str) -> FockVector:
+    def _rebase(self, v: FockVector, matrix: list[list[Laurent]], target_type: type) -> FockVector:
         """Expand every factor a_{-n}(x) of v as sum_y matrix[x][y] a_{-n}(y).
 
         One factor per pass over the whole vector: each entry is keyed by
@@ -271,7 +277,7 @@ class FockContext:
         happens per factor, not after the full product expansion.  An entry
         with an empty suffix is finished and goes to the output.
         """
-        if v.basis == basis:
+        if type(v) is target_type:
             return v
         out = KeyedSum()
         cur = v.f.with_entries({((VACUUM, m), e): x for (m, e), x in v.f.entries()})
@@ -286,15 +292,15 @@ class FockContext:
                     if not w.is_zero:
                         nxt.add((mono_mul(done, (deg, y)), tail), e, cur, num, w)
             cur = nxt.value()
-        return FockVector.packed(basis, out.value())
+        return target_type.packed(out.value())
 
     def to_chi(self, v: FockVector) -> FockVector:
         """a_{-n}(c) = sum_gamma gamma(c^{-1}) a_{-n}(gamma), expanded per factor."""
-        return self._rebase(v, self.chi_of_cls, "chi")
+        return self._rebase(v, self.chi_of_cls, FockVector)
 
     def to_cls(self, v: FockVector) -> FockVector:
         """a_{-n}(gamma_i) = sum_c zeta_c^{-1} gamma_i(c) a_{-n}(c)."""
-        return self._rebase(v, self.cls_of_chi, "cls")
+        return self._rebase(v, self.cls_of_chi, ClassVector)
 
     # -- bilinear form
 
@@ -407,7 +413,7 @@ def heisenberg_check(ctx: FockContext, m: int, n: int, i: int, j: int, vectors: 
     def pairs():
         for t, v in enumerate(vectors):
             lhs = ctx.apply_mode(m, i, ctx.apply_mode(n, j, v)) - ctx.apply_mode(n, j, ctx.apply_mode(m, i, v))
-            rhs = v.scale(ctx.pair_pow(i, j, m).scale(m)) if m == -n else FockVector.zero(v.basis)
+            rhs = v.scale(ctx.pair_pow(i, j, m).scale(m)) if m == -n else v.zero()
             yield (f"state #{t}", rhs, lhs)
 
     return first_mismatch("fock.heisenberg", params, pairs())
@@ -425,14 +431,14 @@ def heisenberg_check_cls(ctx: FockContext, m: int, n: int, c: int, cp: int, vect
             if m == -n and cp == g.inv(c):
                 rhs = v.scale(ctx.xi_pow(c, m).scale(m * g.zeta(c)))
             else:
-                rhs = FockVector.zero(v.basis)
+                rhs = v.zero()
             yield (f"state #{t}", rhs, lhs)
 
     return first_mismatch("fock.heisenberg_cls", params, pairs())
 
 
-def monomial_states(g: GroupData, basis: str, max_degree: int, indices=None) -> list[FockVector]:
-    """Deterministic list of all monomial states of degree <= max_degree."""
+def monomial_states(g: GroupData, max_degree: int, vector_type: type = FockVector, indices=None) -> list[FockVector]:
+    """Deterministic list of all monomial states of degree <= max_degree, of vector_type."""
     idxs = list(indices) if indices is not None else list(range(g.n_classes))
     singles = [(n, i) for n in range(1, max_degree + 1) for i in idxs]
     monos: list[Mono] = [VACUUM]
@@ -447,7 +453,7 @@ def monomial_states(g: GroupData, basis: str, max_degree: int, indices=None) -> 
         monos.extend(nxt)
         frontier = nxt
     monos = sorted(set(monos))
-    return [FockVector.unit(basis, m) for m in monos]
+    return [vector_type.unit(m) for m in monos]
 
 
 # --------------------------------------------------------------------------
@@ -526,15 +532,17 @@ class LatticeContext:
 
 
 class ExtState(FockVector):
-    """Finite combination of (Fock monomial (x) lattice point) with Laurent coefficients."""
+    """Finite combination of (character monomial (x) lattice point) with Laurent coefficients."""
+
+    __slots__ = ()
 
     @staticmethod
-    def vacuum(rank: int, basis: str = "chi") -> "ExtState":
-        return ExtState.unit(basis, (VACUUM, (0,) * rank))
+    def vacuum(rank: int) -> "ExtState":
+        return ExtState.unit((VACUUM, (0,) * rank))
 
     @staticmethod
-    def point(mono: Mono, beta: tuple[int, ...], basis: str = "chi", coeff: Laurent | None = None) -> "ExtState":
-        return ExtState(basis, {(mono, tuple(beta)): L_ONE if coeff is None else coeff})
+    def point(mono: Mono, beta: tuple[int, ...], coeff: Laurent | None = None) -> "ExtState":
+        return ExtState({(mono, tuple(beta)): L_ONE if coeff is None else coeff})
 
     def __repr__(self):
         if self.f.is_zero:
@@ -547,9 +555,9 @@ def ext_apply_mode(ctx: FockContext, m: int, i: int, v: ExtState) -> ExtState:
     """Heisenberg mode acting on the Fock factor only, one lattice point at a time."""
     out = L_ZERO
     for beta, f in keyed_parts(v.f, lambda ke: (ke[0][1], (ke[0][0], ke[1]))).items():
-        w = ctx.apply_mode(m, i, FockVector.packed(v.basis, f)).f
+        w = ctx.apply_mode(m, i, FockVector.packed(f)).f
         out = out + w.with_entries({((mono, beta), e): x for (mono, e), x in w.entries()})
-    return ExtState.packed(v.basis, out)
+    return ExtState.packed(out)
 
 
 def cocycle_condition_check(lat: LatticeContext) -> CheckReport:

@@ -79,8 +79,8 @@ class RepMap:
     """Realisation of the generators on (a sub/quotient space of) the Fock space.
 
     Every generator -- a_i(m), k_i^{+-1}, the psi half-current modes and
-    x_i^s(n) -- applies through `_apply`, which builds the image of each basis
-    term (a column) once per RepMap.  Columns are keyed by the generator's
+    x_i^s(n) -- applies through `_apply`, which builds the image of each term
+    (a column) once per RepMap.  Columns are keyed by the generator's
     data (for x the operator's data, not (i, s)) and its mode.  A column is
     the image's keyed value (scalar.KeyedSum), with its (key, v-exponent)
     pairs interned across columns, so applying a generator is one int product
@@ -127,10 +127,10 @@ class RepMap:
         self.indices = list(range(1, group.n_classes)) if self.affine else list(range(group.n_classes))
         self._x_ops = {(i, s): fj_x(i, s, self.k_eff) for i in range(group.n_classes) for s in (1, -1)}
         self._origin_point = (0,) * group.n_classes
-        # (generator, mode, basis) -> {basis key: keyed value of the image}, built on first read
+        # (generator, mode) -> {(monomial, beta): keyed value of the image}, built on first read
         self._columns: dict[tuple, dict] = {}
-        self._origins: dict[tuple, Laurent] = {}  # (generator, mode, basis, monomial) -> origin column
-        self._ann: dict[tuple, Laurent] = {}  # (x generator, basis, monomial) -> annihilation stage at e^0
+        self._origins: dict[tuple, Laurent] = {}  # (generator, mode, monomial) -> origin column
+        self._ann: dict[tuple, Laurent] = {}  # (x generator, monomial) -> annihilation stage at e^0
         self._steps: dict[tuple, tuple] = {}  # (generator, beta) -> lattice step
         self._interned: dict = {}
 
@@ -139,27 +139,25 @@ class RepMap:
 
         gen names the generator and n its mode, so two generators never share
         a column; step(beta) is the generator's lattice step at beta and
-        origin(N, basis, mono) its image of mono (x) e^0 at mode N.  The
-        tables keep no closure over the RepMap, so it is freed when its suite
-        ends, without waiting for the cycle collector.
+        origin(N, mono) its image of mono (x) e^0 at mode N.  The tables
+        keep no closure over the RepMap, so it is freed when its suite ends,
+        without waiting for the cycle collector.
         """
-        if v.basis != "chi":
-            raise ValueError("the generators act on character-basis states only")
         f = v.f
         entries = f.entries()
-        cols = self._columns.get((gen, n, v.basis))
+        cols = self._columns.get((gen, n))
         if cols is None:
-            cols = self._columns[(gen, n, v.basis)] = {}
+            cols = self._columns[(gen, n)] = {}
         for (key, _), _ in entries:
             if key not in cols:
-                cols[key] = self._column(gen, n, v.basis, step, origin, *key)
+                cols[key] = self._column(gen, n, step, origin, *key)
         if len(entries) == 1:
             ((key, e), x), = entries
-            return ExtState.packed(v.basis, keyed_times(cols[key], e, f, x))
+            return ExtState.packed(keyed_times(cols[key], e, f, x))
         acc = KeyedSum()
         for (key, e), x in entries:
             acc.add_all(cols[key], e, f, x)
-        return ExtState.packed(v.basis, acc.value())
+        return ExtState.packed(acc.value())
 
     def _step(self, gen: tuple, step, beta: tuple[int, ...]) -> tuple:
         st = self._steps.get((gen, beta))
@@ -167,14 +165,14 @@ class RepMap:
             st = self._steps[(gen, beta)] = step(beta)
         return st
 
-    def _column(self, gen: tuple, n: int, basis: str, step, origin, mono, beta) -> Laurent:
+    def _column(self, gen: tuple, n: int, step, origin, mono, beta) -> Laurent:
         """The column of mono (x) e^beta: the origin column at the shifted mode, translated."""
         offset, sign, point, ev = self._step(gen, step, beta)
         _, sign0, _, ev0 = self._step(gen, step, self._origin_point)
-        okey = (gen, n + offset, basis, mono)
+        okey = (gen, n + offset, mono)
         col = self._origins.get(okey)
         if col is None:
-            col = self._origins[okey] = origin(n + offset, basis, mono).f
+            col = self._origins[okey] = origin(n + offset, mono).f
         if col.is_zero:
             return L_ZERO
         intern = self._interned.setdefault
@@ -187,9 +185,9 @@ class RepMap:
         col = col.with_entries(t)
         return col if sign == sign0 else -col
 
-    def _unit(self, basis: str, mono) -> ExtState:
+    def _unit(self, mono) -> ExtState:
         """mono (x) e^0."""
-        return ExtState.unit(basis, (mono, self._origin_point))
+        return ExtState.unit((mono, self._origin_point))
 
     # -- generators
 
@@ -199,16 +197,16 @@ class RepMap:
     def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
         """x_i^sign(n) v."""
         if v.is_zero:
-            return ExtState.zero(v.basis)
+            return ExtState.zero()
         op = self.x_op(i, sign)
         gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv)
 
-        def origin(N: int, basis: str, mono) -> ExtState:
-            ann = self._ann.get((gen, basis, mono))
+        def origin(N: int, mono) -> ExtState:
+            ann = self._ann.get((gen, mono))
             if ann is None:
                 # b - <w, 0> = b >= 0: no z-order is cut
-                ann = self._ann[(gen, basis, mono)] = self.eng.annihilation_stage(op, self._unit(basis, mono), -1)
-            return self.eng.creation_stage(op, N, ann, basis)
+                ann = self._ann[(gen, mono)] = self.eng.annihilation_stage(op, self._unit(mono), -1)
+            return self.eng.creation_stage(op, N, ann)
 
         return self._apply(gen, n, v, lambda beta: self.eng.lattice_step(op, beta), origin)
 
@@ -221,10 +219,10 @@ class RepMap:
         if m == 0:
             raise ValueError("a_i(0) is not a generator here")
         if v.is_zero:
-            return ExtState.zero(v.basis)
+            return ExtState.zero()
 
-        def origin(m: int, basis: str, mono) -> ExtState:
-            return ext_apply_mode(self.fock, m, i, self._unit(basis, mono)).scale(
+        def origin(m: int, mono) -> ExtState:
+            return ext_apply_mode(self.fock, m, i, self._unit(mono)).scale(
                 qint(abs(m)).scale(Fraction(1, abs(m)))
             )
 
@@ -233,9 +231,9 @@ class RepMap:
     def k_diag(self, i: int, v: ExtState, power: int = 1) -> ExtState:
         """k_i^power: q^{power <gamma_i, beta>_1} on the lattice point beta."""
         if v.is_zero:
-            return ExtState.zero(v.basis)
+            return ExtState.zero()
         return self._apply(
-            ("k", i, power), 0, v, self._k_step(i, power), lambda _, basis, mono: self._unit(basis, mono)
+            ("k", i, power), 0, v, self._k_step(i, power), lambda _, mono: self._unit(mono)
         )
 
     def psi_mode(self, i: int, mode_sign: int, coeff_sign: int, j: int, v: ExtState) -> ExtState:
@@ -250,11 +248,11 @@ class RepMap:
         carries k_i^{coeff_sign}.
         """
         if v.is_zero:
-            return ExtState.zero(v.basis)
+            return ExtState.zero()
 
-        def origin(j: int, basis: str, mono) -> ExtState:
+        def origin(j: int, mono) -> ExtState:
             qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
-            base = self._unit(basis, mono)
+            base = self._unit(mono)
             terms = []
             for lam in partitions(j):
                 term = base
@@ -264,7 +262,7 @@ class RepMap:
                     coeff = coeff * qdiff * Laurent.v_pow(self.k_eff * part)
                 denom = prod(factorial(c) for c in Counter(lam).values())
                 terms.append((term, coeff.scale(Fraction(sign_pow(coeff_sign, len(lam)), denom))))
-            return ExtState.lincomb(basis, terms)
+            return ExtState.lincomb(terms)
 
         return self._apply(("psi", i, mode_sign, coeff_sign), j, v, self._k_step(i, coeff_sign), origin)
 
@@ -282,7 +280,7 @@ class RepMap:
                 e[i] = s
                 points.append(lat.reduce(tuple(e)))
         points = sorted(set(points))
-        monos = monomial_states(g, "chi", cfg.max_degree, indices=self.indices)
+        monos = monomial_states(g, cfg.max_degree, indices=self.indices)
         states = []
         for mv in monos:
             (mono, _), = ((m, c) for m, c in mv.terms.items())
@@ -330,7 +328,7 @@ def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     for n in modes:
                         for t, v in enumerate(states):
                             lhs = a2(i, m, j, n, t) - a2(j, n, i, m, t)
-                            rhs = v.scale(coeff) if m == -n else ExtState.zero(v.basis)
+                            rhs = v.scale(coeff) if m == -n else ExtState.zero()
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
     return _say_why_empty(first_mismatch("toroidal.heisenberg", rep.params, pairs()), states, NO_MODE)
@@ -415,8 +413,8 @@ def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     for m in modes:
                         for n in modes:
                             for t, v in enumerate(states):
-                                lhs = ExtState.lincomb(v.basis, ((ij(m + u, n + w, t), c) for (u, w), c in PL.items()))
-                                rhs = ExtState.lincomb(v.basis, ((ji(n + w, m + u, t), c) for (u, w), c in PR.items()))
+                                lhs = ExtState.lincomb((ij(m + u, n + w, t), c) for (u, w), c in PL.items())
+                                rhs = ExtState.lincomb((ji(n + w, m + u, t), c) for (u, w), c in PR.items())
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xx", rep.params, pairs())
@@ -452,7 +450,7 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
                                     terms.append((rep.psi_mode(i, 1, o, m + n, v), c_plus))
                                 if m + n <= 0:
                                     terms.append((rep.psi_mode(i, -1, -o, -(m + n), v), -c_minus))
-                            rhs = ExtState.lincomb(v.basis, terms)
+                            rhs = ExtState.lincomb(terms)
                             yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xpxm", rep.params, pairs())
@@ -503,10 +501,10 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                                     img = nxt
                                 idx, mm = letters[N]
                                 terms.append((rep.x_mode(idx, 1, mm, img), c))
-                            acc = ExtState.lincomb(v.basis, terms)
+                            acc = ExtState.lincomb(terms)
                             yield (
                                 f"(i={i},j={j},modes={modes},n={n},state={t})",
-                                ExtState.zero(v.basis),
+                                ExtState.zero(),
                                 acc,
                             )
 
@@ -540,7 +538,7 @@ def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:
 def check_highest_weight(rep: RepMap) -> CheckReport:
     """a_i(n) and x_i^{+-}(n) annihilate 1 (x) e^0 for n >= (1 resp. 0); k_i fixes it."""
     vac = ExtState.vacuum(rep.group.n_classes)
-    zero = ExtState.zero("chi")
+    zero = ExtState.zero()
 
     def pairs():
         for i in rep.indices:

@@ -193,7 +193,7 @@ class VertexEngine:
     # -- building blocks
 
     def shift_vec(self, i: int, sign: int) -> tuple[int, ...]:
-        """Plain basis shift on the full lattice; quotient reduction happens
+        """Plain unit shift e_i on the full lattice; quotient reduction happens
         afterwards with its sign (reduce_signed)."""
         e = [0] * self.rank
         e[i] = sign
@@ -232,7 +232,7 @@ class VertexEngine:
         if out is not None:
             return out
         ctx = self.fock
-        states = FockVector.unit("chi", mono)
+        states = FockVector.unit(mono)
         maxdeg = mono_deg(mono)
         for n in range(1, maxdeg + 1):
             coeff_n = Laurent.v_pow(op.ann_v * n).scale(Fraction(-op.w_sign, n))
@@ -273,8 +273,6 @@ class VertexEngine:
         b.  Terms that no mode n >= n_min reaches (e <= n_min) are skipped;
         groups that cancel are dropped.
         """
-        if state.basis != "chi":
-            raise ValueError("vertex operators act on character-basis states only")
         acc = KeyedSum()
         f = state.f
         for (mono, beta), entries in by_key(state).items():
@@ -287,7 +285,7 @@ class VertexEngine:
                     acc.add((m_ann, newb, e), ev + v0, f, x, c_ann, sign)
         return acc.value()
 
-    def creation_stage(self, op: VOp, n: int, table: AnnTable, basis: str) -> ExtState:
+    def creation_stage(self, op: VOp, n: int, table: AnnTable) -> ExtState:
         """Coefficient of z^{-n-1}: each group times the creation exponential's z^{e-n-1} part."""
         acc = KeyedSum()
         for ((m_ann, newb, e), ev), x in table.entries():
@@ -296,13 +294,13 @@ class VertexEngine:
                 continue
             for m_cre, c_cre in self.cre_terms(op, a):
                 acc.add((tuple(sorted(m_ann + m_cre)), newb), ev, table, x, c_cre)
-        return ExtState.packed(basis, acc.value())
+        return ExtState.packed(acc.value())
 
     def mode(self, op: VOp, n: int, state: ExtState) -> ExtState:
         """Coefficient of z^{-n-1} in op(z) applied to the state: the
         annihilation stage (n-independent, like terms summed; n only bounds
         the z-orders it keeps) followed by the creation stage for n."""
-        return self.creation_stage(op, n, self.annihilation_stage(op, state, n), state.basis)
+        return self.creation_stage(op, n, self.annihilation_stage(op, state, n))
 
 
 # --------------------------------------------------------------------------
@@ -465,7 +463,7 @@ def normal_pair_coeff(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
                         if acc is None:
                             acc = sums[(m, n)] = KeyedSum()
                         acc.add_product(read, path)
-    return {mn: ExtState.packed(state.basis, acc.value()) for mn, acc in sums.items()}
+    return {mn: ExtState.packed(acc.value()) for mn, acc in sums.items()}
 
 
 def signed_ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int):
@@ -502,12 +500,12 @@ def ope_product_check(eng: VertexEngine, opA: VOp, opB: VOp, window: int, states
     def pairs():
         for t, v in enumerate(states):
             rhs = normal_pair_coeff(eng, opA, opB, window, factor, tables, v)
-            zero = ExtState.zero(v.basis)
+            zero = ExtState.zero()
             for n in mode_range:
                 bn = eng.mode(opB, n, v)
                 ann = eng.annihilation_stage(opA, bn, -window)
                 for m in mode_range:
-                    lhs = eng.creation_stage(opA, m, ann, bn.basis)
+                    lhs = eng.creation_stage(opA, m, ann)
                     yield (f"state #{t} modes ({m},{n})", rhs.get((m, n), zero), lhs)
 
     return first_mismatch(check_id, params, pairs())

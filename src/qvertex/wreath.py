@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .fock import FockContext, FockVector, aprime_mono, inner_closed
+from .fock import ClassVector, FockContext, FockVector, aprime_mono, inner_closed
 from .groups import GroupData
 from .report import CheckReport, first_mismatch
 from .repring import CxClassFunction, WeightXi
@@ -149,7 +149,7 @@ def eps_wreath(g: GroupData, f: CxClassFunction, n: int) -> WreathClassFunction:
 def ch(f: WreathClassFunction) -> FockVector:
     """Characteristic map: sum_rho Z_rho^{-1} bar_q(f(rho)) a'_{-rho}, class basis."""
     # aprime_mono is injective on types, so each type has a key of its own
-    return FockVector("cls", {
+    return ClassVector({
         aprime_mono(rho): val.bar_q().scale(Fraction(1, big_z(f.group, rho)))
         for rho, val in f.values.items()
         if not val.is_zero
@@ -174,14 +174,14 @@ def _fock_mul(u: FockVector, v: FockVector) -> FockVector:
     for m1, c1 in u.terms.items():
         for (m2, e), x in v.f.entries():
             acc.add(tuple(sorted(m1 + m2)), e, v.f, x, c1)
-    return FockVector.packed(u.basis, acc.value())
+    return u.packed(acc.value())
 
 
 def _exp_coeffs(linear: list[FockVector], n: int) -> list[FockVector]:
     """Coefficients 0..n of exp(sum_m linear[m] z^m) with linear[m] degree-m creation terms."""
-    out = [FockVector.vacuum("chi")]
+    out = [FockVector.vacuum()]
     for m in range(1, n + 1):
-        acc = FockVector.zero("chi")
+        acc = FockVector.zero()
         for j in range(1, m + 1):
             term = _fock_mul(linear[j].scale(Laurent.of(j)), out[m - j])
             acc = acc + term
@@ -191,9 +191,9 @@ def _exp_coeffs(linear: list[FockVector], n: int) -> list[FockVector]:
 
 def eta_fock(g: GroupData, combo: Combo, n: int) -> FockVector:
     """z^n coefficient of exp(sum_m (1/m) a_{-m}(gamma)(q^{-k}z)^m) for the combo."""
-    linear = [FockVector.zero("chi")]
+    linear = [FockVector.zero()]
     for m in range(1, n + 1):
-        v = FockVector.zero("chi")
+        v = FockVector.zero()
         for coef, i, k in combo:
             v.add_term(((m, i),), Laurent.q_pow(-k * m).scale(Fraction(coef, m)))
         linear.append(v)
@@ -202,9 +202,9 @@ def eta_fock(g: GroupData, combo: Combo, n: int) -> FockVector:
 
 def eps_fock(g: GroupData, combo: Combo, n: int) -> FockVector:
     """Same with alternating signs: exp(sum (-1)^{m-1} (1/m) a_{-m}(gamma)(q^{-k}z)^m)."""
-    linear = [FockVector.zero("chi")]
+    linear = [FockVector.zero()]
     for m in range(1, n + 1):
-        v = FockVector.zero("chi")
+        v = FockVector.zero()
         sign = 1 if (m - 1) % 2 == 0 else -1
         for coef, i, k in combo:
             v.add_term(((m, i),), Laurent.q_pow(-k * m).scale(Fraction(sign * coef, m)))
@@ -258,8 +258,8 @@ def isometry_pairs(ctx: FockContext, n: int, k: int, l: int):
     g = ctx.group
     xi = ctx.xi
     types = enumerate_types(g, n)
-    us = (FockVector("cls", {aprime_mono(rho): Laurent.q_pow(-n * k)}) for rho in types)
-    vs = [FockVector("cls", {aprime_mono(rho_bar(g, sig)): Laurent.q_pow(-n * l)}) for sig in types]
+    us = (ClassVector({aprime_mono(rho): Laurent.q_pow(-n * k)}) for rho in types)
+    vs = [ClassVector({aprime_mono(rho_bar(g, sig)): Laurent.q_pow(-n * l)}) for sig in types]
     hs = [sigma_rho(g, sig, l) for sig in types]
     for rho, row in zip(types, ctx.gram(us, vs)):
         f = sigma_rho(g, rho, k)

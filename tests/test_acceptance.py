@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from qvertex.fock import ExtState, FockContext, heisenberg_check, heisenberg_check_cls, monomial_states
+from qvertex.fock import ClassVector, ExtState, FockContext, heisenberg_check, heisenberg_check_cls, monomial_states
 from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic, validate_group
 from qvertex.repring import (
     cartan_specialization_check,
@@ -111,8 +111,8 @@ def test_criterion_05_heisenberg_relations():
             xis += [second_xi(g, k) for k in p_exps]
         for xi in xis:
             ctx = FockContext(xi)
-            chi_states = monomial_states(g, "chi", 3)
-            cls_states = monomial_states(g, "cls", 3)
+            chi_states = monomial_states(g, 3)
+            cls_states = monomial_states(g, 3, ClassVector)
             nc = g.n_classes
             for m in range(-3, 4):
                 for n in range(-3, 4):

@@ -170,7 +170,7 @@ def test_x_mode_matches_the_engine_cold_and_warm(spec, group, kw):
     rep = RepMap(group, small_cfg(spec, **kw))
     basis_states = rep.test_states()
     mixed = [
-        sum((st.scale(MIXED[(t + r) % len(MIXED)]) for t, st in enumerate(basis_states) if t % 3 != r), ExtState("chi"))
+        sum((st.scale(MIXED[(t + r) % len(MIXED)]) for t, st in enumerate(basis_states) if t % 3 != r), ExtState())
         for r in range(3)
     ]
     # multi-term states with nonzero lattice shifts, as the xx and serre checks feed back in
@@ -249,19 +249,13 @@ def test_a_k_psi_off_the_origin_match_references(spec, group, kw):
     assert (0,) * rank not in points
     assert any(lat.reduce(b) != b for b in raw) == lat.quotient
     monos = [(), ((1, 0),), ((1, 1), (2, 0))]
-    states = {}
-    for basis in ("chi", "cls"):
-        states[basis] = [ExtState.point(m, b, basis=basis) for m in monos for b in points[:3]]
-        states[basis].append(sum(
-            (ExtState.point(m, b, basis=basis, coeff=MIXED[(t + u) % len(MIXED)])
-             for t, m in enumerate(monos) for u, b in enumerate(points)),
-            ExtState(basis),
-        ))
-    for v in states["cls"]:  # a_i(m) = ([m]/m) a_m(gamma_i) has no class-basis column here
-        for call in (lambda: rep.a_mode(1, -1, v), lambda: rep.k_diag(1, v), lambda: rep.psi_mode(1, 1, 1, 1, v)):
-            with pytest.raises(ValueError, match="character-basis states only"):
-                call()
-    for v in states["chi"]:
+    states = [ExtState.point(m, b) for m in monos for b in points[:3]]
+    states.append(sum(
+        (ExtState.point(m, b, coeff=MIXED[(t + u) % len(MIXED)])
+         for t, m in enumerate(monos) for u, b in enumerate(points)),
+        ExtState(),
+    ))
+    for v in states:
         for i in rep.indices:
             for m in (-2, -1, 1, 2):
                 assert rep.a_mode(i, m, v) == ref_a_mode(rep.fock, i, m, v), (i, m, v)
@@ -276,24 +270,19 @@ def test_a_k_psi_off_the_origin_match_references(spec, group, kw):
 
 def test_one_rep_map_serving_every_generator_matches_a_fresh_one_per_call():
     """No two generators share a column: a, k, psi and x, called with every
-    sign combination on one RepMap, agree with a fresh RepMap; every one of
-    them refuses a class-basis state."""
+    sign combination on one RepMap, agree with a fresh RepMap."""
     cfg = small_cfg("cyclic:3")
-    calls = {"chi": [], "cls": []}
-    for basis, basis_calls in calls.items():
-        for j in range(3):
-            u = ExtState.point(((1, j),), (1, 0, -1), basis=basis)
-            for i in (0, 1):
-                basis_calls += [("a_mode", (i, m, u)) for m in (-1, 1, 2)]
-                basis_calls += [("k_diag", (i, u, p)) for p in (1, -1)]
-                basis_calls += [("psi_mode", (i, ms, cs, jj, u)) for ms in (1, -1) for cs in (1, -1) for jj in (1, 2)]
-                basis_calls += [("x_mode", (i, s, n, u)) for s in (1, -1) for n in (-1, 0)]
+    calls = []
+    for j in range(3):
+        u = ExtState.point(((1, j),), (1, 0, -1))
+        for i in (0, 1):
+            calls += [("a_mode", (i, m, u)) for m in (-1, 1, 2)]
+            calls += [("k_diag", (i, u, p)) for p in (1, -1)]
+            calls += [("psi_mode", (i, ms, cs, jj, u)) for ms in (1, -1) for cs in (1, -1) for jj in (1, 2)]
+            calls += [("x_mode", (i, s, n, u)) for s in (1, -1) for n in (-1, 0)]
     warm = RepMap(cyclic(3), cfg)
-    for name, args in calls["chi"]:
+    for name, args in calls:
         assert getattr(warm, name)(*args) == getattr(RepMap(cyclic(3), cfg), name)(*args), (name, args)
-    for name, args in calls["cls"]:
-        with pytest.raises(ValueError, match="character-basis states only"):
-            getattr(warm, name)(*args)
 
 
 def test_a_rep_map_is_freed_without_the_cycle_collector():

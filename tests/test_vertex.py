@@ -147,7 +147,7 @@ def test_adjoint_relation():
 def mode_term_by_term(eng, op, n, state):
     """Reference walk: every (state term, annihilation term) pair times every
     creation term, nothing summed before the output."""
-    out = ExtState(state.basis)
+    out = ExtState()
     shift = eng.shift_vec(op.i, op.w_sign)
     for (mono, beta), coeff in state.terms.items():
         s_pair = op.w_sign * eng.lat.pairing_row(op.i, beta)
@@ -167,7 +167,7 @@ def mode_term_by_term(eng, op, n, state):
 
 def mixed_state(terms):
     """ExtState from (mono, beta, coeff) triples with distinct keys."""
-    return ExtState("chi", {(mono, beta): c for mono, beta, c in terms})
+    return ExtState({(mono, beta): c for mono, beta, c in terms})
 
 
 # same-degree monomials at one lattice point merge under annihilation; the
@@ -242,17 +242,8 @@ def test_one_annihilation_table_serves_a_mode_window():
     for op in ORACLE_OPS:
         table = eng.annihilation_stage(op, MIXED, -3)
         for m in range(-3, 4):
-            got = eng.creation_stage(op, m, table, MIXED.basis)
+            got = eng.creation_stage(op, m, table)
             assert got == eng.mode(op, m, MIXED) == mode_term_by_term(eng, op, m, MIXED), (op.label, m)
-
-
-def test_a_class_basis_state_is_refused():
-    # the lattice layer reads a factor (1, i) as a_{-1}(gamma_i); on a class it would relabel gamma_i as c_i
-    eng = eng_first(cyclic(3))
-    state = ExtState.point(((1, 1),), (0, 0, 0), basis="cls")
-    for call in (lambda: eng.annihilation_stage(fj_x(0, 1, -1), state, -1), lambda: eng.mode(fj_x(0, 1, -1), -1, state)):
-        with pytest.raises(ValueError, match="character-basis states only"):
-            call()
 
 
 # ---------------------------------------------------------------- half vertex
@@ -267,7 +258,7 @@ def test_half_vertex_creation_matches_exponential_formula():
         for n in range(4):
             want = eta_fock(g, [(1, 1, l)], n)
             got = fam[n]
-            assert got == ExtState("chi", {(m, (0, 0, 0)): c for m, c in want.terms.items()})
+            assert got == ExtState({(m, (0, 0, 0)): c for m, c in want.terms.items()})
 
 
 def test_half_vertex_eplus_matches_eps_series():
@@ -280,7 +271,7 @@ def test_half_vertex_eplus_matches_eps_series():
         want = eps_fock(g, [(1, 1, 0)], n)
         sign = 1 if n % 2 == 0 else -1
         got = fam[n].scale(Laurent.of(sign))
-        assert got == ExtState("chi", {(m, (0, 0, 0)): c for m, c in want.terms.items()})
+        assert got == ExtState({(m, (0, 0, 0)): c for m, c in want.terms.items()})
 
 
 def test_half_vertex_annihilation_kills_vacuum():
@@ -504,7 +495,7 @@ def oracle_states(rank):
     Laurent coefficients with more than one term, a degree-3 monomial."""
     e1 = tuple(1 if t == 1 else 0 for t in range(rank))
     em = tuple(-1 if t == 0 else 1 if t == rank - 1 else 0 for t in range(rank))
-    mixed = ExtState("chi", {
+    mixed = ExtState({
         ((), (0,) * rank): Laurent.of(3),
         (((1, 0),), e1): Laurent.q_pow(1) + Laurent.of(Fraction(1, 2)),
         (((1, 1), (2, 0)), em): -Laurent.q_pow(-1),
@@ -524,7 +515,7 @@ def assert_rhs_is_reference(got, want):
     for t, (g, w) in enumerate(zip(got, want)):
         assert set(g) <= set(w), t
         for mn, value in w.items():
-            assert g.get(mn, ExtState.zero(value.basis)) == value, (t, mn)
+            assert g.get(mn, ExtState.zero()) == value, (t, mn)
             nonzero += not value.is_zero
     return nonzero
 

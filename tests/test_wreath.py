@@ -218,7 +218,7 @@ def test_ch_sigma_n_gamma_is_heisenberg_generator():
     for i in range(3):
         for k in (0, 1):
             img = ctx.to_chi(ch(sigma_n_gamma(g, i, 1, k)))
-            want = FockVector("chi", {((1, i),): Laurent.q_pow(-k)})
+            want = FockVector({((1, i),): Laurent.q_pow(-k)})
             assert img == want
 
 
@@ -234,21 +234,19 @@ def test_ch_eta1_is_a_minus_one():
     g = cyclic(3)
     ctx = FockContext(first_xi(g))
     img = ctx.to_chi(ch(eta_wreath(g, CxClassFunction.character(g, 1), 1)))
-    assert img == FockVector("chi", {((1, 1),): Laurent.one()})
+    assert img == FockVector({((1, 1),): Laurent.one()})
 
 
 def test_eta_fock_small_orders():
     g = cyclic(3)
-    assert eta_fock(g, [(1, 1, 0)], 0) == FockVector.vacuum("chi")
+    assert eta_fock(g, [(1, 1, 0)], 0) == FockVector.vacuum()
     got = eta_fock(g, [(1, 1, 0)], 2)
     want = FockVector(
-        "chi",
         {((1, 1), (1, 1)): Laurent.of(Fraction(1, 2)), ((2, 1),): Laurent.of(Fraction(1, 2))},
     )
     assert got == want
     got_eps = eps_fock(g, [(1, 1, 0)], 2)
     want_eps = FockVector(
-        "chi",
         {((1, 1), (1, 1)): Laurent.of(Fraction(1, 2)), ((2, 1),): Laurent.of(Fraction(-1, 2))},
     )
     assert got_eps == want_eps
@@ -325,7 +323,7 @@ def test_ch_multiplicative_on_generating_functions():
     from qvertex.wreath import _fock_mul
 
     for n in range(5):
-        conv = FockVector.zero("chi")
+        conv = FockVector.zero()
         for j in range(n + 1):
             conv = conv + _fock_mul(series_a[j], series_b[n - j])
         assert conv == series_ab[n], n

@@ -19,7 +19,7 @@ def basis_shift(lat: LatticeContext, i: int) -> tuple[int, ...]:
 
 def lattice_mul_e(lat: LatticeContext, shift: tuple[int, ...], v: ExtState) -> ExtState:
     """The eps-twisted multiplication e^shift (quotient-aware)."""
-    out = ExtState.zero(v.basis)
+    out = ExtState.zero()
     for (mono, beta), c in v.terms.items():
         sign = lat.cocycle_sign(shift, beta)
         rsign, newb = lat.reduce_signed(tuple(s + b for s, b in zip(shift, beta)))
@@ -32,9 +32,9 @@ def ext_form(ctx: FockContext, u: ExtState, v: ExtState) -> Laurent:
     by_beta_u: dict[tuple[int, ...], FockVector] = {}
     by_beta_v: dict[tuple[int, ...], FockVector] = {}
     for (mono, beta), c in u.terms.items():
-        by_beta_u.setdefault(beta, FockVector(u.basis)).add_term(mono, c)
+        by_beta_u.setdefault(beta, FockVector()).add_term(mono, c)
     for (mono, beta), c in v.terms.items():
-        by_beta_v.setdefault(beta, FockVector(v.basis)).add_term(mono, c)
+        by_beta_v.setdefault(beta, FockVector()).add_term(mono, c)
     acc = L_ZERO
     for beta, fu in by_beta_u.items():
         fv = by_beta_v.get(beta)
@@ -58,7 +58,7 @@ def half_vertex(eng: VertexEngine, kind: str, i: int, l_v: int, state: ExtState,
     if kind in ("H+", "E+"):
         op = VOp(i, sign, cre_v=-l_v, ann_v=0, zqv=0, label=kind)
         for a in range(budget + 1):
-            acc = ExtState.zero(state.basis)
+            acc = ExtState.zero()
             for (mono, beta), coeff in state.terms.items():
                 for m_cre, c_cre in eng.cre_terms(op, a):
                     acc.add_term((tuple(sorted(mono + m_cre)), beta), coeff * c_cre)
@@ -67,7 +67,7 @@ def half_vertex(eng: VertexEngine, kind: str, i: int, l_v: int, state: ExtState,
         op = VOp(i, sign, cre_v=0, ann_v=l_v, zqv=0, label=kind)
         for (mono, beta), coeff in state.terms.items():
             for b, m_ann, c_ann in eng.ann_expand(op, mono):
-                acc = out.setdefault(-b, ExtState.zero(state.basis))
+                acc = out.setdefault(-b, ExtState.zero())
                 acc.add_term((m_ann, beta), coeff * c_ann)
     return {k: v for k, v in out.items() if not v.is_zero or k == 0}
 
@@ -82,7 +82,7 @@ def ref_a_mode(ctx: FockContext, i: int, m: int, v: ExtState) -> ExtState:
 
 def ref_k_diag(lat: LatticeContext, i: int, power: int, v: ExtState) -> ExtState:
     """k_i^power: each term u (x) e^beta times q^{power <gamma_i, beta>_1}."""
-    out = ExtState.zero(v.basis)
+    out = ExtState.zero()
     for (mono, beta), c in v.terms.items():
         out.add_term((mono, beta), c * Laurent.q_pow(power * lat.pairing_row(i, beta)))
     return out
@@ -95,7 +95,7 @@ def ref_psi_mode(ctx: FockContext, lat: LatticeContext, k_eff: int, i: int, mode
     summed as X^r / r! over r, X^r kept by w-order (ordered compositions of j)."""
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
     powers = {0: ref_k_diag(lat, i, coeff_sign, v)}
-    out = powers[0] if j == 0 else ExtState.zero(v.basis)
+    out = powers[0] if j == 0 else ExtState.zero()
     for r in range(1, j + 1):
         nxt: dict[int, ExtState] = {}
         for d, u in powers.items():
@@ -139,7 +139,7 @@ def ref_normal_pair_table(eng: VertexEngine, opA: VOp, opB: VOp, keys: set[tuple
                         for mcA, ccA in eng.cre_terms(opA, aA):
                             key = (tuple(sorted(mB + mcB + mcA)), shift)
                             acc[key] = acc.get(key, L_ZERO) + cABB * ccA
-    return {zw: ExtState(state.basis, t) for zw, t in out.items()}
+    return {zw: ExtState(t) for zw, t in out.items()}
 
 
 def ref_annihilation_bound(eng: VertexEngine, state: ExtState) -> int:
@@ -165,7 +165,7 @@ def ref_ope_rhs(eng: VertexEngine, opA: VOp, opB: VOp, window: int,
         rhs = {}
         for m in modes:
             for n in modes:
-                acc = ExtState.zero(v.basis)
+                acc = ExtState.zero()
                 for d, fs in factors:
                     term = table.get((-m - 1 - g_ab + d, -n - 1 - d))
                     if term is not None:
