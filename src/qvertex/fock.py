@@ -17,22 +17,25 @@ key is present exactly when its coefficient is nonzero; ``terms`` reads the
 coefficients as a {key: Laurent} view.
 
 Normalisations:
-  * a_{-n}(gamma) acts by multiplication;
-  * a_n(gamma_i), n > 0, contracts each matched degree-n factor a_{-n}(gamma_j)
-    with value n * <gamma_i, gamma_j>_xi^{q^n} -- the factor n is forced by the
+  * a_{-n}(x) acts by multiplication, x a character or a class;
+  * a_n(x), n > 0, contracts each matched degree-n factor a_{-n}(y) of the
+    same basis with the one-factor table entry T[x][y] below; for characters
+    it is n <gamma_i, gamma_j>_xi^{q^n}, the factor n being forced by the
     commutator [a_m(gamma), a_n(gamma')] = m delta_{m,-n} <gamma,gamma'>^{q^m}
     and by the norm formula with Z_rho;
   * the bilinear form is q-sesquilinear: <f u, g v> = f bar_q(g) <u, v>,
     <1,1> = 1, adjoint a_n^* = a_{-n}.
 
-The form of two monomials is the Wick recursion (FockContext.form_mono): the
-first factor a_{-n}(x) of u contracts with each degree-n factor a_{-n}(x') of
-v through the one-factor table T[x][x'] = <a_{-n}(x), a_{-n}(x')>, and the
-rest of u pairs with the rest of v.  One table per (basis of u, basis of v,
-n), filled on first read from the character route only: n <gamma_i,
-gamma_j>^{q^n} for two characters, with chi_of_cls applied on a class side.
-So every basis pair runs the same code, and a class monomial is never expanded
-into character monomials.  The form is evaluated in Gram rows
+The one-factor table T[x][x'] = <a_{-n}(x), a_{-n}(x')>, one per (basis of x,
+basis of x', n), is filled on first read from the character route only: n
+<gamma_i, gamma_j>^{q^n} for two characters, with chi_of_cls applied on a
+class side.  On one basis it is the action's contraction too, so the closed
+factors xi_{q^n}(c) are read only by the closed formulas (inner_closed, the
+right side of heisenberg_check_cls), which check the character route.  The
+form of two monomials is the Wick recursion (FockContext.form_mono): u's first
+factor a_{-n}(x) contracts with each degree-n factor a_{-n}(x') of v through
+T[x][x'], and the rest of u pairs with the rest of v; no class monomial is
+expanded into character monomials.  The form is evaluated in Gram rows
 (FockContext.gram), each vector in its own basis: <u, v> sums cu bar_q(cv)
 <mu, mv> over the term pairs of u and v of equal degree; <u, v> for a single
 pair is the one-entry Gram row.
@@ -163,6 +166,12 @@ class ClassVector(FockVector):
     basis = "cls"
 
 
+def _refuse_ext(v: FockVector) -> None:
+    """The Heisenberg action takes Fock vectors; an ExtState's keys carry a lattice point too."""
+    if isinstance(v, ExtState):
+        raise TypeError("a Heisenberg mode acts on an ExtState through ext_apply_mode, one lattice point at a time")
+
+
 def _dot(a, b) -> Laurent:
     """sum_k a[k] b[k] over the pairs with both factors nonzero."""
     acc = L_ZERO
@@ -186,7 +195,7 @@ def by_key(v: FockVector) -> dict:
 
 class FockContext:
     """Caches the xi-weighted pairings a_ij^{q^m}, class-basis data, and the
-    form's one-factor tables (filled on first read)."""
+    one-factor tables of the action and the form (filled on first read)."""
 
     def __init__(self, xi: WeightXi):
         self.xi = xi
@@ -222,13 +231,18 @@ class FockContext:
     def create(self, n: int, i: int, v: FockVector) -> FockVector:
         """a_{-n} of generator i (a character or a class, per v's type): multiply it in."""
         assert n > 0
+        _refuse_ext(v)
         f = v.f
         # multiplying a factor in is injective on monomials: the entries move unchanged
         return v.packed(f.with_entries({(mono_mul(m, (n, i)), e): x for (m, e), x in f.entries()}))
 
     def annihilate(self, n: int, i: int, v: FockVector) -> FockVector:
-        """Apply a_n(gamma_i), n > 0: contraction with factor n per matched slot."""
-        assert type(v) is FockVector and n > 0
+        """a_n of generator i, n > 0, per v's type: each distinct degree-n factor
+        a_{-n}(y) contracts, as often as a monomial holds it, with
+        one_factor(v.basis, v.basis, n)[i][y]."""
+        assert n > 0
+        _refuse_ext(v)
+        row = self.one_factor(v.basis, v.basis, n)[i]
         acc = KeyedSum()
         f = v.f
         for (m, e), x in f.entries():
@@ -237,32 +251,17 @@ class FockContext:
                 if factor[0] != n or factor == prev:
                     continue
                 prev = factor
+                t = row[factor[1]]
+                if t.is_zero:
+                    continue
                 reduced = list(m)
                 reduced.remove(factor)
-                acc.add(tuple(reduced), e, f, x, self.pair_pow(i, factor[1], n), m.count(factor) * n)
-        return FockVector.packed(acc.value())
-
-    def annihilate_cls(self, n: int, c: int, v: ClassVector) -> ClassVector:
-        """a_n(c): contraction value n zeta_c xi_{q^n}(c) against each a_{-n}(c^{-1})."""
-        assert type(v) is ClassVector and n > 0
-        g = self.group
-        factor = (n, g.inv(c))
-        val = self.xi_pow(c, n).scale(g.zeta(c) * n)
-        acc = KeyedSum()
-        f = v.f
-        for (m, e), x in f.entries():
-            mult = m.count(factor)
-            if mult:
-                reduced = list(m)
-                reduced.remove(factor)
-                acc.add(tuple(reduced), e, f, x, val, mult)
-        return ClassVector.packed(acc.value())
+                acc.add(tuple(reduced), e, f, x, t, m.count(factor))
+        return v.packed(acc.value())
 
     def apply_mode(self, m: int, i: int, v: FockVector) -> FockVector:
-        """a_m(gamma_i) with the sign convention m < 0 creation, m > 0 annihilation."""
-        if m < 0:
-            return self.create(-m, i, v)
-        return self.annihilate_cls(m, i, v) if type(v) is ClassVector else self.annihilate(m, i, v)
+        """a_m of generator i with the sign convention m < 0 creation, m > 0 annihilation."""
+        return self.create(-m, i, v) if m < 0 else self.annihilate(m, i, v)
 
     # -- basis change
 

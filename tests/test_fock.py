@@ -22,7 +22,7 @@ from qvertex.fock import (
     mono_mul,
     monomial_states,
 )
-from qvertex.groups import binary_dihedral, binary_tetrahedral, cyclic
+from qvertex.groups import binary_dihedral, binary_tetrahedral, build_group, cyclic
 from qvertex.repring import first_xi, second_xi
 from qvertex.scalar import L_ZERO, Laurent
 from qvertex.wreath import big_z, enumerate_types, rho_bar
@@ -171,6 +171,20 @@ def test_heisenberg_check_cls_fails_on_a_moved_xi_value():
     assert not rep.passed
     assert rep.fail_detail == {"where": "state #0", "expected": "(-3*q^2 - 3*q - 3)*1",
                                "got": "(-3*q - 3 - 3*q^-1)*1"}
+    assert rep.n_cases == 1
+
+
+def test_heisenberg_check_cls_fails_on_a_moved_xi_value_at_a_positive_mode():
+    # m > 0: the right side reads xi_{q}(c); the class action reaches the same
+    # value through the character route, so the two sides share no factor
+    g = cyclic(3)
+    ctx = ctx_first(g)
+    xi_pow = ctx.xi_pow
+    ctx.xi_pow = lambda c, m: xi_pow(c, m) * Laurent.q_pow(1) if (c, m) == (1, 1) else xi_pow(c, m)
+    rep = heisenberg_check_cls(ctx, 1, -1, 1, g.inv(1), monomial_states(g, 2, ClassVector))
+    assert not rep.passed
+    assert rep.fail_detail == {"where": "state #0", "expected": "(3*q^2 + 3*q + 3)*1",
+                               "got": "(3*q + 3 + 3*q^-1)*1"}
     assert rep.n_cases == 1
 
 
@@ -458,7 +472,7 @@ def test_monomials_of_unequal_degree_pair_to_zero():
 
 
 def raise_if_called(*a, **kw):
-    raise AssertionError("the Fock form read a factor of the closed norm formula")
+    raise AssertionError("the Fock side read a factor of a closed formula")
 
 
 @pytest.mark.parametrize("config", ["cyclic3-second-p2", "bt-first", "bd5-first"])
@@ -467,8 +481,36 @@ def test_gram_reads_no_factor_of_the_closed_formula(config):
     ctx = FockContext(GRAM_CONFIGS[config]())
     vecs = gram_vectors(ctx.group)
     want = [[form_oracle(FockContext(ctx.xi), u, v) for v in vecs] for u in vecs]
-    ctx.annihilate_cls = ctx.xi_pow = ctx.annihilate = raise_if_called
+    ctx.xi_pow = ctx.annihilate = raise_if_called
     assert list(ctx.gram(vecs, vecs)) == want
+
+
+CLS_TABLE_CONFIGS = [(spec, None) for spec in ("cyclic:2", "cyclic:3", "cyclic:4", "bd:2", "bd:3", "bd:5", "bt")] + [
+    (spec, p_exp) for spec in ("cyclic:2", "cyclic:3", "cyclic:4") for p_exp in (1, 2, -1)]
+
+
+@pytest.mark.parametrize("spec, p_exp", CLS_TABLE_CONFIGS, ids=lambda x: str(x))
+def test_class_one_factor_table_is_the_closed_contraction(spec, p_exp):
+    # the class action contracts through this table: row c is n zeta_c xi_{q^n}(c)
+    # at c^{-1} and 0 elsewhere (xi_{q^n}(c) itself is 0 at c_0 on cyclic:2 at p = q)
+    g = build_group(spec)
+    ctx = FockContext(first_xi(g) if p_exp is None else second_xi(g, p_exp))
+    for n in (1, 2, 3):
+        for c, row in enumerate(ctx.one_factor("cls", "cls", n)):
+            closed = ctx.xi_pow(c, n).scale(g.zeta(c) * n)
+            assert row == [closed if y == g.inv(c) else L_ZERO for y in range(g.n_classes)], (n, c)
+
+
+@pytest.mark.parametrize("make_group", [binary_tetrahedral, lambda: binary_dihedral(5)], ids=["bt", "bd5"])
+def test_class_action_reads_no_factor_of_the_closed_formula(make_group):
+    # heisenberg_check_cls builds its right side from xi_pow; the action must not
+    g = make_group()
+    fresh, ctx = ctx_first(g), ctx_first(g)
+    ctx.xi_pow = raise_if_called
+    for v in monomial_states(g, 3, ClassVector):
+        for n in (-3, -2, -1, 1, 2, 3):
+            for c in range(g.n_classes):
+                assert ctx.apply_mode(n, c, v) == fresh.apply_mode(n, c, v), (n, c, v)
 
 
 def test_one_factor_tables_are_filled_on_first_read():
@@ -580,6 +622,14 @@ def test_ext_apply_mode_acts_on_fock_factor():
     u = ExtState.point(((1, 0),), (1, 0))
     out = ext_apply_mode(ctx, 1, 0, u)
     assert out == ExtState.point((), (1, 0), coeff=QQ)
+
+
+@pytest.mark.parametrize("mode", ["create", "annihilate"])
+def test_heisenberg_action_refuses_an_ext_state(mode):
+    # an ExtState key is (monomial, lattice point): the Fock action would garble it
+    ctx = ctx_first(cyclic(3))
+    with pytest.raises(TypeError, match="ext_apply_mode"):
+        getattr(ctx, mode)(1, 0, ExtState.vacuum(3))
 
 
 def test_ext_state_arithmetic_keeps_its_type():
