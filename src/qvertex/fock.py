@@ -122,10 +122,11 @@ class FockVector:
 
     @classmethod
     def lincomb(cls, pairs):
-        """sum c v over (vector, Laurent c) pairs, normalised once."""
+        """sum c v over (vector, Laurent c) pairs, normalised once; zero vectors are skipped."""
         acc = KeyedSum()
         for v, c in pairs:
-            acc.add_product(v.f, c)
+            if not v.f.is_zero:
+                acc.add_product(v.f, c)
         return cls.packed(acc.value())
 
     @property
@@ -135,6 +136,8 @@ class FockVector:
     def add_term(self, key, c: Laurent) -> None:
         self.f = self.f + FockVector({key: c}).f
 
+    # With a zero operand these do no kernel work (Laurent's sum passes the other
+    # f through) and still return a new vector: add_term rebinds its vector's f.
     def __add__(self, other):
         assert type(other) is type(self)
         return self.packed(self.f + other.f)
@@ -144,7 +147,7 @@ class FockVector:
         return self.packed(self.f - other.f)
 
     def scale(self, c: Laurent):
-        return self.packed(keyed_product(self.f, c))
+        return self.packed(self.f if self.f.is_zero else keyed_product(self.f, c))
 
     @property
     def is_zero(self) -> bool:
@@ -167,9 +170,9 @@ class ClassVector(FockVector):
 
 
 def _refuse_ext(v: FockVector) -> None:
-    """The Heisenberg action takes Fock vectors; an ExtState's keys carry a lattice point too."""
+    """The action, the basis change and the form take Fock vectors; an ExtState's keys carry a lattice point too."""
     if isinstance(v, ExtState):
-        raise TypeError("a Heisenberg mode acts on an ExtState through ext_apply_mode, one lattice point at a time")
+        raise TypeError("the Fock space takes an ExtState one lattice point at a time, as ext_apply_mode does")
 
 
 def _dot(a, b) -> Laurent:
@@ -276,6 +279,7 @@ class FockContext:
         happens per factor, not after the full product expansion.  An entry
         with an empty suffix is finished and goes to the output.
         """
+        _refuse_ext(v)
         if type(v) is target_type:
             return v
         out = KeyedSum()
@@ -357,10 +361,14 @@ class FockContext:
         Every vector is paired in its own basis, with no basis change: <u, v>
         = sum cu bar_q(cv) <mu, mv> over u's terms cu mu and v's terms cv mv of
         equal degree.  Each v is read once, with its barred coefficients and
-        monomial degrees; each u when its row is pulled.
+        monomial degrees; each u when its row is pulled.  An ExtState is refused.
         """
-        cols = [(v.basis, [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in v.terms.items()]) for v in vs]
+        cols = []
+        for v in vs:
+            _refuse_ext(v)
+            cols.append((v.basis, [(mv, mono_deg(mv), cv.bar_q()) for mv, cv in v.terms.items()]))
         for u in us:
+            _refuse_ext(u)
             terms = [(mu, mono_deg(mu), cu) for mu, cu in u.terms.items()]
             row = []
             for bv, col in cols:

@@ -28,7 +28,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from itertools import combinations_with_replacement, permutations
 from math import factorial, prod
 
@@ -94,15 +94,17 @@ class RepMap:
     `VertexEngine.lattice_step` (see vertex.py); an x origin column is the
     creation stage for its mode on one annihilation stage per (operator,
     monomial), uncut, since the creation stage drops the z-orders a mode
-    cannot reach.  a_i(m) steps to beta and does nothing else; k_i^p and the
-    psi modes, whose k_i factor alone reads beta, multiply by
-    q^{p <gamma_i, beta>_1}.
+    cannot reach.  Each x operator has one record (its generator key, step and
+    origin builder, which holds its annihilation stages), built on its first
+    use and keyed by the operator, so a replaced x_op gets records of its own.
+    a_i(m) steps to beta and does nothing else; k_i^p and the psi modes, whose
+    k_i factor alone reads beta, multiply by q^{p <gamma_i, beta>_1}.
 
-    The column, origin, annihilation and step tables live for one suite run
-    and are its only caches.  A relation check reads the images of whole
-    states it rereads (x_j^s(n) v_t, ...) through functools.cache locals,
-    called with (index, sign, mode, state index), which die with the check or
-    with the block of it that rereads them.
+    The column, origin and step tables and the x records live for one suite
+    run and are its only caches; none refers back to the RepMap.  A relation
+    check reads the images of whole states it rereads (x_j^s(n) v_t, ...)
+    through functools.cache locals, called with (index, sign, mode, state
+    index), which die with the check or with the block of it that rereads them.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -130,7 +132,7 @@ class RepMap:
         # (generator, mode) -> {(monomial, beta): keyed value of the image}, built on first read
         self._columns: dict[tuple, dict] = {}
         self._origins: dict[tuple, Laurent] = {}  # (generator, mode, monomial) -> origin column
-        self._ann: dict[tuple, Laurent] = {}  # (x generator, monomial) -> annihilation stage at e^0
+        self._x_records: dict[VOp, tuple] = {}  # x operator -> (generator, step, origin), see x_mode
         self._steps: dict[tuple, tuple] = {}  # (generator, beta) -> lattice step
         self._interned: dict = {}
 
@@ -195,20 +197,15 @@ class RepMap:
         return self._x_ops[(i, sign)]
 
     def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
-        """x_i^sign(n) v."""
+        """x_i^sign(n) v, through the record of the operator x_op(i, sign)."""
         if v.is_zero:
             return ExtState.zero()
         op = self.x_op(i, sign)
-        gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv)
-
-        def origin(N: int, mono) -> ExtState:
-            ann = self._ann.get((gen, mono))
-            if ann is None:
-                # b - <w, 0> = b >= 0: no z-order is cut
-                ann = self._ann[(gen, mono)] = self.eng.annihilation_stage(op, self._unit(mono), -1)
-            return self.eng.creation_stage(op, N, ann)
-
-        return self._apply(gen, n, v, lambda beta: self.eng.lattice_step(op, beta), origin)
+        rec = self._x_records.get(op)
+        if rec is None:
+            rec = self._x_records[op] = _x_record(self.eng, self._origin_point, op)
+        gen, step, origin = rec
+        return self._apply(gen, n, v, step, origin)
 
     def _k_step(self, i: int, power: int):
         """The lattice step of k_i^power: q^{power <gamma_i, beta>_1} at beta."""
@@ -289,6 +286,23 @@ class RepMap:
         states.sort()
         out = [ExtState.point(m, b) for _, m, b in states[: cfg.max_states]]
         return out
+
+
+def _x_record(eng: VertexEngine, origin_point: tuple[int, ...], op: VOp) -> tuple:
+    """(generator, step, origin) of op for RepMap._apply, with op's annihilation
+    table at e^0 (one stage per monomial) in the origin builder; nothing here
+    refers to the RepMap."""
+    gen = ("x", op.i, op.w_sign, op.cre_v, op.ann_v, op.zqv)
+    ann: dict = {}  # monomial -> annihilation stage of mono (x) e^0
+
+    def origin(N: int, mono) -> ExtState:
+        table = ann.get(mono)
+        if table is None:
+            # b - <w, 0> = b >= 0: no z-order is cut
+            table = ann[mono] = eng.annihilation_stage(op, ExtState.unit((mono, origin_point)), -1)
+        return eng.creation_stage(op, N, table)
+
+    return gen, partial(eng.lattice_step, op), origin
 
 
 def sign_pow(sign: int, n: int) -> int:
@@ -395,26 +409,26 @@ def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
 def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """P_L(z, w) x_i^s(z) x_j^s(w) = x_j^s(w) x_i^s(z) P_R(z, w), mode by mode.
 
-    x_j^s(n) v_t is built once per check; x_i^s(a) x_j^s(b) v_t and
-    x_j^s(b) x_i^s(a) v_t once per (i, j, s), whose cases read each several
-    times, and dropped with that block.
+    x_j^s(n) v_t and x_i^s(a) x_j^s(b) v_t are built once per check: block
+    (i, j, s)'s left side and block (j, i, s)'s right side read the same
+    products, and each case reads them at several modes.  For i != j a case's
+    two sides read different products.
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
     x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
+    x2 = cache(lambda i, a, j, b, s, t: rep.x_mode(i, s, a, x1(j, s, b, t)))  # x_i^s(a) x_j^s(b) v_t
 
     def pairs():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
                     PL, PR = _xx_multipliers(rep, i, j, s)
-                    ij = cache(lambda a, b, t: rep.x_mode(i, s, a, x1(j, s, b, t)))  # x_i(a) x_j(b) v_t
-                    ji = ij if i == j else cache(lambda b, a, t: rep.x_mode(j, s, b, x1(i, s, a, t)))
                     for m in modes:
                         for n in modes:
-                            for t, v in enumerate(states):
-                                lhs = ExtState.lincomb((ij(m + u, n + w, t), c) for (u, w), c in PL.items())
-                                rhs = ExtState.lincomb((ji(n + w, m + u, t), c) for (u, w), c in PR.items())
+                            for t in range(len(states)):
+                                lhs = ExtState.lincomb((x2(i, m + u, j, n + w, s, t), c) for (u, w), c in PL.items())
+                                rhs = ExtState.lincomb((x2(j, n + w, i, m + u, s, t), c) for (u, w), c in PR.items())
                                 yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
 
     return first_mismatch("toroidal.xx", rep.params, pairs())
@@ -602,9 +616,6 @@ def check_d2_grading(rep: RepMap, states: list[ExtState]) -> CheckReport:
 
 # --------------------------------------------------------------------------
 # the suite
-
-
-CHECK_ORDER = ("heisenberg", "a_x", "xx", "xpxm", "serre", "psi_structure", "highest_weight", "grading")
 
 
 def run_suite(group: GroupData, cfg: SuiteConfig) -> list[CheckReport]:

@@ -632,6 +632,52 @@ def test_heisenberg_action_refuses_an_ext_state(mode):
         getattr(ctx, mode)(1, 0, ExtState.vacuum(3))
 
 
+@pytest.mark.parametrize("call", [
+    lambda ctx, u: ctx.to_chi(u),
+    lambda ctx, u: ctx.to_cls(u),
+    lambda ctx, u: ctx.form(u, u),
+    lambda ctx, u: next(ctx.gram([u], [u])),
+], ids=["to_chi", "to_cls", "form", "gram"])
+def test_basis_change_and_form_refuse_an_ext_state(call):
+    ctx = ctx_first(cyclic(3))
+    with pytest.raises(TypeError, match="one lattice point at a time"):
+        call(ctx, ExtState.point(((1, 0),), (1, 0, 0)))
+
+
+def termwise(v, c=Laurent.one()):
+    """The long path: c v rebuilt from its terms through the constructor."""
+    return type(v)({key: x * c for key, x in v.terms.items()})
+
+
+ZERO_SHORT_CUTS = [
+    ("v - zero", lambda v, zero: v - zero, lambda v: termwise(v)),
+    ("zero + v", lambda v, zero: zero + v, lambda v: termwise(v)),
+    ("zero - v", lambda v, zero: zero - v, lambda v: termwise(v, Laurent.of(-1))),
+    ("zero.scale", lambda v, zero: zero.scale(QQ), lambda v: type(v)()),
+    ("lincomb with zero members",
+     lambda v, zero: type(v).lincomb([(zero, QQ), (v, QQ), (zero, Laurent.one())]),
+     lambda v: termwise(v, QQ)),
+    ("lincomb of zero members only",
+     lambda v, zero: type(v).lincomb([(zero, QQ), (zero, Laurent.one())]),
+     lambda v: type(v)()),
+]
+
+
+@pytest.mark.parametrize("vector_type", [FockVector, ClassVector, ExtState])
+@pytest.mark.parametrize("name,short,long", ZERO_SHORT_CUTS, ids=[z[0] for z in ZERO_SHORT_CUTS])
+def test_zero_operands_short_cut_to_a_new_vector(vector_type, name, short, long):
+    key = (((1, 0),), (1, 0)) if vector_type is ExtState else ((1, 0), (2, 1))
+    v = vector_type({key: QQ})
+    v.add_term(((), (0, 1)) if vector_type is ExtState else (), Laurent.root(3))
+    zero = vector_type.zero()
+    fv, fzero = v.f, zero.f
+    got = short(v, zero)
+    assert got == long(v) and type(got) is vector_type
+    assert got is not v and got is not zero
+    got.add_term(key, Laurent.q_pow(7))  # add_term rebinds f: the operands keep theirs
+    assert v.f is fv and zero.f is fzero and zero.is_zero
+
+
 def test_ext_state_arithmetic_keeps_its_type():
     u = ExtState.point(((1, 0),), (1, 0))
     v = ExtState.point((), (0, 1), coeff=QQ)

@@ -311,6 +311,10 @@ def mirror_x_op(rep, monkeypatch):
     rep.x_op = lambda i, sign: fj_x(i, sign, -rep.k_eff)
 
 
+def trivial_cocycle(rep, monkeypatch):
+    monkeypatch.setattr(rep.eng.lat, "cocycle_sign", lambda alpha, beta: 1)
+
+
 def classical_binomials(rep, monkeypatch):
     monkeypatch.setattr(toroidal, "qbinom", lambda n, s: Laurent.of(math.comb(n, s)))
 
@@ -338,6 +342,8 @@ SEEDED = [
     (toroidal.check_heisenberg_rel, {}, scale_a1_by_q, "(i=0,j=0,m=-1,n=1,state=0)", 6),
     (toroidal.check_a_x, {}, scale_a1_by_q, "(i=0,j=0,s=1,m=1,n=-1,state=1)", 17),
     (toroidal.check_xx, {}, mirror_x_op, "(i=0,j=0,s=1,m=-1,n=-1,state=1)", 2),
+    # off the diagonal: block (0,1,1)'s right side builds the products block (1,0,1)'s left side reads
+    (toroidal.check_xx, {}, trivial_cocycle, "(i=0,j=1,s=1,m=-1,n=-1,state=0)", 91),
     (toroidal.check_xpxm, {}, mirror_x_op, "(i=0,j=0,m=-1,n=-1,state=0)", 1),
     (toroidal.check_serre, {}, classical_binomials, "(i=0,j=1,modes=(-1, -1),n=-1,state=0)", 1),
     (toroidal.check_psi_structure, {}, sign_pow_one, "order1 (i=0,ms=-1,state=0)", 12),
@@ -347,7 +353,13 @@ SEEDED = [
 ]
 
 
-@pytest.mark.parametrize("check,kw,seed,where,n_cases", SEEDED, ids=[s[0].__name__ for s in SEEDED])
+def seeded_id(row):
+    """The check's name; a further row of the same check adds its seed's name."""
+    first = next(r for r in SEEDED if r[0] is row[0])
+    return row[0].__name__ if row is first else f"{row[0].__name__}-{row[2].__name__}"
+
+
+@pytest.mark.parametrize("check,kw,seed,where,n_cases", SEEDED, ids=[seeded_id(s) for s in SEEDED])
 def test_each_check_fails_on_a_seeded_defect(check, kw, seed, where, n_cases, monkeypatch):
     def run_check(rep):
         return check(rep) if check is toroidal.check_highest_weight else check(rep, rep.test_states())
@@ -381,11 +393,12 @@ def test_xpxm_sees_a_defect_in_a_positive_heisenberg_mode(monkeypatch):
 # its origin columns, once per (mode, monomial) and not per lattice point: the
 # five states are the vacuum at five points.  The Serre count also guards its
 # suffix table's keys: a table that served one state's chains for every state
-# would still see zero sums.
+# would still see zero sums.  The xx products x_i^s(a) x_j^s(b) v_t live for the
+# whole check: block (j,i,s)'s left side reads block (i,j,s)'s right side.
 IMAGE_CALLS = {
     "check_heisenberg_rel": (0, 210),
     "check_a_x": (690, 570),
-    "check_xx": (2220, 0),
+    "check_xx": (1380, 0),
     "check_xpxm": (900, 24),
     "check_serre": (3420, 0),
 }
