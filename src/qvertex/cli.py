@@ -40,7 +40,7 @@ from .repring import (
     second_xi,
 )
 from .scalar import coeff_obj, coeff_str, laurent_str
-from .toroidal import SuiteConfig, run_suite, suite_json
+from .toroidal import SuiteConfig, run_suite
 from .vertex import (
     VertexEngine,
     contraction_check,
@@ -84,11 +84,12 @@ def require_cases(reports: list[CheckReport]) -> None:
         raise ConfigError("precondition violated: the configuration checks no case")
 
 
-def emit_reports(cfg: Config, reports: list[CheckReport]) -> int:
+def emit_reports(cfg: Config, reports: list[CheckReport], head: dict | None = None) -> int:
+    """Print the reports; in JSON the head's fields come before "checks"."""
     require_cases(reports)
     ok = all(r.passed for r in reports)
     if cfg.fmt == "json":
-        print(json.dumps({"checks": [r.to_obj() for r in reports]}, sort_keys=False))
+        print(json.dumps({**(head or {}), "checks": [r.to_obj() for r in reports]}, sort_keys=False))
     else:
         for r in reports:
             status = "pass" if r.passed else "FAIL"
@@ -282,12 +283,7 @@ TOROIDAL_VARIANTS = {"plus": "toroidal_plus", "minus": "toroidal_minus", "qp": "
 
 def cmd_toroidal(cfg: Config, g: GroupData) -> int:
     scfg = suite_config(cfg, TOROIDAL_VARIANTS[cfg.variant])
-    reports = run_suite(g, scfg)
-    if cfg.fmt == "json":
-        require_cases(reports)
-        print(suite_json(g, scfg, reports))
-        return 0 if all(r.passed for r in reports) else 1
-    return emit_reports(cfg, reports)
+    return emit_reports(cfg, run_suite(g, scfg), {"suite": scfg.variant, "config": scfg.to_obj()})
 
 
 # Each subcommand: its runner (exit code from (cfg, group)) and the Config

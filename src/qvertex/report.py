@@ -35,6 +35,13 @@ class CheckReport:
         return out
 
 
+def judgement(check_id: str, params: dict, ok: bool, n_cases: int, where, expected, got,
+              notes=None) -> CheckReport:
+    """The report of a check judged once; on failure its detail is (where, expected, got)."""
+    detail = None if ok else {"where": str(where), "expected": str(expected), "got": str(got)}
+    return CheckReport(check_id, params, passed=ok, n_cases=n_cases, fail_detail=detail, notes=list(notes or []))
+
+
 def first_mismatch(check_id: str, params: dict, pairs, notes=None) -> CheckReport:
     """Build a report from an iterable of (where, expected, got) triples.
 
@@ -45,12 +52,5 @@ def first_mismatch(check_id: str, params: dict, pairs, notes=None) -> CheckRepor
     for where, expected, got in pairs:
         count += 1
         if expected != got:
-            return CheckReport(
-                check_id,
-                params,
-                passed=False,
-                n_cases=count,
-                fail_detail={"where": str(where), "expected": str(expected), "got": str(got)},
-                notes=list(notes or []),
-            )
-    return CheckReport(check_id, params, passed=True, n_cases=count, notes=list(notes or []))
+            return judgement(check_id, params, False, count, where, expected, got, notes)
+    return judgement(check_id, params, True, count, None, None, None, notes)

@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .groups import GroupData, extended_cartan
-from .report import CheckReport, first_mismatch
+from .report import CheckReport, first_mismatch, judgement
 from .scalar import L_ZERO, Laurent, eval_at_one
 
 
@@ -38,8 +38,8 @@ class CxClassFunction:
     # -- constructors
 
     @staticmethod
-    def character(g: GroupData, i: int, qtwist: int = 0, vtwist: int = 0) -> "CxClassFunction":
-        tw = Laurent.v_pow(2 * qtwist + vtwist)
+    def character(g: GroupData, i: int, qtwist: int = 0) -> "CxClassFunction":
+        tw = Laurent.q_pow(qtwist)
         return CxClassFunction(g, tuple(c * tw for c in g.char_table[i]))
 
     @staticmethod
@@ -60,9 +60,6 @@ class CxClassFunction:
 
     def __mul__(self, other: "CxClassFunction") -> "CxClassFunction":
         return CxClassFunction(self.group, tuple(a * b for a, b in zip(self.values, other.values)))
-
-    def __neg__(self) -> "CxClassFunction":
-        return CxClassFunction(self.group, tuple(-a for a in self.values))
 
     def scale(self, f: Laurent) -> "CxClassFunction":
         return CxClassFunction(self.group, tuple(a * f for a in self.values))
@@ -198,14 +195,8 @@ def cartan_specialization_check(g: GroupData) -> CheckReport:
         raise ValueError("no stored Cartan layout for this group")
     got = qcartan(first_xi(g)).at_q1()
     want = extended_cartan(g.cartan_layout)
-    ok = got == want
-    return CheckReport(
-        "repring.cartan_q1",
-        {"group": g.name, "layout": list(g.cartan_layout)},
-        passed=ok,
-        n_cases=g.n_classes**2,
-        fail_detail=None if ok else {"where": "matrix", "expected": str(want), "got": str(got)},
-    )
+    params = {"group": g.name, "layout": list(g.cartan_layout)}
+    return judgement("repring.cartan_q1", params, got == want, g.n_classes**2, "matrix", want, got)
 
 
 # --------------------------------------------------------------------------
@@ -231,18 +222,11 @@ def qp_degeneracy_check(g: GroupData, p_exp: int) -> CheckReport:
     n = g.n_classes
     degenerate = p_exp in (1, -1)
     expected_zeros = [0] if degenerate else []
-    ok = zero_idx == expected_zeros
     notes = [f"rank {n - len(zero_idx)} of {n}"]
     if degenerate:
         notes.append("kernel spanned by the all-ones vector v(c^0)")
-    return CheckReport(
-        "repring.qp_degeneracy",
-        {"group": g.name, "p_exp": p_exp},
-        passed=ok,
-        n_cases=n,
-        fail_detail=None if ok else {"where": "zero eigenvalue set", "expected": str(expected_zeros), "got": str(zero_idx)},
-        notes=notes,
-    )
+    return judgement("repring.qp_degeneracy", {"group": g.name, "p_exp": p_exp}, zero_idx == expected_zeros, n,
+                     "zero eigenvalue set", expected_zeros, zero_idx, notes)
 
 
 # --------------------------------------------------------------------------
@@ -279,26 +263,22 @@ def positivity_probe(xi: WeightXi, t: float, tol: float = 1e-9) -> CheckReport:
                 kernel = kernel / kernel[np.argmax(np.abs(kernel))]
                 ok = bool(np.max(np.abs(kernel - kernel[0])) < 1e-6)
                 notes.append(f"rank {n - 1} of {n}; kernel aligned with the all-ones vector")
-            return CheckReport("repring.positivity", params, passed=ok, n_cases=n, notes=notes,
-                               fail_detail=None if ok else {"where": "rank", "expected": f"{n-1} nonzero + 1 null", "got": str(eigvals)})
+            return judgement("repring.positivity", params, ok, n, "rank", f"{n-1} nonzero + 1 null", eigvals, notes)
         ok = near_zero == 0 if t != 1.0 else near_zero >= 1
-        return CheckReport("repring.positivity", params, passed=ok, n_cases=n, notes=notes,
-                           fail_detail=None if ok else {"where": "degeneracy count", "expected": "no null eigenvalue" if t != 1.0 else ">= 1 null", "got": str(eigvals)})
+        return judgement("repring.positivity", params, ok, n, "degeneracy count",
+                         "no null eigenvalue" if t != 1.0 else ">= 1 null", eigvals, notes)
 
-    if np.max(np.abs(M - M.conj().T)) > 1e-9:
-        return CheckReport(
-            "repring.positivity", params, passed=False,
-            fail_detail={"where": "hermitian symmetry", "expected": "0", "got": str(np.max(np.abs(M - M.conj().T)))},
-        )
+    asymmetry = np.max(np.abs(M - M.conj().T))
+    if asymmetry > 1e-9:
+        return judgement("repring.positivity", params, False, 0, "hermitian symmetry", "0", asymmetry)
     eigvals = np.linalg.eigvalsh((M + M.conj().T) / 2)
     near_zero = int(np.sum(np.abs(eigvals) <= tol))
     notes = [f"eigenvalues {np.array2string(eigvals, precision=6)}"]
 
     if t == 1.0:
         ok = bool(eigvals[0] > -tol and near_zero >= 1)
-        return CheckReport("repring.positivity", params, passed=ok, n_cases=n, notes=notes,
-                           fail_detail=None if ok else {"where": "semidefinite boundary", "expected": ">= -tol with a null direction", "got": str(eigvals)})
+        return judgement("repring.positivity", params, ok, n, "semidefinite boundary",
+                         ">= -tol with a null direction", eigvals, notes)
 
     ok = bool(eigvals[0] > -tol and near_zero == 0)
-    return CheckReport("repring.positivity", params, passed=ok, n_cases=n, notes=notes,
-                       fail_detail=None if ok else {"where": "positive definiteness", "expected": "all eigenvalues > 0", "got": str(eigvals)})
+    return judgement("repring.positivity", params, ok, n, "positive definiteness", "all eigenvalues > 0", eigvals, notes)

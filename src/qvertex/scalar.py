@@ -73,6 +73,9 @@ def _cyclotomic_poly(n: int) -> list[int]:
     return poly
 
 
+# Module-global by exemption from the one-check cache rule: each table is a
+# pure function of one small integer (the conductor), so sharing it across
+# checks and benchmark decks shares no verdict work.
 _PHI_CACHE: dict[int, list[int]] = {}
 _RED_CACHE: dict[int, list[tuple[int, ...]]] = {}
 
@@ -330,9 +333,6 @@ class Laurent:
             # products are never zero (Q(zeta_N)[v^+-1] is a domain); only sums cancel
             return _normal({e: n for e, n in out.items() if n}, da * db)
         return _mul_coords(self, other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
     def scale(self, x) -> "Laurent":
         t, d = self._t, self._d
@@ -950,14 +950,6 @@ class TruncSeries:
     def one(order: int) -> "TruncSeries":
         return TruncSeries(order, [L_ONE])
 
-    def __add__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.order, other.order)
-        return TruncSeries(d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "TruncSeries") -> "TruncSeries":
-        d = min(self.order, other.order)
-        return TruncSeries(d, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         d = min(self.order, other.order)
         out = [L_ZERO] * (d + 1)
@@ -969,10 +961,6 @@ class TruncSeries:
                 if not b.is_zero:
                     out[i + j] = out[i + j] + a * b
         return TruncSeries(d, out)
-
-    def scale(self, x) -> "TruncSeries":
-        f = x if isinstance(x, Laurent) else Laurent.of(x)
-        return TruncSeries(self.order, [c * f for c in self.coeffs])
 
     def shift_var(self, s: Laurent) -> "TruncSeries":
         """Substitute z -> s*z for a Laurent scalar s."""
@@ -1002,10 +990,6 @@ class TruncSeries:
     def __hash__(self):
         # equality compares only the common prefix, so hash what every order keeps
         return hash(self.coeffs[0])
-
-    def __repr__(self):
-        terms = [f"({laurent_str(c)})*z^{m}" for m, c in enumerate(self.coeffs) if not c.is_zero]
-        return " + ".join(terms) if terms else "0"
 
 
 def series_exp(exponent: TruncSeries) -> TruncSeries:

@@ -24,7 +24,6 @@ In type-A p-mode the commutation relation multipliers carry p^{b_ji}
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_d
 from .groups import GroupData
 from .report import CheckReport, first_mismatch
 from .repring import WeightXi, first_xi, second_xi
-from .scalar import L_ZERO, KeyedSum, Laurent, keyed_times, qbinom, qint
+from .scalar import KeyedSum, Laurent, keyed_times, qbinom, qint
 from .vertex import VOp, VertexEngine, fj_x
 from .wreath import partitions
 
@@ -100,8 +99,9 @@ class RepMap:
     a_i(m) steps to beta and does nothing else; k_i^p and the psi modes, whose
     k_i factor alone reads beta, multiply by q^{p <gamma_i, beta>_1}.
 
-    The column, origin and step tables and the x records live for one suite
-    run and are its only caches; none refers back to the RepMap.  A relation
+    The origin column is the column at e^0, stored with the others.  The
+    column and step tables and the x records live for one suite run and are
+    its only caches; none refers back to the RepMap.  A relation
     check reads the images of whole states it rereads (x_j^s(n) v_t, ...)
     through functools.cache locals, called with (index, sign, mode, state
     index), which die with the check or with the block of it that rereads them.
@@ -131,7 +131,6 @@ class RepMap:
         self._origin_point = (0,) * group.n_classes
         # (generator, mode) -> {(monomial, beta): keyed value of the image}, built on first read
         self._columns: dict[tuple, dict] = {}
-        self._origins: dict[tuple, Laurent] = {}  # (generator, mode, monomial) -> origin column
         self._x_records: dict[VOp, tuple] = {}  # x operator -> (generator, step, origin), see x_mode
         self._steps: dict[tuple, tuple] = {}  # (generator, beta) -> lattice step
         self._interned: dict = {}
@@ -171,12 +170,13 @@ class RepMap:
         """The column of mono (x) e^beta: the origin column at the shifted mode, translated."""
         offset, sign, point, ev = self._step(gen, step, beta)
         _, sign0, _, ev0 = self._step(gen, step, self._origin_point)
-        okey = (gen, n + offset, mono)
-        col = self._origins.get(okey)
+        origins = self._columns.setdefault((gen, n + offset), {})
+        okey = (mono, self._origin_point)
+        col = origins.get(okey)
         if col is None:
-            col = self._origins[okey] = origin(n + offset, mono).f
-        if col.is_zero:
-            return L_ZERO
+            col = origins[okey] = origin(n + offset, mono).f
+        if col.is_zero or beta == self._origin_point:
+            return col
         intern = self._interned.setdefault
         t = {}
         de = ev - ev0
@@ -475,12 +475,18 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
 
     A chain is a word of N + 1 letters x_idx^+(mode), applied to v_t from
     the right.  Its right-hand suffixes of up to N letters are shared by many
-    chains: each is built once per (i, j), on its own suffix.  A whole chain
-    belongs to one case only, so it is added to that case's sum and dropped.
+    chains: each is built once per (i, j) block, on its own suffix, through
+    the block's functools.cache local.  A whole chain belongs to one case
+    only, so it is added to that case's sum and dropped.
     """
     W = SERRE_WINDOW
 
     def pairs():
+        def image(letters, t):
+            """v_t under the letters, in the order applied, all but the last read through prefix."""
+            idx, mm = letters[-1]
+            return rep.x_mode(idx, 1, mm, prefix(letters[:-1], t) if len(letters) > 1 else states[t])
+
         for i in rep.indices:
             for j in rep.indices:
                 g_ij = rep.eng.lat.gram[i][j]
@@ -488,7 +494,7 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                     continue
                 N = 1 - g_ij
                 signed = [qbinom(N, s).scale(-1 if s % 2 else 1) for s in range(N + 1)]
-                suffixes = {}  # (t, first N or fewer letters of a chain, in the order applied) -> image of v_t
+                prefix = cache(image)  # images under the first N or fewer letters of a chain
                 for modes in combinations_with_replacement(range(-W, W + 1), N):
                     perms = sorted(set(permutations(modes)))
                     for n in range(-W, W + 1):
@@ -502,20 +508,8 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                             for perm in perms
                             for s_pos in range(N + 1)
                         ]
-                        for t, v in enumerate(states):
-                            terms = []
-                            for letters, c in chains:
-                                img = v
-                                for depth in range(1, N + 1):
-                                    key = (t, letters[:depth])
-                                    nxt = suffixes.get(key)
-                                    if nxt is None:
-                                        idx, mm = letters[depth - 1]
-                                        nxt = suffixes[key] = rep.x_mode(idx, 1, mm, img)
-                                    img = nxt
-                                idx, mm = letters[N]
-                                terms.append((rep.x_mode(idx, 1, mm, img), c))
-                            acc = ExtState.lincomb(terms)
+                        for t in range(len(states)):
+                            acc = ExtState.lincomb((image(letters, t), c) for letters, c in chains)
                             yield (
                                 f"(i={i},j={j},modes={modes},n={n},state={t})",
                                 ExtState.zero(),
@@ -635,11 +629,3 @@ def run_suite(group: GroupData, cfg: SuiteConfig) -> list[CheckReport]:
         out.append(check_d2_grading(rep, states))
     return out
 
-
-def suite_json(group: GroupData, cfg: SuiteConfig, reports: list[CheckReport]) -> str:
-    doc = {
-        "suite": cfg.variant,
-        "config": cfg.to_obj(),
-        "checks": [r.to_obj() for r in reports],
-    }
-    return json.dumps(doc, sort_keys=False, indent=None)

@@ -307,15 +307,17 @@ class VertexEngine:
 # operator products and OPE checks
 
 
-def contraction_series(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> TruncSeries:
-    """exp(-sum_n (1/n) <w_A, w_B>^{q^n} (D_A C_B)^n x^n), x = w/z."""
-    ctx = eng.fock
-    tw = opA.ann_v + opB.cre_v
+def pairing_series(ctx: FockContext, i: int, j: int, sign: int, tw: int, D: int) -> TruncSeries:
+    """exp(-sum_n (1/n) sign <gamma_i, gamma_j>^{q^n} v^{tw n} x^n) through order D."""
     coeffs = [L_ZERO]
     for n in range(1, D + 1):
-        pair = ctx.pair_pow(opA.i, opB.i, n).scale(opA.w_sign * opB.w_sign)
-        coeffs.append((pair * Laurent.v_pow(tw * n)).scale(Fraction(-1, n)))
+        coeffs.append((ctx.pair_pow(i, j, n) * Laurent.v_pow(tw * n)).scale(Fraction(-sign, n)))
     return series_exp(TruncSeries(D, coeffs))
+
+
+def contraction_series(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> TruncSeries:
+    """exp(-sum_n (1/n) <w_A, w_B>^{q^n} (D_A C_B)^n x^n), x = w/z."""
+    return pairing_series(eng.fock, opA.i, opB.i, opA.w_sign * opB.w_sign, opA.ann_v + opB.cre_v, D)
 
 
 def contraction_check(eng: VertexEngine, i: int, j: int, k: int, l: int, D: int) -> CheckReport:
@@ -332,10 +334,7 @@ def contraction_check(eng: VertexEngine, i: int, j: int, k: int, l: int, D: int)
     g_ij = eng.lat.gram[i][j]
     # deformed entries satisfy entry * [n] = [g_ij * n]; detect exactly
     deformed = all(ctx.pair_pow(i, j, n) * qint(n) == qint(g_ij * n) for n in range(1, 4))
-    coeffs = [L_ZERO]
-    for n in range(1, D + 1):
-        coeffs.append((ctx.pair_pow(i, j, n) * Laurent.q_pow((k - l) * n)).scale(Fraction(-1, n)))
-    got = series_exp(TruncSeries(D, coeffs))
+    got = pairing_series(ctx, i, j, 1, 2 * (k - l), D)
     notes = []
     if deformed:
         reference = qpow_series_exp(g_ij, D)
@@ -359,19 +358,21 @@ def contraction_check(eng: VertexEngine, i: int, j: int, k: int, l: int, D: int)
     return first_mismatch("vertex.contraction", params, pairs(), notes=notes)
 
 
+def cross_data(eng: VertexEngine, opA: VOp, opB: VOp) -> tuple[int, int]:
+    """(g, p): the lattice cross pairing g = <w_A, w_B>_1 and the v-exponent p of
+    the p-part of A's zero mode at e^{w_B} (0 outside p-mode)."""
+    g_ab = opA.w_sign * opB.w_sign * eng.lat.gram[opA.i][opB.i]
+    return g_ab, eng.p_factor_v(opA.i, opA.w_sign, eng.shift_vec(opB.i, opB.w_sign))
+
+
 def ope_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, Laurent, TruncSeries]:
     """Full commutation factor of opA(z) opB(w) against :opA opB:.
 
     Returns (g, scalar, series) with the factor = scalar * z^g * series(w/z):
     g the lattice cross pairing, scalar the zero-mode q/p contribution.
     """
-    g_ab = opA.w_sign * opB.w_sign * eng.lat.gram[opA.i][opB.i]
-    scalar = Laurent.v_pow(opA.zqv * g_ab)
-    if eng.p_exp is not None:
-        wb = [0] * eng.rank
-        wb[opB.i] = opB.w_sign
-        scalar = scalar * Laurent.v_pow(eng.p_factor_v(opA.i, opA.w_sign, tuple(wb)))
-    return g_ab, scalar, contraction_series(eng, opA, opB, D)
+    g_ab, p_v = cross_data(eng, opA, opB)
+    return g_ab, Laurent.v_pow(opA.zqv * g_ab + p_v), contraction_series(eng, opA, opB, D)
 
 
 def creation_product(eng: VertexEngine, opA: VOp, opB: VOp, T: int, aB: int) -> Laurent:
@@ -522,19 +523,13 @@ def table_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, La
     double factors for the A1 cross pairing (constant entry +-2), single linear
     factors for g = +-1 with the p-mode prefactor where applicable.
     """
-    ctx = eng.fock
-    g_ab = opA.w_sign * opB.w_sign * eng.lat.gram[opA.i][opB.i]
-    entry = ctx.pair_pow(opA.i, opB.i, 1).scale(opA.w_sign * opB.w_sign)
+    g_ab, p_v = cross_data(eng, opA, opB)
+    entry = eng.fock.pair_pow(opA.i, opB.i, 1).scale(opA.w_sign * opB.w_sign)
     tw = Laurent.v_pow(opA.ann_v + opB.cre_v)
     qq = Laurent.q_pow(1) + Laurent.q_pow(-1)
 
     def lin(c: Laurent) -> TruncSeries:
         return TruncSeries(D, [L_ONE, -c])
-
-    def p_prefactor() -> Laurent:
-        wb = [0] * eng.rank
-        wb[opB.i] = opB.w_sign
-        return Laurent.v_pow(eng.p_factor_v(opA.i, opA.w_sign, tuple(wb)))
 
     if g_ab == 0:
         return 0, L_ONE, TruncSeries.one(D)
@@ -548,10 +543,10 @@ def table_factor(eng: VertexEngine, opA: VOp, opB: VOp, D: int) -> tuple[int, La
         return -2, L_ONE, (lin(tw) * lin(tw)).inverse()  # A1 cross, classical double pole
     if g_ab == -1 and len(entry.support()) == 1:
         # entry is a single monomial of negative sign; the pole sits at tw*(-entry)
-        return -1, p_prefactor() if eng.p_exp is not None else L_ONE, lin(tw * (-entry)).inverse()
+        return -1, Laurent.v_pow(p_v), lin(tw * (-entry)).inverse()
     if g_ab == 1 and len(entry.support()) == 1:
         # entry is a single positive monomial; one linear vanishing factor
-        return 1, p_prefactor() if eng.p_exp is not None else L_ONE, lin(tw * entry)
+        return 1, Laurent.v_pow(p_v), lin(tw * entry)
     return None
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from qvertex import toroidal
+from qvertex import cli, toroidal
 from qvertex.groups import binary_dihedral, cyclic
 from qvertex.toroidal import (
     RepMap,
@@ -15,7 +15,6 @@ from qvertex.toroidal import (
     check_a_x,
     check_xpxm,
     run_suite,
-    suite_json,
 )
 from qvertex.fock import ExtState
 from qvertex.scalar import Laurent, qint
@@ -107,10 +106,12 @@ def test_typeA_qp_requires_p():
         RepMap(cyclic(3), small_cfg("cyclic:3", variant="typeA_qp"))
 
 
-def test_report_json_deterministic():
-    cfg = small_cfg("cyclic:2")
-    a = suite_json(cyclic(2), cfg, run_suite(cyclic(2), cfg))
-    b = suite_json(cyclic(2), cfg, run_suite(cyclic(2), cfg))
+def test_report_json_deterministic(capsys):
+    argv = ["toroidal", "--group", "cyclic:2", "--max-degree", "1", "--max-mode", "1", "--format", "json"]
+    assert cli.main(argv) == 0
+    a = capsys.readouterr().out
+    assert cli.main(argv) == 0
+    b = capsys.readouterr().out
     assert a == b
     doc = json.loads(a)
     assert list(doc) == ["suite", "config", "checks"]
@@ -392,7 +393,7 @@ def test_xpxm_sees_a_defect_in_a_positive_heisenberg_mode(monkeypatch):
 # run in suite order on one RepMap.  xpxm's a_mode calls are psi_mode building
 # its origin columns, once per (mode, monomial) and not per lattice point: the
 # five states are the vacuum at five points.  The Serre count also guards its
-# suffix table's keys: a table that served one state's chains for every state
+# prefix cache's keys: a cache that served one state's chains for every state
 # would still see zero sums.  The xx products x_i^s(a) x_j^s(b) v_t live for the
 # whole check: block (j,i,s)'s left side reads block (i,j,s)'s right side.
 IMAGE_CALLS = {

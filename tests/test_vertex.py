@@ -438,6 +438,26 @@ def test_ope_product_check_fails_without_the_relative_cocycle_sign(monkeypatch):
     assert rep.fail_detail["where"] == "state #0 modes (-2,-2)" and rep.n_cases == 1
 
 
+def test_ope_product_check_fails_on_a_negated_cross_p_part(monkeypatch):
+    # The table check passes this defect: its closed form and its computed
+    # factor both read the p-part through cross_data.  The product check's left
+    # side reads the zero mode through lattice_step, an independent route.
+    cross = vertex.cross_data
+
+    def negated(eng, opA, opB):
+        g_ab, p_v = cross(eng, opA, opB)
+        return g_ab, -p_v
+
+    monkeypatch.setattr(vertex, "cross_data", negated)
+    eng = VertexEngine(FockContext(second_xi(cyclic(3), 2)), p_exp=2)
+    opA, opB = y_plus(0, 1, 0, -1), y_plus(1, 1, 0, -1)
+    assert ope_table_check(eng, opA, opB, 8, "t", {}).passed
+    states = [ExtState.vacuum(3), ExtState.point(((1, 2),), (0, 0, 0))]  # the CLI's two states
+    rep = ope_product_check(eng, opA, opB, 2, states, "t", {})
+    assert not rep.passed
+    assert rep.fail_detail["where"] == "state #0 modes (-2,-2)" and rep.n_cases == 1
+
+
 def test_ope_table_check_fails_on_a_perturbed_closed_form(monkeypatch):
     table = vertex.table_factor
 
