@@ -172,10 +172,11 @@ def run_vertex_checks(cfg: Config, g: GroupData) -> list[CheckReport]:
 
 
 def suite_config(cfg: Config, variant: str) -> SuiteConfig:
-    """The relation-suite configuration the CLI runs (and reports) for a variant."""
+    """The relation-suite configuration the CLI runs (and reports) for a variant;
+    typeA_qp runs, and so reports, the second weight whatever --xi says."""
     return SuiteConfig(
         cfg.group,
-        xi=cfg.xi,
+        xi="second" if variant == "typeA_qp" else cfg.xi,
         variant=variant,
         k=cfg.k,
         p_exp=cfg.p_exp if SuiteConfig.reads_p_exp(variant, cfg.xi) else None,

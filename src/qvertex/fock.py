@@ -125,8 +125,7 @@ class FockVector:
         """sum c v over (vector, Laurent c) pairs, normalised once; zero vectors are skipped."""
         acc = KeyedSum()
         for v, c in pairs:
-            if not v.f.is_zero:
-                acc.add_product(v.f, c)
+            acc.add_product(v.f, c)
         return cls.packed(acc.value())
 
     @property
@@ -145,6 +144,9 @@ class FockVector:
     def __sub__(self, other):
         assert type(other) is type(self)
         return self.packed(self.f - other.f)
+
+    def __neg__(self):
+        return self.packed(-self.f)
 
     def scale(self, c: Laurent):
         return self.packed(self.f if self.f.is_zero else keyed_product(self.f, c))

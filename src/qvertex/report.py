@@ -54,3 +54,18 @@ def first_mismatch(check_id: str, params: dict, pairs, notes=None) -> CheckRepor
         if expected != got:
             return judgement(check_id, params, False, count, where, expected, got, notes)
     return judgement(check_id, params, True, count, None, None, None, notes)
+
+
+def first_nonzero(check_id: str, params: dict, cases, notes=None) -> CheckReport:
+    """Build a report from an iterable of (residual, sides) pairs.
+
+    A case passes when its residual (LHS - RHS, a scalar.KeyedSum) is zero.
+    sides() gives (where, expected, got) and is called for the first case
+    that fails only, so a passing case renders and builds nothing more.
+    """
+    count = 0
+    for residual, sides in cases:
+        count += 1
+        if not residual.is_zero:
+            return judgement(check_id, params, False, count, *sides(), notes)
+    return judgement(check_id, params, True, count, None, None, None, notes)

@@ -19,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .groups import GroupData, extended_cartan
 from .report import CheckReport, first_mismatch, judgement
 from .scalar import L_ZERO, Laurent, eval_at_one
@@ -240,6 +238,8 @@ def positivity_probe(xi: WeightXi, t: float, tol: float = 1e-9) -> CheckReport:
     t = 1: boundary mode, positive semi-definite with minimal eigenvalue ~ 0.
     Second weight at p = q^{+-1}: exactly one ~0 eigenvalue, kernel ~ (1,..,1).
     """
+    import numpy as np  # the one floating-point reader; not imported with the package
+
     if t <= 0:
         raise ValueError("positivity probe requires t > 0")
     g = xi.group

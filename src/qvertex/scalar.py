@@ -797,9 +797,10 @@ class KeyedSum:
                 self.add(key, e, p, y, c)
 
     def add_product(self, p: Laurent, c: Laurent) -> None:
-        """Add the keyed value p times the Laurent c."""
-        for e, x in c._t.items():
-            self.add_all(p, e, c, x)
+        """Add the keyed value p times the Laurent c (nothing when p is zero)."""
+        if p._t:
+            for e, x in c._t.items():
+                self.add_all(p, e, c, x)
 
     def _align(self, q: int) -> int:
         """Make q divide the running denominator; return the factor d / q."""
@@ -815,6 +816,11 @@ class KeyedSum:
                     t[key] = tuple([x * m for x in c])
             self.d = d = d * m
         return d // q
+
+    @property
+    def is_zero(self) -> bool:
+        """Exact: every entry that cancels is dropped, and coordinates are canonical."""
+        return not self.t
 
     def value(self) -> Laurent:
         if self.n == 1:

@@ -33,9 +33,9 @@ from math import factorial, prod
 
 from .fock import ExtState, FockContext, ext_apply_mode, monomial_states, mono_deg
 from .groups import GroupData
-from .report import CheckReport, first_mismatch
+from .report import CheckReport, first_mismatch, first_nonzero
 from .repring import WeightXi, first_xi, second_xi
-from .scalar import KeyedSum, Laurent, keyed_times, qbinom, qint
+from .scalar import L_ONE, KeyedSum, Laurent, keyed_times, qbinom, qint
 from .vertex import VOp, VertexEngine, fj_x
 from .wreath import partitions
 
@@ -105,6 +105,9 @@ class RepMap:
     check reads the images of whole states it rereads (x_j^s(n) v_t, ...)
     through functools.cache locals, called with (index, sign, mode, state
     index), which die with the check or with the block of it that rereads them.
+    An image read once goes into the case's residual: a_mode and x_mode take
+    an optional KeyedSum `into`, and with one they add the image there and
+    build no vector.
     """
 
     def __init__(self, group: GroupData, cfg: SuiteConfig):
@@ -135,14 +138,16 @@ class RepMap:
         self._steps: dict[tuple, tuple] = {}  # (generator, beta) -> lattice step
         self._interned: dict = {}
 
-    def _apply(self, gen: tuple, n: int, v: ExtState, step, origin) -> ExtState:
+    def _apply(self, gen: tuple, n: int, v: ExtState, step, origin, into: KeyedSum | None = None):
         """sum_t c_t image(t) over v's nonzero terms c_t t, each column image(t) built once.
 
         gen names the generator and n its mode, so two generators never share
         a column; step(beta) is the generator's lattice step at beta and
         origin(N, mono) its image of mono (x) e^0 at mode N.  The tables
         keep no closure over the RepMap, so it is freed when its suite ends,
-        without waiting for the cycle collector.
+        without waiting for the cycle collector.  Given a KeyedSum into, the
+        image is added into it and no vector is built (None is returned);
+        otherwise the image is gathered in a sum of its own and returned.
         """
         f = v.f
         entries = f.entries()
@@ -152,13 +157,14 @@ class RepMap:
         for (key, _), _ in entries:
             if key not in cols:
                 cols[key] = self._column(gen, n, step, origin, *key)
-        if len(entries) == 1:
+        if into is None and len(entries) == 1:
             ((key, e), x), = entries
             return ExtState.packed(keyed_times(cols[key], e, f, x))
-        acc = KeyedSum()
+        acc = KeyedSum() if into is None else into
         for (key, e), x in entries:
             acc.add_all(cols[key], e, f, x)
-        return ExtState.packed(acc.value())
+        if into is None:
+            return ExtState.packed(acc.value())
 
     def _step(self, gen: tuple, step, beta: tuple[int, ...]) -> tuple:
         st = self._steps.get((gen, beta))
@@ -196,34 +202,35 @@ class RepMap:
     def x_op(self, i: int, sign: int) -> VOp:
         return self._x_ops[(i, sign)]
 
-    def x_mode(self, i: int, sign: int, n: int, v: ExtState) -> ExtState:
-        """x_i^sign(n) v, through the record of the operator x_op(i, sign)."""
+    def x_mode(self, i: int, sign: int, n: int, v: ExtState, into: KeyedSum | None = None):
+        """x_i^sign(n) v, through the record of the operator x_op(i, sign); added
+        into `into` when given (see _apply)."""
         if v.is_zero:
-            return ExtState.zero()
+            return None if into is not None else ExtState.zero()
         op = self.x_op(i, sign)
         rec = self._x_records.get(op)
         if rec is None:
             rec = self._x_records[op] = _x_record(self.eng, self._origin_point, op)
         gen, step, origin = rec
-        return self._apply(gen, n, v, step, origin)
+        return self._apply(gen, n, v, step, origin, into)
 
     def _k_step(self, i: int, power: int):
         """The lattice step of k_i^power: q^{power <gamma_i, beta>_1} at beta."""
         return lambda beta: (0, 1, beta, 2 * power * self.eng.lat.pairing_row(i, beta))
 
-    def a_mode(self, i: int, m: int, v: ExtState) -> ExtState:
-        """a_i(m) = ([m]/m) a_m(gamma_i)."""
+    def a_mode(self, i: int, m: int, v: ExtState, into: KeyedSum | None = None):
+        """a_i(m) = ([m]/m) a_m(gamma_i); added into `into` when given (see _apply)."""
         if m == 0:
             raise ValueError("a_i(0) is not a generator here")
         if v.is_zero:
-            return ExtState.zero()
+            return None if into is not None else ExtState.zero()
 
         def origin(m: int, mono) -> ExtState:
             return ext_apply_mode(self.fock, m, i, self._unit(mono)).scale(
                 qint(abs(m)).scale(Fraction(1, abs(m)))
             )
 
-        return self._apply(("a", i), m, v, self._k_step(i, 0), origin)
+        return self._apply(("a", i), m, v, self._k_step(i, 0), origin, into)
 
     def k_diag(self, i: int, v: ExtState, power: int = 1) -> ExtState:
         """k_i^power: q^{power <gamma_i, beta>_1} on the lattice point beta."""
@@ -327,39 +334,55 @@ def check_heisenberg_rel(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """[a_i(m), a_j(n)] = delta_{m,-n} ([m] A_ij^{q^m} [m] / m) at c = 1.
 
     Each a_i(m) a_j(n) v_t is built once per check, for the case (i, j, m, n)
-    and its mirror (j, i, n, m), on a_j(n) v_t, also built once.
+    and its mirror (j, i, n, m), on a_j(n) v_t, also built once.  A case is
+    judged by its residual, the two products and -coeff v_t added into one
+    KeyedSum; only a failing case builds its two sides.
     """
     cfg = rep.cfg
     modes = [m for m in range(-cfg.max_mode, cfg.max_mode + 1) if m]
     a1 = cache(lambda i, m, t: rep.a_mode(i, m, states[t]))  # a_i(m) v_t
     a2 = cache(lambda i, m, j, n, t: rep.a_mode(i, m, a1(j, n, t)))  # a_i(m) a_j(n) v_t
 
-    def pairs():
+    def sides(i, j, m, n, t, coeff):
+        rhs = states[t].scale(coeff) if m == -n else ExtState.zero()
+        return f"(i={i},j={j},m={m},n={n},state={t})", rhs, a2(i, m, j, n, t) - a2(j, n, i, m, t)
+
+    def cases():
         for i in rep.indices:
             for j in rep.indices:
                 for m in modes:
                     coeff = (qint(abs(m)) ** 2).scale(Fraction(1, m)) * rep.fock.pair_pow(i, j, m)
+                    minus_coeff = -coeff
                     for n in modes:
                         for t, v in enumerate(states):
-                            lhs = a2(i, m, j, n, t) - a2(j, n, i, m, t)
-                            rhs = v.scale(coeff) if m == -n else ExtState.zero()
-                            yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
+                            res = KeyedSum()
+                            res.add_all(a2(i, m, j, n, t).f, 0, L_ONE, 1)
+                            res.add_all(a2(j, n, i, m, t).f, 0, L_ONE, -1)
+                            if m == -n:
+                                res.add_product(v.f, minus_coeff)
+                            yield res, partial(sides, i, j, m, n, t, coeff)
 
-    return _say_why_empty(first_mismatch("toroidal.heisenberg", rep.params, pairs()), states, NO_MODE)
+    return _say_why_empty(first_nonzero("toroidal.heisenberg", rep.params, cases()), states, NO_MODE)
 
 
 def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
     """[a_i(m), x_j^s(n)] = s ([m]/m) A_ij^{q^m} q^{s k |m|/2} x_j^s(m+n).
 
-    x_j^s(n) v_t and a_i(m) v_t are built once per check; the products of
-    two generators are all distinct and are built per case.
+    x_j^s(n) v_t and -a_i(m) v_t are built once per check; the products of
+    two generators are all distinct and are added straight into the case's
+    residual, with x_j^s(m+n) v_t times -coeff; only a failing case builds
+    its two sides.
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
     x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
-    a1 = cache(lambda i, m, t: rep.a_mode(i, m, states[t]))  # a_i(m) v_t
+    minus_a1 = cache(lambda i, m, t: -rep.a_mode(i, m, states[t]))  # -a_i(m) v_t
 
-    def pairs():
+    def sides(i, j, s, m, n, t, coeff):
+        lhs = rep.a_mode(i, m, x1(j, s, n, t)) - rep.x_mode(j, s, n, -minus_a1(i, m, t))
+        return f"(i={i},j={j},s={s},m={m},n={n},state={t})", x1(j, s, m + n, t).scale(coeff), lhs
+
+    def cases():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
@@ -371,13 +394,16 @@ def check_a_x(rep: RepMap, states: list[ExtState]) -> CheckReport:
                             * rep.fock.pair_pow(i, j, m)
                             * Laurent.v_pow(s * rep.k_eff * abs(m))
                         )
+                        minus_coeff = -coeff
                         for n in modes:
                             for t in range(len(states)):
-                                lhs = rep.a_mode(i, m, x1(j, s, n, t)) - rep.x_mode(j, s, n, a1(i, m, t))
-                                rhs = x1(j, s, m + n, t).scale(coeff)
-                                yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
+                                res = KeyedSum()
+                                rep.a_mode(i, m, x1(j, s, n, t), into=res)
+                                rep.x_mode(j, s, n, minus_a1(i, m, t), into=res)
+                                res.add_product(x1(j, s, m + n, t).f, minus_coeff)
+                                yield res, partial(sides, i, j, s, m, n, t, coeff)
 
-    return _say_why_empty(first_mismatch("toroidal.a_x", rep.params, pairs()), states, NO_MODE)
+    return _say_why_empty(first_nonzero("toroidal.a_x", rep.params, cases()), states, NO_MODE)
 
 
 def _xx_multipliers(rep: RepMap, i: int, j: int, s: int):
@@ -412,26 +438,37 @@ def check_xx(rep: RepMap, states: list[ExtState]) -> CheckReport:
     x_j^s(n) v_t and x_i^s(a) x_j^s(b) v_t are built once per check: block
     (i, j, s)'s left side and block (j, i, s)'s right side read the same
     products, and each case reads them at several modes.  For i != j a case's
-    two sides read different products.
+    two sides read different products.  A case is judged by its residual,
+    the products times P_L's and -P_R's coefficients added into one
+    KeyedSum; only a failing case builds its two sides.
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
     x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
     x2 = cache(lambda i, a, j, b, s, t: rep.x_mode(i, s, a, x1(j, s, b, t)))  # x_i^s(a) x_j^s(b) v_t
 
-    def pairs():
+    def sides(i, j, s, m, n, t, PL, PR):
+        lhs = ExtState.lincomb((x2(i, m + u, j, n + w, s, t), c) for (u, w), c in PL.items())
+        rhs = ExtState.lincomb((x2(j, n + w, i, m + u, s, t), c) for (u, w), c in PR.items())
+        return f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs
+
+    def cases():
         for i in rep.indices:
             for j in rep.indices:
                 for s in (1, -1):
                     PL, PR = _xx_multipliers(rep, i, j, s)
+                    minus_PR = [(uw, -c) for uw, c in PR.items()]
                     for m in modes:
                         for n in modes:
                             for t in range(len(states)):
-                                lhs = ExtState.lincomb((x2(i, m + u, j, n + w, s, t), c) for (u, w), c in PL.items())
-                                rhs = ExtState.lincomb((x2(j, n + w, i, m + u, s, t), c) for (u, w), c in PR.items())
-                                yield (f"(i={i},j={j},s={s},m={m},n={n},state={t})", rhs, lhs)
+                                res = KeyedSum()
+                                for (u, w), c in PL.items():
+                                    res.add_product(x2(i, m + u, j, n + w, s, t).f, c)
+                                for (u, w), c in minus_PR:
+                                    res.add_product(x2(j, n + w, i, m + u, s, t).f, c)
+                                yield res, partial(sides, i, j, s, m, n, t, PL, PR)
 
-    return first_mismatch("toroidal.xx", rep.params, pairs())
+    return first_nonzero("toroidal.xx", rep.params, cases())
 
 
 def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
@@ -440,34 +477,53 @@ def check_xpxm(rep: RepMap, states: list[ExtState]) -> CheckReport:
     o = -k; the Psi-modes are the normal-ordered residues at the delta supports
     z = q^{-k} w and z = q^{k} w (cross-validated on vacuum and one-particle
     states, as the two delta-terms only make sense through this extraction).
-    x_i^{+-}(m) v_t is built once per check; each product of two is read once.
+    A case is judged by the residual of the relation times (q-q^-1): x_i^+(m)
+    adds its image of (q-q^-1) x_j^-(n) v_t and x_j^-(n) its image of
+    -(q-q^-1) x_i^+(m) v_t, each built once per check, straight into one
+    KeyedSum, and the Psi modes go in with coefficients -o q^{om} and
+    o q^{-om}.  Only a failing case builds its two sides, the left one from
+    x^{+-}(.) v_t rebuilt unscaled.
     """
     cfg = rep.cfg
     modes = range(-cfg.max_mode, cfg.max_mode + 1)
     o = -rep.k_eff
     qdiff = Laurent.q_pow(1) - Laurent.q_pow(-1)
-    x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]))  # x_j^s(n) v_t
+    scaled = {1: -qdiff, -1: qdiff}
+    x1 = cache(lambda j, s, n, t: rep.x_mode(j, s, n, states[t]).scale(scaled[s]))  # -s (q-q^-1) x_j^s(n) v_t
 
-    def pairs():
+    def psi_terms(i, m, n, v, c_plus, c_minus):
+        """The Psi modes of the right side times (q-q^-1), with the coefficients given."""
+        terms = []
+        if m + n >= 0:
+            terms.append((rep.psi_mode(i, 1, o, m + n, v), c_plus))
+        if m + n <= 0:
+            terms.append((rep.psi_mode(i, -1, -o, -(m + n), v), c_minus))
+        return terms
+
+    def sides(i, j, m, n, t, c_plus, c_minus):
+        v = states[t]
+        lhs = rep.x_mode(i, 1, m, rep.x_mode(j, -1, n, v)) - rep.x_mode(j, -1, n, rep.x_mode(i, 1, m, v))
+        rhs = ExtState.lincomb(psi_terms(i, m, n, v, c_plus, -c_minus) if i == j else ())
+        return f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs.scale(qdiff)
+
+    def cases():
         for i in rep.indices:
             for j in rep.indices:
                 for m in modes:
                     c_plus = Laurent.q_pow(o * m).scale(o)
                     c_minus = Laurent.q_pow(-o * m).scale(o)
+                    minus_c_plus = -c_plus
                     for n in modes:
                         for t, v in enumerate(states):
-                            lhs = rep.x_mode(i, 1, m, x1(j, -1, n, t)) - rep.x_mode(j, -1, n, x1(i, 1, m, t))
-                            lhs = lhs.scale(qdiff)
-                            terms = []
+                            res = KeyedSum()
+                            rep.x_mode(i, 1, m, x1(j, -1, n, t), into=res)
+                            rep.x_mode(j, -1, n, x1(i, 1, m, t), into=res)
                             if i == j:
-                                if m + n >= 0:
-                                    terms.append((rep.psi_mode(i, 1, o, m + n, v), c_plus))
-                                if m + n <= 0:
-                                    terms.append((rep.psi_mode(i, -1, -o, -(m + n), v), -c_minus))
-                            rhs = ExtState.lincomb(terms)
-                            yield (f"(i={i},j={j},m={m},n={n},state={t})", rhs, lhs)
+                                for psi, c in psi_terms(i, m, n, v, minus_c_plus, c_minus):
+                                    res.add_product(psi.f, c)
+                            yield res, partial(sides, i, j, m, n, t, c_plus, c_minus)
 
-    return first_mismatch("toroidal.xpxm", rep.params, pairs())
+    return first_nonzero("toroidal.xpxm", rep.params, cases())
 
 
 def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
@@ -477,11 +533,15 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
     the right.  Its right-hand suffixes of up to N letters are shared by many
     chains: each is built once per (i, j) block, on its own suffix, through
     the block's functools.cache local.  A whole chain belongs to one case
-    only, so it is added to that case's sum and dropped.
+    only, so it is added to that case's residual, one KeyedSum, and dropped;
+    the sum is normalised only for a failing case.
     """
     W = SERRE_WINDOW
 
-    def pairs():
+    def sides(i, j, modes, n, t, res):
+        return f"(i={i},j={j},modes={modes},n={n},state={t})", ExtState.zero(), ExtState.packed(res.value())
+
+    def cases():
         def image(letters, t):
             """v_t under the letters, in the order applied, all but the last read through prefix."""
             idx, mm = letters[-1]
@@ -509,15 +569,13 @@ def check_serre(rep: RepMap, states: list[ExtState]) -> CheckReport:
                             for s_pos in range(N + 1)
                         ]
                         for t in range(len(states)):
-                            acc = ExtState.lincomb((image(letters, t), c) for letters, c in chains)
-                            yield (
-                                f"(i={i},j={j},modes={modes},n={n},state={t})",
-                                ExtState.zero(),
-                                acc,
-                            )
+                            res = KeyedSum()
+                            for letters, c in chains:
+                                res.add_product(image(letters, t).f, c)
+                            yield res, partial(sides, i, j, modes, n, t, res)
 
     no_pair = "no Serre pair, i != j in the index set with <gamma_i, gamma_j>_1 < 0"
-    return _say_why_empty(first_mismatch("toroidal.serre", rep.params, pairs()), states, no_pair)
+    return _say_why_empty(first_nonzero("toroidal.serre", rep.params, cases()), states, no_pair)
 
 
 def check_psi_structure(rep: RepMap, states: list[ExtState]) -> CheckReport:

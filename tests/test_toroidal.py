@@ -4,6 +4,7 @@ import math
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -17,7 +18,8 @@ from qvertex.toroidal import (
     run_suite,
 )
 from qvertex.fock import ExtState
-from qvertex.scalar import Laurent, qint
+from qvertex.report import first_mismatch, first_nonzero
+from qvertex.scalar import KeyedSum, Laurent, qint
 from qvertex.vertex import fj_x
 
 from vector_helpers import ref_a_mode, ref_k_diag, ref_psi_mode
@@ -304,8 +306,9 @@ def test_a_rep_map_is_freed_without_the_cycle_collector():
 
 
 def scale_a1_by_q(rep, monkeypatch):
+    # scales the input, not the image, so it reaches an image added into a residual; by linearity the same defect
     a_mode = rep.a_mode
-    rep.a_mode = lambda i, m, v: a_mode(i, m, v).scale(Laurent.q_pow(1)) if m == 1 else a_mode(i, m, v)
+    rep.a_mode = lambda i, m, v, into=None: a_mode(i, m, v.scale(Laurent.q_pow(1)) if m == 1 else v, into)
 
 
 def mirror_x_op(rep, monkeypatch):
@@ -326,17 +329,17 @@ def sign_pow_one(rep, monkeypatch):
 
 def a_of_minus_m(rep, monkeypatch):
     a_mode = rep.a_mode
-    rep.a_mode = lambda i, m, v: a_mode(i, -m, v)
+    rep.a_mode = lambda i, m, v, into=None: a_mode(i, -m, v, into)
 
 
 def x_of_n_plus_1(rep, monkeypatch):
     x_mode = rep.x_mode
-    rep.x_mode = lambda i, s, n, v: x_mode(i, s, n + 1, v)
+    rep.x_mode = lambda i, s, n, v, into=None: x_mode(i, s, n + 1, v, into)
 
 
 def x_of_minus_s(rep, monkeypatch):
     x_mode = rep.x_mode
-    rep.x_mode = lambda i, s, n, v: x_mode(i, -s, n, v)
+    rep.x_mode = lambda i, s, n, v, into=None: x_mode(i, -s, n, v, into)
 
 
 SEEDED = [
@@ -387,6 +390,59 @@ def test_xpxm_sees_a_defect_in_a_positive_heisenberg_mode(monkeypatch):
     assert bad.n_cases == 98
 
 
+# -- a case is judged by its residual; only a failing case builds its sides
+
+
+def residual_cases(sides_list, built):
+    """(residual, sides) pairs for (where, expected, got) triples: got - expected in a KeyedSum."""
+    def sides(k):
+        built.append(k)
+        return sides_list[k]
+
+    for k, (_, expected, got) in enumerate(sides_list):
+        res = KeyedSum()
+        res.add_all(got.f, 0, Laurent.one(), 1)
+        res.add_all(expected.f, 0, Laurent.one(), -1)
+        yield res, partial(sides, k)
+
+
+def test_first_nonzero_passes_without_building_a_side():
+    v = ExtState.point(((1, 0),), (0, 1, -1), coeff=MIXED[3])
+    triples = [(f"case {k}", v.scale(c), v.scale(c)) for k, c in enumerate(MIXED)]
+    built = []
+    report = first_nonzero("t.id", {"p": 1}, residual_cases(triples, built))
+    assert report.to_obj() == first_mismatch("t.id", {"p": 1}, triples).to_obj()
+    assert report.passed and report.n_cases == len(MIXED) and built == []
+
+
+def test_first_nonzero_reports_the_first_failure_as_first_mismatch_does():
+    u, w = ExtState.point((), (0, 0, 0)), ExtState.point(((2, 1),), (1, -1, 0))
+    # case 1's residual cancels cyclotomic entries; case 2's cancels at u and keeps w's
+    triples = [
+        ("case 0", u + w, w + u),
+        ("case 1", u.scale(MIXED[3]), u.scale(Laurent.root(3)) + u.scale(Laurent.q_pow(-2))),
+        ("case 2", u.scale(MIXED[1]) + w, u.scale(MIXED[1]) + w.scale(MIXED[2])),
+        ("case 3", u, w),
+    ]
+    built = []
+    report = first_nonzero("t.id", {"p": 1}, residual_cases(triples, built), notes=["n"])
+    assert report.to_obj() == first_mismatch("t.id", {"p": 1}, triples, notes=["n"]).to_obj()
+    assert not report.passed and report.n_cases == 3 and report.fail_detail["where"] == "case 2"
+    assert built == [2]
+
+
+def test_a_residual_check_with_no_case_still_says_why():
+    assert first_nonzero("t.id", {}, iter(())).to_obj() == {"id": "t.id", "params": {}, "pass": True, "cases": 0}
+    rep = RepMap(cyclic(3), small_cfg("cyclic:3", max_mode=0))
+    for check in (toroidal.check_heisenberg_rel, check_a_x):
+        report = check(rep, rep.test_states())
+        assert report.passed and report.n_cases == 0
+        assert report.notes == [f"no case: {toroidal.NO_MODE}"]
+        assert check(rep, []).notes == ["no case: no test state"]
+    rep = RepMap(cyclic(3), small_cfg("cyclic:3", variant="affine"))  # nodes 1, 2 of affine A2: one Serre pair
+    assert toroidal.check_serre(rep, []).notes == ["no case: no test state"]
+
+
 # -- each relation check builds each generator image once, in tables of its own
 
 # (x_mode calls, a_mode calls) of each check on small_cfg("cyclic:3"), the checks
@@ -412,9 +468,9 @@ def test_relation_checks_build_each_image_once():
     x_mode, a_mode = rep.x_mode, rep.a_mode
 
     def counted(name, mode):
-        def call(*args):
+        def call(*args, **kw):
             calls[name] += 1
-            return mode(*args)
+            return mode(*args, **kw)
 
         return call
 
